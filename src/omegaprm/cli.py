@@ -166,7 +166,7 @@ def _read_corpus(path):
     return import_corpus_jsonl(path)
 
 
-def _require(path, parser_exit):
+def _require(path):
     if not os.path.exists(path):
         print(f"missing upstream artifact: {path}", file=sys.stderr)
         sys.exit(3)
@@ -200,7 +200,7 @@ def cmd_filter(cfg: RunConfig) -> int:
 
 
 def cmd_generate(cfg: RunConfig) -> int:
-    kept_path = _require(os.path.join(cfg.output, "kept.jsonl"), None)
+    kept_path = _require(os.path.join(cfg.output, "kept.jsonl"))
     questions, chains = import_corpus_jsonl(kept_path)
     trees_dir = os.path.join(cfg.output, "trees")
     os.makedirs(trees_dir, exist_ok=True)
@@ -243,7 +243,7 @@ def cmd_generate(cfg: RunConfig) -> int:
 
 
 def cmd_export(cfg: RunConfig) -> int:
-    trees_dir = _require(os.path.join(cfg.output, "trees"), None)
+    trees_dir = _require(os.path.join(cfg.output, "trees"))
     names = sorted(n for n in os.listdir(trees_dir) if n.endswith(".json"))
     if not names:
         print(f"missing upstream artifact: {trees_dir}/*.json", file=sys.stderr)
@@ -261,7 +261,7 @@ def cmd_export(cfg: RunConfig) -> int:
 
 
 def cmd_train(cfg: RunConfig) -> int:
-    examples_path = _require(os.path.join(cfg.output, "examples.jsonl"), None)
+    examples_path = _require(os.path.join(cfg.output, "examples.jsonl"))
     objective = cfg.train.get("objective", "soft")
     settings_kwargs = {
         k: cfg.train[k] for k in ("learning_rate", "epochs") if k in cfg.train
@@ -272,11 +272,10 @@ def cmd_train(cfg: RunConfig) -> int:
     examples = import_examples_jsonl(examples_path)
     pairs = None
     if objective == "pairwise":
-        pairs_path = _require(os.path.join(cfg.output, "pairs.jsonl"), None)
+        pairs_path = _require(os.path.join(cfg.output, "pairs.jsonl"))
         pairs = import_pairs_jsonl(pairs_path)
     model, curve = train_toy_prm(
-        examples, objective=objective, settings=settings, seed=cfg.seed,
-        pairs=pairs,
+        examples, objective=objective, settings=settings, pairs=pairs,
     )
     save_model(model, os.path.join(cfg.output, "prm_model.json"))
     with open(os.path.join(cfg.output, "train_curve.json"), "w",
@@ -288,8 +287,8 @@ def cmd_train(cfg: RunConfig) -> int:
 
 
 def cmd_eval(cfg: RunConfig) -> int:
-    kept_path = _require(os.path.join(cfg.output, "kept.jsonl"), None)
-    model_path = _require(os.path.join(cfg.output, "prm_model.json"), None)
+    kept_path = _require(os.path.join(cfg.output, "kept.jsonl"))
+    model_path = _require(os.path.join(cfg.output, "prm_model.json"))
     questions, chains = import_corpus_jsonl(kept_path)
     model = load_model(model_path)
     k_max = int(cfg.eval.get("k_max", 16))

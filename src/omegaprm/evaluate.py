@@ -56,34 +56,71 @@ class EvalReport:
                 writer.writerow([k, mean, std])
 
 
+def _answer_table(answers):
+    """Distinct answer strings in first-appearance order, the index of each
+    answer among them, and the equivalence table over the distinct strings
+    (``eq[a][b]`` is ``answers_equivalent(a, b) or a == b``)."""
+    index = {}
+    answer_ids = [index.setdefault(a, len(index)) for a in answers]
+    distinct = list(index)
+    eq = [[a == b or answers_equivalent(a, b) for b in distinct]
+          for a in distinct]
+    return distinct, answer_ids, eq
+
+
+def _votes(candidates, weighted: bool):
+    if not weighted:
+        return [1.0] * len(candidates)
+    votes = [cand.aggregate_score for cand in candidates]
+    if any(v is None for v in votes):
+        raise ValueError("weighted voting requires aggregate scores")
+    return votes
+
+
+def _vote(order, answer_ids, eq, votes) -> int:
+    """The greedy class vote over the candidates at indices ``order``.
+
+    Each candidate joins the first class whose representative (the answer
+    of its first member) is equivalent to its answer, or opens a new
+    class. Class scores are summed in ``order``; the highest score wins and
+    a tie goes to the class opened first. Returns the winning
+    representative's answer id. The loop is replayed as is, not grouped by
+    answer id: numeric equivalence is not transitive, so which answers
+    share a class depends on the representatives' order.
+    """
+    reps = []
+    scores = []
+    for i in order:
+        answer = answer_ids[i]
+        for c, rep in enumerate(reps):
+            if eq[rep][answer]:
+                scores[c] += votes[i]
+                break
+        else:
+            reps.append(answer)
+            scores.append(votes[i])
+    best = 0
+    for c in range(1, len(scores)):
+        if scores[c] > scores[best]:
+            best = c
+    return reps[best]
+
+
 def weighted_vote(candidates, weighted: bool) -> str:
     """Group candidates into answer-equivalence classes and return the
     representative answer of the highest-scoring class.
 
     Class score is the sum of aggregate scores (weighted) or the count
-    (unweighted). Ties go to the class whose first member appeared
-    earliest.
+    (unweighted). Candidates are taken in list order: a class's
+    representative is its first member's answer, scores are summed in list
+    order, and ties go to the class whose first member appeared earliest.
     """
     if not candidates:
         raise ValueError("weighted_vote requires at least one candidate")
-    classes = []  # (representative answer, score)
-    for cand in candidates:
-        vote = cand.aggregate_score if weighted else 1.0
-        if vote is None:
-            raise ValueError("weighted voting requires aggregate scores")
-        for cls in classes:
-            if answers_equivalent(cls[0], cand.final_answer) or (
-                cls[0] == cand.final_answer
-            ):
-                cls[1] += vote
-                break
-        else:
-            classes.append([cand.final_answer, vote])
-    best = classes[0]
-    for cls in classes[1:]:
-        if cls[1] > best[1]:
-            best = cls
-    return best[0]
+    votes = _votes(candidates, weighted)
+    distinct, answer_ids, eq = _answer_table(
+        [cand.final_answer for cand in candidates])
+    return distinct[_vote(range(len(candidates)), answer_ids, eq, votes)]
 
 
 def sample_candidates(question: Question, completer, pool_size: int,
@@ -95,12 +132,14 @@ def sample_candidates(question: Question, completer, pool_size: int,
         n_samples=pool_size,
         temperature=temperature,
     ))
+    step_cache = {}  # shared by the pool's solutions, dropped with the pool
     candidates = []
     for r in rollouts:
         texts = [s.text for s in r.steps]
         score = None
         if model is not None and texts:
-            score = score_solution(model, question.statement, texts)
+            score = score_solution(model, question.statement, texts,
+                                   cache=step_cache)
         elif model is not None:
             score = 0.0  # empty completion: no evidence of correctness
         candidates.append(CandidateSolution(
@@ -129,21 +168,30 @@ def accuracy_curve(questions, completer, model, k_max: int,
     Each question gets one fixed pool; per k, accuracy is averaged over
     seeded random subsets of size k (subsets keep pool order so the vote
     tie-break is stable). k = pool size has zero resampling freedom.
+
+    Every subset is voted exactly as ``weighted_vote`` votes that subset
+    in pool order (first-member representatives, scores summed in pool
+    order, ties to the first class), but on answer ids, an equivalence
+    table and golden-answer matches computed once per pool.
     """
     pool_size = pool_size or k_max
     if k_max > pool_size:
         raise ValueError("k_max must not exceed the candidate pool size")
-    method = "prm_weighted" if model is not None else "majority"
-    pools = []
+    weighted = model is not None
+    method = "prm_weighted" if weighted else "majority"
+    usable, skipped = [], []
     for question in questions:
         try:
             pool = sample_candidates(question, completer, pool_size, model)
         except EstimationFailed:
-            pools.append((question, None))
+            skipped.append(question.id)
             continue
-        pools.append((question, pool))
-    usable = [(q, p) for q, p in pools if p is not None]
-    skipped = [q.id for q, p in pools if p is None]
+        distinct, answer_ids, eq = _answer_table(
+            [cand.final_answer for cand in pool])
+        golden = [answers_equivalent(a, question.golden_answer)
+                  for a in distinct]
+        usable.append((question, len(pool), answer_ids, eq,
+                       _votes(pool, weighted), golden))
 
     rng = random.Random(seed)
     ks = _k_schedule(k_max)
@@ -156,14 +204,12 @@ def accuracy_curve(questions, completer, model, k_max: int,
         for _ in range(resamples):
             correct = 0
             per_question = []
-            for question, pool in usable:
+            for question, n, answer_ids, eq, votes, golden in usable:
                 if k == pool_size:
-                    subset = pool
+                    order = range(n)
                 else:
-                    idxs = sorted(rng.sample(range(pool_size), k))
-                    subset = [pool[i] for i in idxs]
-                answer = weighted_vote(subset, weighted=model is not None)
-                ok = answers_equivalent(answer, question.golden_answer)
+                    order = sorted(rng.sample(range(pool_size), k))
+                ok = golden[_vote(order, answer_ids, eq, votes)]
                 correct += ok
                 per_question.append({"question_id": question.id, "correct": bool(ok)})
             accs.append(correct / len(usable) if usable else 0.0)

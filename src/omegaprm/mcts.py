@@ -259,7 +259,9 @@ class OmegaPRMEngine:
         Probed prefixes with MC > 0 become chained tree nodes; ones with
         0 < MC < 1 feed their wrong rollouts to the pool. Stops once the
         unverified span is a single step or shorter than the tree's
-        step-length threshold.
+        step-length threshold. ``BudgetExhausted`` and ``EstimationFailed``
+        propagate; the nodes already probed stay in the tree, since their
+        statistics are valid.
         """
         if rollout.is_correct:
             raise InvalidSearchTarget("rollout has a correct final answer")
@@ -279,36 +281,29 @@ class OmegaPRMEngine:
         prev_node, prev_pos = node, 0
         staged_error = {}
 
-        try:
-            while hi - lo > 1 and (cum[hi] - cum[lo]) >= self.tree.threshold:
-                m = self._split_point(cum, lo, hi)
-                prefix_state = state_transition(node.state, steps[:m])
-                existing = self.tree.get(prefix_state)
-                if existing is not None and existing.stats.has_mc():
-                    mc, new_rollouts = existing.mc, []
-                else:
-                    mc, new_rollouts = self._sample(
-                        prefix_state, self.cfg.k_rollouts
-                    )
-                probes.append(m)
-                if mc > 0:
-                    probe_node = self.tree.ensure_child(
-                        prev_node, steps[prev_pos:m], prefix_state
-                    )
-                    probe_node.stats.rollouts.extend(new_rollouts)
-                    self._pool_add_wrong(probe_node, new_rollouts)
-                    trajectory.append(probe_node)
-                    prev_node, prev_pos = probe_node, m
-                    lo = m
-                else:
-                    staged_error[m] = new_rollouts
-                    hi = m
-        except BudgetExhausted:
-            # Partial trajectory already committed; surface the cap.
-            raise
-        except EstimationFailed:
-            # Keep the partially probed trajectory: its statistics are valid.
-            raise
+        while hi - lo > 1 and (cum[hi] - cum[lo]) >= self.tree.threshold:
+            m = self._split_point(cum, lo, hi)
+            prefix_state = state_transition(node.state, steps[:m])
+            existing = self.tree.get(prefix_state)
+            if existing is not None and existing.stats.has_mc():
+                mc, new_rollouts = existing.mc, []
+            else:
+                mc, new_rollouts = self._sample(
+                    prefix_state, self.cfg.k_rollouts
+                )
+            probes.append(m)
+            if mc > 0:
+                probe_node = self.tree.ensure_child(
+                    prev_node, steps[prev_pos:m], prefix_state
+                )
+                probe_node.stats.rollouts.extend(new_rollouts)
+                self._pool_add_wrong(probe_node, new_rollouts)
+                trajectory.append(probe_node)
+                prev_node, prev_pos = probe_node, m
+                lo = m
+            else:
+                staged_error[m] = new_rollouts
+                hi = m
 
         error_state = state_transition(node.state, steps[:hi])
         error_node = self.tree.ensure_child(
@@ -332,18 +327,15 @@ class OmegaPRMEngine:
     def run_search(self) -> bool:
         """One select -> binary search -> maintain iteration.
 
-        Returns False when the pool is exhausted.
+        Returns False when the pool is exhausted. A search aborted by
+        ``EstimationFailed`` propagates and does not count against the
+        search limit; its probed statistics are kept.
         """
         try:
             entry = self.pool.select(self.cfg)
         except PoolExhausted:
             return False
-        try:
-            result = self.locate_first_error(entry.node, entry.rollout)
-        except EstimationFailed:
-            # Search aborted but probed statistics are kept; per contract
-            # this does not count against the search limit.
-            raise
+        result = self.locate_first_error(entry.node, entry.rollout)
         entry.node.stats.visit_count += 1
         self.budget.searches_done += 1
         self.labels_produced += (

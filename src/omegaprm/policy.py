@@ -50,13 +50,17 @@ def _normalize_answer(ans: str) -> str:
 
 
 def _parse_number(ans: str) -> Optional[float]:
+    """The numeric value of ``ans``, or None. NaN counts as no number, so
+    "NAN" compares as a string and stays equivalent to itself."""
     try:
         if "/" in ans:
             num, den = ans.split("/", 1)
-            return float(num) / float(den)
-        return float(ans)
+            value = float(num) / float(den)
+        else:
+            value = float(ans)
     except (ValueError, ZeroDivisionError):
         return None
+    return None if math.isnan(value) else value
 
 
 def answers_equivalent(a: str, b: str) -> bool:

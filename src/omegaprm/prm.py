@@ -21,6 +21,7 @@ SCORE_EPS = 1e-7
 FEATURE_VERSION = 1
 N_HASH_BUCKETS = 64
 N_FEATURES = N_HASH_BUCKETS + 4  # buckets + bias, length, overlap, digit ratio
+OVERLAP = N_HASH_BUCKETS + 2  # the only feature that depends on the prefix
 
 
 def clamp_score(y: float) -> float:
@@ -66,15 +67,10 @@ def _bucket(gram: str) -> int:
     return int.from_bytes(digest, "big") % N_HASH_BUCKETS
 
 
-def featurize(prefix_text: str, step_text: str) -> np.ndarray:
-    """Fixed-dimension features of a (prefix, step) pair.
-
-    Character trigram hash buckets over the step text, plus bias, step
-    length, token overlap with the prefix, and digit ratio. Trailing
-    whitespace is stripped first, so scores are invariant to it.
-    """
-    step_text = step_text.strip()
-    prefix_text = prefix_text.strip()
+def _step_features(step_text: str):
+    """The features of a stripped step that do not depend on the prefix:
+    trigram buckets, bias, length and digit ratio, with the overlap slot
+    left at 0. Returns (phi, step tokens)."""
     phi = np.zeros(N_FEATURES)
     padded = f" {step_text} "
     for i in range(len(padded) - 2):
@@ -82,15 +78,29 @@ def featurize(prefix_text: str, step_text: str) -> np.ndarray:
     n_grams = max(len(padded) - 2, 1)
     phi[:N_HASH_BUCKETS] /= n_grams
     step_tokens = step_text.split()
-    prefix_tokens = set(prefix_text.split())
     phi[N_HASH_BUCKETS] = 1.0  # bias
     phi[N_HASH_BUCKETS + 1] = len(step_tokens) / 16.0
-    if step_tokens:
-        phi[N_HASH_BUCKETS + 2] = sum(
-            1 for t in step_tokens if t in prefix_tokens
-        ) / len(step_tokens)
     if step_text:
         phi[N_HASH_BUCKETS + 3] = sum(c.isdigit() for c in step_text) / len(step_text)
+    return phi, step_tokens
+
+
+def _overlap(step_tokens, prefix_tokens) -> float:
+    """Share of the step's tokens that occur in the prefix token set."""
+    if not step_tokens:
+        return 0.0
+    return sum(1 for t in step_tokens if t in prefix_tokens) / len(step_tokens)
+
+
+def featurize(prefix_text: str, step_text: str) -> np.ndarray:
+    """Fixed-dimension features of a (prefix, step) pair.
+
+    Character trigram hash buckets over the step text, plus bias, step
+    length, token overlap with the prefix, and digit ratio. Trailing
+    whitespace is stripped first, so scores are invariant to it.
+    """
+    phi, step_tokens = _step_features(step_text.strip())
+    phi[OVERLAP] = _overlap(step_tokens, set(prefix_text.split()))
     return phi
 
 
@@ -114,14 +124,12 @@ class ToyPrmModel:
         return np.clip(1.0 / (1.0 + np.exp(-z)), SCORE_EPS, 1.0 - SCORE_EPS)
 
     def score(self, prefix_text: str, step_text: str) -> float:
-        return float(
-            self.predict_features(featurize(prefix_text, step_text)[None, :])[0]
-        )
+        """Deterministic step score in (0, 1)."""
+        return self._score_row(featurize(prefix_text, step_text))
 
-
-def score_step(model: ToyPrmModel, prefix_text: str, step_text: str) -> float:
-    """Deterministic step score in (0, 1)."""
-    return model.score(prefix_text, step_text)
+    def _score_row(self, phi: np.ndarray) -> float:
+        # One row at a time: a batched X @ w may round differently.
+        return float(self.predict_features(phi[None, :])[0])
 
 
 def aggregate_solution_score(step_scores, mode: str = "product") -> float:
@@ -138,13 +146,33 @@ def aggregate_solution_score(step_scores, mode: str = "product") -> float:
 
 
 def score_solution(model: ToyPrmModel, question_statement: str, step_texts,
-                   mode: str = "product") -> float:
-    """Score each step given the question plus preceding steps, then aggregate."""
-    prefix = question_statement
+                   mode: str = "product", cache=None) -> float:
+    """Score each step given the question plus preceding steps, then aggregate.
+
+    Step i is scored exactly as ``model.score(prefix, step_i)`` with
+    ``prefix`` the statement and steps before i joined by spaces. The
+    prefix's token set grows step by step instead of being re-split.
+    ``cache`` is a dict from step text to its step-only features and its
+    scores per overlap value; pass one dict to all solutions of a pool so
+    each distinct step is featurized once, and drop it with the pool. A
+    cache holds scores, so it serves one model only.
+    """
+    cache = {} if cache is None else cache
+    prefix_tokens = set(question_statement.split())
     scores = []
     for step in step_texts:
-        scores.append(score_step(model, prefix, step))
-        prefix = f"{prefix} {step}"
+        entry = cache.get(step)
+        if entry is None:
+            entry = cache[step] = (*_step_features(step.strip()), {})
+        phi, step_tokens, by_overlap = entry
+        overlap = _overlap(step_tokens, prefix_tokens)
+        score = by_overlap.get(overlap)
+        if score is None:
+            row = phi.copy()
+            row[OVERLAP] = overlap
+            score = by_overlap[overlap] = model._score_row(row)
+        scores.append(score)
+        prefix_tokens.update(step_tokens)
     return aggregate_solution_score(scores, mode=mode)
 
 
@@ -185,15 +213,14 @@ def _pairwise_fit(Xa, Xb, prefs, settings):
 
 
 def train_toy_prm(examples=None, objective: str = "soft", settings=None,
-                  seed: int = 0, pairs=None):
+                  pairs=None):
     """Fit the toy PRM with one of the three objectives.
 
     ``examples`` feeds the pointwise objectives (soft uses MC values, hard
     uses the 0/1 labels); ``pairs`` feeds the pairwise objective. Returns
     (model, loss_curve). Deterministic: full-batch gradient descent from a
-    zero initialization (``seed`` is accepted for interface stability).
+    zero initialization.
     """
-    del seed  # training is fully deterministic
     settings = settings or TrainSettings()
     if objective in ("soft", "hard"):
         if not examples:

@@ -1,16 +1,22 @@
 """Voting, accuracy curves, and the annotation-efficiency benchmark."""
+import random
+
 import pytest
 from hypothesis import given, strategies as st
 
-from omegaprm.core import EngineConfig, Question
+from omegaprm.core import EngineConfig, Question, make_rollout, make_step
 from omegaprm.evaluate import (
     CandidateSolution,
+    _answer_table,
+    _k_schedule,
+    _vote,
+    _votes,
     accuracy_curve,
     efficiency_benchmark,
     sample_candidates,
     weighted_vote,
 )
-from omegaprm.policy import SimPolicySpec, SimulatedCompleter
+from omegaprm.policy import SimPolicySpec, SimulatedCompleter, answers_equivalent
 from omegaprm.prm import train_toy_prm
 from test_prm import separable_examples
 
@@ -64,6 +70,111 @@ class TestWeightedVote:
         scaled = [cand(a, s * scale) for a, s in pairs]
         assert weighted_vote(base, weighted=True) == \
             weighted_vote(scaled, weighted=True)
+
+
+def reference_vote(candidates, weighted):
+    """The greedy class vote written out directly: one equivalence test
+    per (class, candidate) pair, no precomputed tables."""
+    classes = []  # (representative answer, score)
+    for c in candidates:
+        vote = c.aggregate_score if weighted else 1.0
+        for cls in classes:
+            if answers_equivalent(cls[0], c.final_answer) or (
+                cls[0] == c.final_answer
+            ):
+                cls[1] += vote
+                break
+        else:
+            classes.append([c.final_answer, vote])
+    best = classes[0]
+    for cls in classes[1:]:
+        if cls[1] > best[1]:
+            best = cls
+    return best[0]
+
+
+# "1" ~ "1.0000000005" ~ "1.0000000015" but "1" !~ "1.0000000015": numeric
+# equivalence is not transitive. "1,000" and "1000" are distinct strings in
+# one class; "" is equivalent to nothing but equal to itself.
+TRICKY_ANSWERS = ["1", "1.0000000005", "1.0000000015", "1,000", "1000", "",
+                  "A", "a"]
+
+
+def tricky_pools(n_pools, seed):
+    rng = random.Random(seed)
+    for _ in range(n_pools):
+        n = rng.randint(1, 24)
+        # Scores on a grid of binary fractions, so class sums tie exactly.
+        yield [cand(rng.choice(TRICKY_ANSWERS), rng.choice([0.25, 0.5, 1.0]))
+               for _ in range(n)]
+
+
+class _TrickyCompleter:
+    """Seeded pools of two-step solutions with TRICKY_ANSWERS answers."""
+
+    def __init__(self, seed):
+        self.rng = random.Random(seed)
+
+    def sample_rollouts(self, request):
+        rng = self.rng
+        return [
+            make_rollout(
+                [make_step(f"add {rng.randrange(4)} to both sides"),
+                 make_step(rng.choice(["err1 err2 err3", "so it is done"]))],
+                rng.choice(TRICKY_ANSWERS), False,
+            )
+            for _ in range(request.n_samples)
+        ]
+
+
+class TestPooledVote:
+    def test_representative_order_decides_membership(self):
+        chain = [cand("1", 0.4), cand("1.0000000015", 0.5),
+                 cand("1.0000000005", 0.3)]
+        # "1.0000000005" joins "1", not "1.0000000015": 0.7 beats 0.5.
+        assert weighted_vote(chain, weighted=True) == "1"
+        # With the middle value first it absorbs both ends.
+        assert weighted_vote(chain[::-1], weighted=False) == "1.0000000005"
+
+    @pytest.mark.parametrize("weighted", [True, False])
+    def test_matches_reference_on_random_subsets(self, weighted):
+        rng = random.Random(11)
+        for pool in tricky_pools(200, seed=7):
+            distinct, answer_ids, eq = _answer_table(
+                [c.final_answer for c in pool])
+            votes = _votes(pool, weighted)
+            for _ in range(10):
+                k = rng.randint(1, len(pool))
+                order = sorted(rng.sample(range(len(pool)), k))
+                subset = [pool[i] for i in order]
+                expected = reference_vote(subset, weighted)
+                assert distinct[_vote(order, answer_ids, eq, votes)] == expected
+                assert weighted_vote(subset, weighted) == expected
+
+    @pytest.mark.parametrize("weighted", [True, False])
+    def test_curve_matches_reference_curve(self, weighted):
+        questions = [Question(f"q{i}", f"question {i}", golden)
+                     for i, golden in enumerate(["1", "1000", "1.0000000015", "a"])]
+        model = None
+        if weighted:
+            model, _ = train_toy_prm(separable_examples(), objective="hard")
+        report = accuracy_curve(questions, _TrickyCompleter(3), model,
+                                k_max=12, n_resamples=30, seed=4, pool_size=12)
+        completer = _TrickyCompleter(3)
+        pools = [sample_candidates(q, completer, 12, model) for q in questions]
+        rng = random.Random(4)
+        means = []
+        for k in _k_schedule(12):
+            accs = []
+            for _ in range(1 if k == 12 else 30):
+                correct = 0
+                for q, pool in zip(questions, pools):
+                    idxs = sorted(rng.sample(range(12), k)) if k < 12 else range(12)
+                    answer = reference_vote([pool[i] for i in idxs], weighted)
+                    correct += answers_equivalent(answer, q.golden_answer)
+                accs.append(correct / len(questions))
+            means.append(sum(accs) / len(accs))
+        assert report.accuracy_mean == means
 
 
 def sim_world(n_questions=4, error_prob=0.0, seed=0, **spec_kwargs):

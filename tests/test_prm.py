@@ -14,7 +14,7 @@ from omegaprm.prm import (
     load_model,
     save_model,
     score_solution,
-    score_step,
+    ToyPrmModel,
     step_accuracy,
     train_toy_prm,
 )
@@ -87,11 +87,11 @@ class TestTraining:
         soft_model, _ = train_toy_prm(soft, objective="soft")
         positives = [ex for ex in base if ex.hard_label]
         hard_mean = np.mean([
-            score_step(hard_model, ex.prefix_text, ex.step_text)
+            hard_model.score(ex.prefix_text, ex.step_text)
             for ex in positives
         ])
         soft_mean = np.mean([
-            score_step(soft_model, ex.prefix_text, ex.step_text)
+            soft_model.score(ex.prefix_text, ex.step_text)
             for ex in positives
         ])
         assert soft_mean < hard_mean
@@ -109,8 +109,8 @@ class TestTraining:
         model, curve = train_toy_prm(objective="pairwise", pairs=pairs)
         assert curve[-1] < curve[0]
         better = sum(
-            score_step(model, p.prefix_text, p.step_a)
-            > score_step(model, p.prefix_text, p.step_b)
+            model.score(p.prefix_text, p.step_a)
+            > model.score(p.prefix_text, p.step_b)
             for p in pairs
         )
         assert better / len(pairs) >= 0.95
@@ -129,8 +129,8 @@ class TestTraining:
 
     def test_training_is_deterministic(self):
         examples = separable_examples()
-        m1, c1 = train_toy_prm(examples, objective="soft", seed=0)
-        m2, c2 = train_toy_prm(examples, objective="soft", seed=12345)
+        m1, c1 = train_toy_prm(examples, objective="soft")
+        m2, c2 = train_toy_prm(examples, objective="soft")
         assert np.array_equal(m1.weights, m2.weights)
         assert c1 == c2
 
@@ -154,12 +154,12 @@ def model():
 class TestScoring:
 
     def test_scores_in_open_interval(self, model):
-        s = score_step(model, "prefix", "any step at all")
+        s = model.score("prefix", "any step at all")
         assert 0.0 < s < 1.0
 
     def test_deterministic(self, model):
         args = ("prefix text", "a candidate step")
-        assert score_step(model, *args) == score_step(model, *args)
+        assert model.score(*args) == model.score(*args)
 
     def test_aggregation_product(self):
         assert aggregate_solution_score([0.5, 0.5, 0.8]) == pytest.approx(0.2)
@@ -175,8 +175,8 @@ class TestScoring:
         steps = ["add 1 to both sides", "err999 err998 err997"]
         total = score_solution(model, "stmt", steps)
         worst = min(
-            score_step(model, "stmt", steps[0]),
-            score_step(model, "stmt " + steps[0], steps[1]),
+            model.score("stmt", steps[0]),
+            model.score("stmt " + steps[0], steps[1]),
         )
         assert total <= worst
 
@@ -184,6 +184,51 @@ class TestScoring:
         a = score_solution(model, "stmt", ["foo bar", "foo bar"])
         b = score_solution(model, "stmt", ["foo bar", "baz qux"])
         assert a != b
+
+    @staticmethod
+    def long_solution(seed, n_steps=40):
+        rng = random.Random(seed)
+        words = ["add", "take", "half", "twice", "err7", "x", "12", "1/2"]
+        return [
+            " ".join(rng.choice(words) for _ in range(rng.randint(0, 5)))
+            + rng.choice(["", " ", "\n"])
+            for _ in range(n_steps)
+        ]
+
+    @staticmethod
+    def per_step_scores(model, statement, steps):
+        """Each step scored through featurize on the full prefix string."""
+        prefix = statement
+        scores = []
+        for step in steps:
+            scores.append(model.score(prefix, step))
+            prefix = f"{prefix} {step}"
+        return scores
+
+    # Random weights on every feature: the trained model above never sees
+    # a prefix, so its overlap weight is 0 and it would hide overlap errors.
+    DENSE = ToyPrmModel(weights=np.random.default_rng(0).normal(size=N_FEATURES))
+
+    def test_solution_score_equals_per_step_featurize(self):
+        # The running prefix token set must reproduce featurize on the full
+        # prefix string bit for bit, empty and padded steps included.
+        for seed in range(5):
+            steps = self.long_solution(seed)
+            expected = self.per_step_scores(self.DENSE, "stmt add 3", steps)
+            assert score_solution(self.DENSE, "stmt add 3", steps) == \
+                aggregate_solution_score(expected)
+            assert score_solution(self.DENSE, "stmt add 3", steps,
+                                  mode="min") == min(expected)
+
+    def test_shared_cache_never_changes_a_score(self):
+        # Solutions share leading steps, so the cache is hit at equal and at
+        # different prefixes.
+        cache = {}
+        for seed in range(20):
+            steps = self.long_solution(seed % 4, n_steps=8 + seed)
+            expected = self.per_step_scores(self.DENSE, "stmt", steps)
+            assert score_solution(self.DENSE, "stmt", steps, cache=cache) == \
+                aggregate_solution_score(expected)
 
 
 class TestCheckpoints:
