@@ -26,7 +26,12 @@ from .dataset import (
     tree_to_examples,
     tree_to_pairs,
 )
-from .errors import CompleterUnavailable, ConfigError, EstimationFailed
+from .errors import (
+    CompleterUnavailable,
+    ConfigError,
+    EstimationFailed,
+    ParseError,
+)
 from .evaluate import accuracy_curve, efficiency_benchmark
 from .mcts import build_tree, load_tree, save_tree
 from .policy import RemoteCompleter, SimPolicySpec, SimulatedCompleter
@@ -36,7 +41,7 @@ AUTH_TOKEN_ENV = "OMEGAPRM_AUTH_TOKEN"
 
 _ENGINE_KEYS = {
     "alpha", "beta", "len_scale_L", "c_puct", "k_rollouts",
-    "search_limit", "step_split_target", "rng_seed",
+    "search_limit", "step_split_target",
 }
 _SIM_KEYS = {
     "per_step_error_prob", "recovery_prob", "wrong_answer_pool",
@@ -151,8 +156,6 @@ def make_completer(cfg: RunConfig, questions, chains, scope: str = ""):
     endpoint = remote.pop("endpoint", None)
     if not endpoint:
         raise ConfigError("completer.remote.endpoint is required")
-    remote.pop("temperature", None)
-    remote.pop("max_tokens", None)
     return RemoteCompleter(
         questions_by_id, endpoint,
         auth_token=os.environ.get(AUTH_TOKEN_ENV),
@@ -199,6 +202,21 @@ def cmd_filter(cfg: RunConfig) -> int:
     return 0
 
 
+def _stored_tree(path, question):
+    """The (tree, budget) that an earlier generate run saved at ``path`` for
+    ``question``, or None when the file is missing, unreadable, of another
+    schema or question, or has no budget; such a tree is built again."""
+    if not os.path.exists(path):
+        return None
+    try:
+        tree, budget = load_tree(path)
+    except ParseError:
+        return None
+    if tree.question.id != question.id or budget is None:
+        return None
+    return tree, budget
+
+
 def cmd_generate(cfg: RunConfig) -> int:
     kept_path = _require(os.path.join(cfg.output, "kept.jsonl"))
     questions, chains = import_corpus_jsonl(kept_path)
@@ -207,8 +225,9 @@ def cmd_generate(cfg: RunConfig) -> int:
 
     def generate_one(question):
         path = os.path.join(trees_dir, f"{question.id}.json")
-        if os.path.exists(path):
-            return question.id, "resumed", None
+        stored = _stored_tree(path, question)
+        if stored is not None:
+            return question.id, "resumed", stored[1]
         completer = make_completer(cfg, [question], chains,
                                    scope=f"generate/{question.id}")
         try:
@@ -225,19 +244,20 @@ def cmd_generate(cfg: RunConfig) -> int:
                "failures": []}
     for qid, status, info in results:
         summary["questions"].append({"question_id": qid, "status": status})
-        if status == "built":
+        if status == "failed":
+            summary["failures"].append({"question_id": qid, "error": info})
+        else:
             summary["total_policy_calls"] += info.policy_calls
             summary["total_searches"] += info.searches_done
-        elif status == "failed":
-            summary["failures"].append({"question_id": qid, "error": info})
     with open(os.path.join(cfg.output, "generate_summary.json"), "w",
               encoding="utf-8") as fh:
         json.dump(summary, fh, indent=2)
         fh.write("\n")
-    built = sum(1 for _, s, _ in results if s != "failed")
-    print(f"built {built} of {len(questions)} trees "
+    built = sum(1 for _, s, _ in results if s == "built")
+    resumed = sum(1 for _, s, _ in results if s == "resumed")
+    print(f"built {built}, resumed {resumed} of {len(questions)} trees "
           f"({summary['total_policy_calls']} policy calls)")
-    if questions and not built:
+    if questions and not built + resumed:
         return 1
     return 0
 
@@ -251,7 +271,11 @@ def cmd_export(cfg: RunConfig) -> int:
     examples = []
     pairs = []
     for name in names:
-        tree, _ = load_tree(os.path.join(trees_dir, name))
+        try:
+            tree, _ = load_tree(os.path.join(trees_dir, name))
+        except ParseError as exc:
+            print(f"corrupt upstream artifact: {exc}", file=sys.stderr)
+            return 3
         examples.extend(tree_to_examples(tree))
         pairs.extend(tree_to_pairs(tree))
     export_examples_jsonl(examples, os.path.join(cfg.output, "examples.jsonl"))

@@ -95,6 +95,11 @@ def make_rollout(steps, final_answer, is_correct, meta=None) -> Rollout:
 class State:
     question_id: str
     prefix_steps: tuple = ()
+    # ``key()`` computed on first use; a derived value, so it takes no part
+    # in equality, hashing or repr.
+    _key: Optional[tuple] = field(
+        default=None, init=False, compare=False, hash=False, repr=False
+    )
 
     @property
     def prefix_text(self) -> str:
@@ -106,7 +111,11 @@ class State:
 
     def key(self) -> tuple:
         """Node identity: the prefix token sequence."""
-        return tuple(tok for s in self.prefix_steps for tok in s.text.split())
+        key = self._key
+        if key is None:
+            key = tuple(tok for s in self.prefix_steps for tok in s.text.split())
+            object.__setattr__(self, "_key", key)
+        return key
 
 
 def state_transition(state: State, action_steps) -> State:
@@ -180,7 +189,6 @@ class EngineConfig:
     k_rollouts: int = 8
     search_limit: int = 100
     step_split_target: int = 16
-    rng_seed: int = 0
 
     def validate(self):
         if not (0 < self.alpha <= 1):

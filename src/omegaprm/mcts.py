@@ -9,8 +9,10 @@ from __future__ import annotations
 
 import json
 import math
+import os
 from dataclasses import dataclass, field
 from fractions import Fraction
+from json.encoder import encode_basestring_ascii
 
 from .core import (
     Edge,
@@ -26,6 +28,7 @@ from .errors import (
     CompleterUnavailable,
     EstimationFailed,
     InvalidSearchTarget,
+    ParseError,
     PoolExhausted,
 )
 from .policy import Completer, CompleterRequest
@@ -215,12 +218,6 @@ class OmegaPRMEngine:
         )
         return mc, rollouts
 
-    def _pool_add_wrong(self, node: TreeNode, new_rollouts):
-        if node.mc is not None and 0 < node.mc < 1:
-            for r in new_rollouts:
-                if not r.is_correct:
-                    self.pool.add(node, r)
-
     # -- root seeding ------------------------------------------------------
 
     def seed_root(self) -> TreeNode:
@@ -233,7 +230,8 @@ class OmegaPRMEngine:
         self.tree.threshold = (
             self.tree.avg_solution_tokens / self.cfg.step_split_target
         )
-        self._pool_add_wrong(root, rollouts)
+        for r in rollouts:
+            self.pool.add(root, r)
         return root
 
     # -- binary search -----------------------------------------------------
@@ -297,7 +295,8 @@ class OmegaPRMEngine:
                     prev_node, steps[prev_pos:m], prefix_state
                 )
                 probe_node.stats.rollouts.extend(new_rollouts)
-                self._pool_add_wrong(probe_node, new_rollouts)
+                for r in new_rollouts:
+                    self.pool.add(probe_node, r)
                 trajectory.append(probe_node)
                 prev_node, prev_pos = probe_node, m
                 lo = m
@@ -391,74 +390,169 @@ def annotate_per_step(completer: Completer, question: Question,
 
 SCHEMA_VERSION = 1
 
+# A schema-v1 file holds exactly what ``json.dumps(doc, indent=2)`` writes
+# for the tree's nested-dict form (node list with full prefixes and
+# rollouts, edge list, optional budget). The writer below emits those bytes
+# without building that form: a step renders the same wherever it sits at
+# a given depth, so each distinct step is rendered once per depth and
+# reused, and a file is written node by node.
 
-def _step_to_dict(step: Step):
-    return {"text": step.text, "token_len": step.token_len}
-
-
-def _step_from_dict(d):
-    return Step(text=d["text"], token_len=d["token_len"])
-
-
-def _rollout_to_dict(r: Rollout):
-    return {
-        "steps": [_step_to_dict(s) for s in r.steps],
-        "final_answer": r.final_answer,
-        "is_correct": r.is_correct,
-        "token_len": r.token_len,
-    }
+_NL = tuple("\n" + "  " * depth for depth in range(8))
 
 
-def _rollout_from_dict(d):
+def _scalar(value) -> str:
+    """``value`` spelled as ``json.dumps`` spells a scalar."""
+    if isinstance(value, str):
+        return encode_basestring_ascii(value)
+    if value is None:
+        return "null"
+    if value is True:
+        return "true"
+    if value is False:
+        return "false"
+    if isinstance(value, int):
+        return int.__repr__(value)
+    if isinstance(value, float):
+        return json.dumps(value)
+    raise TypeError(f"not a JSON scalar: {value!r}")
+
+
+def _object(pairs, depth) -> str:
+    """A JSON object of (key, rendered value) pairs, opened at ``depth``."""
+    inner = _NL[depth + 1]
+    body = ("," + inner).join(f'"{key}": {value}' for key, value in pairs)
+    return "{" + inner + body + _NL[depth] + "}"
+
+
+def _array(items, depth) -> str:
+    """A JSON array of rendered items, opened at ``depth``."""
+    if not items:
+        return "[]"
+    inner = _NL[depth + 1]
+    return "[" + inner + ("," + inner).join(items) + _NL[depth] + "]"
+
+
+class _StepFragments(dict):
+    """Step -> its rendered object at one depth, filled on first use."""
+
+    def __init__(self, depth):
+        super().__init__()
+        self.depth = depth
+
+    def __missing__(self, step):
+        text = self[step] = _object(
+            (("text", _scalar(step.text)),
+             ("token_len", _scalar(step.token_len))),
+            self.depth,
+        )
+        return text
+
+
+def _node_json(node_id, node, steps4, steps6) -> str:
+    mc = node.mc
+    rollouts = [
+        _object((
+            ("steps", _array([steps6[s] for s in r.steps], 5)),
+            ("final_answer", _scalar(r.final_answer)),
+            ("is_correct", _scalar(r.is_correct)),
+            ("token_len", _scalar(r.token_len)),
+        ), 4)
+        for r in node.stats.rollouts
+    ]
+    return _object((
+        ("id", _scalar(node_id)),
+        ("prefix_steps",
+         _array([steps4[s] for s in node.state.prefix_steps], 3)),
+        ("visit_count", _scalar(node.stats.visit_count)),
+        ("mc_num", _scalar(mc.numerator if mc is not None else None)),
+        ("mc_den", _scalar(mc.denominator if mc is not None else None)),
+        ("rollouts", _array(rollouts, 3)),
+    ), 2)
+
+
+def _tree_chunks(tree: Tree, budget: SearchBudget = None):
+    """Yield the schema-v1 text of ``tree`` in pieces, one per node."""
+    ids = {key: i for i, key in enumerate(tree.nodes)}
+    # Steps sit at depth 4 in prefixes and edge actions, at 6 in rollouts.
+    steps4 = _StepFragments(4)
+    steps6 = _StepFragments(6)
+    question = _object((
+        ("id", _scalar(tree.question.id)),
+        ("statement", _scalar(tree.question.statement)),
+        ("golden_answer", _scalar(tree.question.golden_answer)),
+    ), 1)
+    nl = _NL[1]
+    yield (
+        "{" + nl + f'"schema_version": {_scalar(SCHEMA_VERSION)},'
+        + nl + f'"question": {question},'
+        + nl + f'"avg_solution_tokens": {_scalar(tree.avg_solution_tokens)},'
+        + nl + f'"threshold": {_scalar(tree.threshold)},'
+        + nl + '"nodes": ['
+    )
+    # A tree always holds its root, so the node list is never empty.
+    for i, node in enumerate(tree.nodes.values()):
+        yield ("," if i else "") + _NL[2] + _node_json(i, node, steps4, steps6)
+    edges = [
+        _object((
+            ("parent", _scalar(ids[key])),
+            ("child", _scalar(ids[edge.child.state.key()])),
+            ("action_steps",
+             _array([steps4[s] for s in edge.action_steps], 3)),
+        ), 2)
+        for key, node in tree.nodes.items()
+        for edge in node.children
+    ]
+    yield nl + "]," + nl + '"edges": ' + _array(edges, 1)
+    if budget is not None:
+        yield "," + nl + '"budget": ' + _object((
+            ("searches_done", _scalar(budget.searches_done)),
+            ("policy_calls", _scalar(budget.policy_calls)),
+        ), 1)
+    yield _NL[0] + "}"
+
+
+def dump_tree(tree: Tree, budget: SearchBudget = None) -> str:
+    """The schema-v1 JSON text of ``tree`` (and its budget, when given)."""
+    return "".join(_tree_chunks(tree, budget))
+
+
+def save_tree(tree: Tree, path, budget: SearchBudget = None):
+    """Write ``tree`` to ``path`` through a temporary file, so ``path``
+    holds either its previous content or the whole new tree."""
+    tmp = f"{path}.tmp"
+    with open(tmp, "w", encoding="utf-8") as fh:
+        for chunk in _tree_chunks(tree, budget):
+            fh.write(chunk)
+        fh.write("\n")
+    os.replace(tmp, path)
+
+
+def _rollout_from_dict(d, step):
     return Rollout(
-        steps=tuple(_step_from_dict(s) for s in d["steps"]),
+        steps=tuple(step(s) for s in d["steps"]),
         final_answer=d["final_answer"],
         is_correct=d["is_correct"],
         token_len=d["token_len"],
     )
 
 
-def tree_to_dict(tree: Tree, budget: SearchBudget = None):
-    ids = {key: i for i, key in enumerate(tree.nodes)}
-    nodes = []
-    edges = []
-    for key, node in tree.nodes.items():
-        mc = node.mc
-        nodes.append({
-            "id": ids[key],
-            "prefix_steps": [_step_to_dict(s) for s in node.state.prefix_steps],
-            "visit_count": node.stats.visit_count,
-            "mc_num": mc.numerator if mc is not None else None,
-            "mc_den": mc.denominator if mc is not None else None,
-            "rollouts": [_rollout_to_dict(r) for r in node.stats.rollouts],
-        })
-        for edge in node.children:
-            edges.append({
-                "parent": ids[key],
-                "child": ids[edge.child.state.key()],
-                "action_steps": [_step_to_dict(s) for s in edge.action_steps],
-            })
-    doc = {
-        "schema_version": SCHEMA_VERSION,
-        "question": {
-            "id": tree.question.id,
-            "statement": tree.question.statement,
-            "golden_answer": tree.question.golden_answer,
-        },
-        "avg_solution_tokens": tree.avg_solution_tokens,
-        "threshold": tree.threshold,
-        "nodes": nodes,
-        "edges": edges,
-    }
-    if budget is not None:
-        doc["budget"] = {
-            "searches_done": budget.searches_done,
-            "policy_calls": budget.policy_calls,
-        }
-    return doc
-
-
 def tree_from_dict(doc):
+    """Rebuild a tree (and its budget, or None) from the parsed JSON of a
+    schema-v1 file. Raises ``ValueError`` for another schema version."""
+    if doc["schema_version"] != SCHEMA_VERSION:
+        raise ValueError(
+            f"schema_version {doc['schema_version']!r}, "
+            f"expected {SCHEMA_VERSION}"
+        )
+    steps = {}  # (text, token_len) -> the tree's one Step of that value
+
+    def step(d):
+        key = (d["text"], d["token_len"])
+        s = steps.get(key)
+        if s is None:
+            s = steps[key] = Step(text=key[0], token_len=key[1])
+        return s
+
     q = doc["question"]
     question = Question(
         id=q["id"], statement=q["statement"], golden_answer=q["golden_answer"]
@@ -468,17 +562,19 @@ def tree_from_dict(doc):
     tree.threshold = doc["threshold"]
     by_id = {}
     for nd in doc["nodes"]:
-        state = State(
-            question_id=question.id,
-            prefix_steps=tuple(_step_from_dict(s) for s in nd["prefix_steps"]),
-        )
         if not nd["prefix_steps"]:
             node = tree.root
         else:
+            state = State(
+                question_id=question.id,
+                prefix_steps=tuple(step(s) for s in nd["prefix_steps"]),
+            )
             node = TreeNode(state=state)
             tree.nodes[state.key()] = node
         node.stats.visit_count = nd["visit_count"]
-        node.stats.rollouts = [_rollout_from_dict(r) for r in nd["rollouts"]]
+        node.stats.rollouts = [
+            _rollout_from_dict(r, step) for r in nd["rollouts"]
+        ]
         if not node.stats.rollouts and nd["mc_num"] is not None:
             node.stats.forced_mc = Fraction(nd["mc_num"], nd["mc_den"])
         by_id[nd["id"]] = node
@@ -487,7 +583,7 @@ def tree_from_dict(doc):
         child = by_id[ed["child"]]
         child.parent = parent
         parent.children.append(
-            _make_edge(tuple(_step_from_dict(s) for s in ed["action_steps"]), child)
+            _make_edge(tuple(step(s) for s in ed["action_steps"]), child)
         )
     budget = None
     if "budget" in doc:
@@ -495,16 +591,11 @@ def tree_from_dict(doc):
     return tree, budget
 
 
-def dump_tree(tree: Tree, budget: SearchBudget = None) -> str:
-    return json.dumps(tree_to_dict(tree, budget), indent=2, sort_keys=False)
-
-
-def save_tree(tree: Tree, path, budget: SearchBudget = None):
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(dump_tree(tree, budget))
-        fh.write("\n")
-
-
 def load_tree(path):
+    """Read the tree file at ``path``. Raises ``ParseError`` when the file
+    is not a whole schema-v1 tree (truncated, malformed, other version)."""
     with open(path, encoding="utf-8") as fh:
-        return tree_from_dict(json.load(fh))
+        try:
+            return tree_from_dict(json.load(fh))
+        except (ValueError, KeyError, TypeError) as exc:
+            raise ParseError(f"{path}: not a readable tree ({exc})") from exc

@@ -7,6 +7,7 @@ completer speaks a small JSON-over-HTTP protocol.
 """
 from __future__ import annotations
 
+import bisect
 import hashlib
 import math
 import random
@@ -18,7 +19,7 @@ from typing import Optional
 import requests
 
 from .core import Question, Rollout, State, make_rollout, make_step
-from .errors import CompleterUnavailable, TemplateError
+from .errors import CompleterUnavailable, ConfigError, TemplateError
 
 DEFAULT_PROMPT_TEMPLATE = "Question: {statement}\nSolution so far: {prefix}\n"
 
@@ -149,9 +150,25 @@ class SimulatedCompleter(Completer):
         self.chains = {qid: list(chain) for qid, chain in chains.items()}
         self.spec = spec
         self._call_ordinals = {}
+        self._grounds = {}
 
-    def _chain_tokens(self, qid):
-        return [step.split() for step in self.chains[qid]]
+    def _ground(self, qid):
+        """(step token lists, cumulative token counts, all tokens, ground
+        ``Step``s) of a question's chain, built on first use."""
+        ground = self._grounds.get(qid)
+        if ground is None:
+            chain_tokens = [step.split() for step in self.chains[qid]]
+            cum = [0]
+            for toks in chain_tokens:
+                cum.append(cum[-1] + len(toks))
+            ground = (
+                chain_tokens,
+                cum,
+                tuple(t for toks in chain_tokens for t in toks),
+                [make_step(" ".join(toks)) for toks in chain_tokens],
+            )
+            self._grounds[qid] = ground
+        return ground
 
     def _rng_for(self, state: State) -> random.Random:
         key = (state.question_id,) + state.key()
@@ -168,19 +185,15 @@ class SimulatedCompleter(Completer):
     def sample_rollouts(self, request: CompleterRequest):
         state = request.state
         question = self.questions[state.question_id]
-        chain_tokens = self._chain_tokens(state.question_id)
-        cum = [0]
-        for toks in chain_tokens:
-            cum.append(cum[-1] + len(toks))
-
-        prefix_tokens = list(state.key())
+        chain_tokens, cum, ground_tokens, ground_steps = self._ground(
+            state.question_id
+        )
+        prefix_tokens = state.key()
         # Number of whole ground steps covered by the prefix; snapped
         # boundaries keep prefixes aligned to ground step boundaries.
-        consumed = 0
-        while consumed < len(chain_tokens) and cum[consumed + 1] <= len(prefix_tokens):
-            consumed += 1
-        ground_prefix = [t for toks in chain_tokens[:consumed] for t in toks]
-        prefix_has_error = prefix_tokens[: len(ground_prefix)] != ground_prefix
+        consumed = bisect.bisect_right(cum, len(prefix_tokens)) - 1
+        covered = cum[consumed]
+        prefix_has_error = prefix_tokens[:covered] != ground_tokens[:covered]
 
         rng = self._rng_for(state)
         spec = self.spec
@@ -189,13 +202,13 @@ class SimulatedCompleter(Completer):
             steps = []
             error_steps = []
             for idx in range(consumed, len(chain_tokens)):
-                ground = chain_tokens[idx]
                 if rng.random() < spec.per_step_error_prob:
-                    toks = [f"err{rng.randrange(1_000_000)}" for _ in ground]
+                    toks = [f"err{rng.randrange(1_000_000)}"
+                            for _ in chain_tokens[idx]]
                     error_steps.append(idx + 1)
+                    steps.append(make_step(" ".join(toks)))
                 else:
-                    toks = ground
-                steps.append(make_step(" ".join(toks)))
+                    steps.append(ground_steps[idx])
             has_error = prefix_has_error or bool(error_steps)
             if not has_error or rng.random() < spec.recovery_prob:
                 final = question.golden_answer
@@ -224,14 +237,22 @@ class RemoteCompleter(Completer):
     """HTTP client for a completion server.
 
     Wire protocol: POST {"prompt", "n", "temperature", "max_tokens"},
-    response {"completions": [text, ...]}. Large requests are split into
-    batches transparently. Malformed completions are kept as incorrect
-    rollouts with an empty final answer.
+    response {"completions": [text, ...]}. ``temperature`` and
+    ``max_tokens``, when given, replace the request's values in every
+    payload. Large requests are split into batches transparently. Malformed
+    completions are kept as incorrect rollouts with an empty final answer.
+    Connection errors, timeouts, 429 and 5xx replies are retried with
+    exponential backoff; any other 4xx fails at once.
     """
 
     def __init__(self, questions, endpoint, *, auth_token=None, timeout=30.0,
                  max_retries=3, batch_size=8, retry_backoff=0.5,
-                 template=DEFAULT_PROMPT_TEMPLATE, session=None):
+                 template=DEFAULT_PROMPT_TEMPLATE, session=None,
+                 temperature=None, max_tokens=None):
+        if temperature is not None and temperature < 0:
+            raise ConfigError("temperature must be nonnegative")
+        if max_tokens is not None and max_tokens < 1:
+            raise ConfigError("max_tokens must be a positive integer")
         self.questions = dict(questions)
         self.endpoint = endpoint
         self.auth_token = auth_token
@@ -241,6 +262,8 @@ class RemoteCompleter(Completer):
         self.retry_backoff = retry_backoff
         self.template = template
         self.session = session or requests.Session()
+        self.temperature = temperature
+        self.max_tokens = max_tokens
 
     def _headers(self):
         headers = {"Content-Type": "application/json"}
@@ -256,7 +279,7 @@ class RemoteCompleter(Completer):
                     self.endpoint, json=payload, headers=self._headers(),
                     timeout=self.timeout,
                 )
-                if resp.status_code >= 500:
+                if resp.status_code >= 500 or resp.status_code == 429:
                     last_error = f"server returned {resp.status_code}"
                 elif resp.status_code >= 400:
                     raise CompleterUnavailable(
@@ -284,6 +307,10 @@ class RemoteCompleter(Completer):
     def sample_rollouts(self, request: CompleterRequest):
         question = self.questions[request.state.question_id]
         prompt = render_prompt(request.state, question, self.template)
+        temperature = (request.temperature if self.temperature is None
+                       else self.temperature)
+        max_tokens = (request.max_tokens if self.max_tokens is None
+                      else self.max_tokens)
         completions = []
         remaining = request.n_samples
         while remaining > 0:
@@ -291,8 +318,8 @@ class RemoteCompleter(Completer):
             data = self._post({
                 "prompt": prompt,
                 "n": n,
-                "temperature": request.temperature,
-                "max_tokens": request.max_tokens,
+                "temperature": temperature,
+                "max_tokens": max_tokens,
             })
             batch = data.get("completions", []) if isinstance(data, dict) else []
             completions.extend(batch[:n])

@@ -26,7 +26,6 @@ from omegaprm.mcts import (
     exploration_bonus,
     rollout_value,
     tree_from_dict,
-    tree_to_dict,
 )
 from omegaprm.policy import SimPolicySpec, SimulatedCompleter
 from omegaprm.prm import (
@@ -236,7 +235,7 @@ def test_criterion_5_tree_invariants_over_seeded_builds():
             if child_key[: len(parent.state.key())] != parent.state.key():
                 failures.append((seed, "prefix"))
         text = dump_tree(tree, budget)
-        tree2, budget2 = tree_from_dict(tree_to_dict(tree, budget))
+        tree2, budget2 = tree_from_dict(json.loads(text))
         if dump_tree(tree2, budget2) != text:
             failures.append((seed, "serialization"))
     report(5, not failures,

@@ -96,6 +96,26 @@ class TestExitCodes:
             run("generate", config)
         assert err.value.code == 3
 
+    def test_engine_rng_seed_is_2(self, tmp_path):
+        # The engine has no RNG of its own; a seed for it would be ignored.
+        write_corpus(tmp_path / "corpus.jsonl")
+        config, doc = write_config(tmp_path)
+        doc["engine"]["rng_seed"] = 3
+        config.write_text(json.dumps(doc))
+        assert run("filter", config) == 2
+
+    def test_corrupt_tree_export_is_3(self, tmp_path, capsys):
+        write_corpus(tmp_path / "corpus.jsonl")
+        config, _ = write_config(tmp_path)
+        assert run("filter", config) == 0
+        assert run("generate", config) == 0
+        tree = sorted((tmp_path / "out" / "trees").glob("*.json"))[0]
+        tree.write_bytes(tree.read_bytes()[:5000])
+        capsys.readouterr()
+        assert run("export", config) == 3
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and tree.name in err
+
     def test_export_without_trees_is_3(self, tmp_path):
         write_corpus(tmp_path / "corpus.jsonl")
         config, _ = write_config(tmp_path)
@@ -153,6 +173,56 @@ class TestPipeline:
         assert all(q["status"] == "resumed" for q in summary["questions"])
         for p in trees:
             assert p.read_bytes() == stamps[p.name]
+
+    @pytest.mark.parametrize("damage", ["truncate", "schema", "question"])
+    def test_damaged_tree_is_rebuilt(self, pipeline, damage):
+        tmp_path, config, doc = pipeline
+        out = tmp_path / "out"
+        for cmd in ("filter", "generate", "export"):
+            assert run(cmd, config) == 0
+        trees = sorted((out / "trees").glob("*.json"))
+        fresh = {p.name: p.read_bytes() for p in trees}
+        fresh_summary = json.loads((out / "generate_summary.json").read_text())
+        fresh_examples = (out / "examples.jsonl").read_bytes()
+        fresh_pairs = (out / "pairs.jsonl").read_bytes()
+        victim = trees[0]
+        if damage == "truncate":
+            victim.write_bytes(fresh[victim.name][: len(fresh[victim.name]) // 2])
+        elif damage == "schema":
+            victim.write_bytes(fresh[victim.name].replace(
+                b'"schema_version": 1', b'"schema_version": 2'))
+        else:
+            victim.write_bytes(fresh[trees[1].name])
+        assert run("generate", config) == 0
+        summary = json.loads((out / "generate_summary.json").read_text())
+        statuses = {q["question_id"]: q["status"] for q in summary["questions"]}
+        assert statuses.pop(victim.stem) == "built"
+        assert set(statuses.values()) == {"resumed"}
+        # Resumed trees count with their stored budgets.
+        for key in ("total_policy_calls", "total_searches"):
+            assert summary[key] == fresh_summary[key]
+        for p in trees:
+            assert p.read_bytes() == fresh[p.name], p.name
+        assert not list((out / "trees").glob("*.tmp"))
+        assert run("export", config) == 0
+        assert (out / "examples.jsonl").read_bytes() == fresh_examples
+        assert (out / "pairs.jsonl").read_bytes() == fresh_pairs
+
+    @pytest.mark.parametrize("remote,sent", [
+        ({}, (1.0, 1024)),
+        ({"temperature": 0.3, "max_tokens": 77}, (0.3, 77)),
+    ])
+    def test_remote_sampling_params_reach_server(self, tmp_path, fake_server,
+                                                 remote, sent):
+        write_corpus(tmp_path / "corpus.jsonl", n_questions=2)
+        config, doc = write_config(tmp_path)
+        doc["completer"] = {"kind": "remote", "remote": dict(
+            remote, endpoint=fake_server.url)}
+        config.write_text(json.dumps(doc))
+        assert run("filter", config) == 0
+        assert fake_server.requests_seen
+        assert {(b["temperature"], b["max_tokens"])
+                for b in fake_server.requests_seen} == {sent}
 
     def test_rerun_is_byte_identical(self, tmp_path):
         write_corpus(tmp_path / "corpus.jsonl")

@@ -82,6 +82,16 @@ class TestStateTransition:
         b = State("q1", steps("x1", "x2 x3"))
         assert a.key() == b.key()
 
+    def test_cached_key_outside_identity(self):
+        a = State("q1", steps("x1 x2", "x3"))
+        b = State("q1", steps("x1 x2", "x3"))
+        assert a.key() == ("x1", "x2", "x3")
+        assert a.key() is a.key()
+        # Only ``a`` holds its key now; that must not tell the two apart.
+        assert a == b
+        assert hash(a) == hash(b)
+        assert repr(a) == repr(b)
+
 
 class TestNodeStats:
     def test_mc_is_exact_fraction_of_correct_rollouts(self):

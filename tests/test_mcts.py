@@ -1,5 +1,6 @@
 """Search engine behavior: pool selection, binary search, maintenance,
 tree construction, budgets, and serialization."""
+import json
 import math
 from fractions import Fraction
 
@@ -9,12 +10,20 @@ from hypothesis import given, settings, strategies as st
 from omegaprm.core import (
     EngineConfig,
     Question,
+    Rollout,
     State,
+    Step,
     TreeNode,
     make_rollout,
     make_step,
+    state_transition,
 )
-from omegaprm.errors import EstimationFailed, InvalidSearchTarget, PoolExhausted
+from omegaprm.errors import (
+    EstimationFailed,
+    InvalidSearchTarget,
+    ParseError,
+    PoolExhausted,
+)
 from omegaprm.mcts import (
     OmegaPRMEngine,
     RolloutPool,
@@ -23,9 +32,10 @@ from omegaprm.mcts import (
     annotate_per_step,
     build_tree,
     dump_tree,
+    load_tree,
     monte_carlo_estimate,
+    save_tree,
     tree_from_dict,
-    tree_to_dict,
 )
 from omegaprm.policy import SimPolicySpec, SimulatedCompleter
 
@@ -364,14 +374,14 @@ class TestSerialization:
         q, chain, comp, cfg = make_setup(error_prob=0.3, seed=6)
         tree, budget = build_tree(q, comp, cfg)
         text = dump_tree(tree, budget)
-        tree2, budget2 = tree_from_dict(tree_to_dict(tree, budget))
+        tree2, budget2 = tree_from_dict(json.loads(text))
         assert dump_tree(tree2, budget2) == text
         assert budget2.policy_calls == budget.policy_calls
 
     def test_round_trip_preserves_statistics(self):
         q, chain, comp, cfg = make_setup(error_prob=0.3, seed=7)
         tree, budget = build_tree(q, comp, cfg)
-        tree2, _ = tree_from_dict(tree_to_dict(tree, budget))
+        tree2, _ = tree_from_dict(json.loads(dump_tree(tree, budget)))
         assert set(tree2.nodes) == set(tree.nodes)
         for key, node in tree.nodes.items():
             other = tree2.nodes[key]
@@ -390,6 +400,146 @@ class TestSerialization:
         )
         error_key = result.trajectory[-1].state.key()
         assert engine.tree.nodes[error_key].stats.forced_mc == 0
-        tree2, _ = tree_from_dict(tree_to_dict(engine.tree))
+        tree2, _ = tree_from_dict(json.loads(dump_tree(engine.tree)))
         assert tree2.nodes[error_key].mc == 0
         assert not tree2.nodes[error_key].stats.rollouts
+
+
+def reference_tree_dict(tree, budget=None):
+    """The nested-dict form of a tree; schema v1 is this dict as written by
+    ``json.dumps(..., indent=2)``. The oracle for ``dump_tree``."""
+    def step(s):
+        return {"text": s.text, "token_len": s.token_len}
+
+    ids = {key: i for i, key in enumerate(tree.nodes)}
+    nodes = []
+    edges = []
+    for key, node in tree.nodes.items():
+        mc = node.mc
+        nodes.append({
+            "id": ids[key],
+            "prefix_steps": [step(s) for s in node.state.prefix_steps],
+            "visit_count": node.stats.visit_count,
+            "mc_num": mc.numerator if mc is not None else None,
+            "mc_den": mc.denominator if mc is not None else None,
+            "rollouts": [{
+                "steps": [step(s) for s in r.steps],
+                "final_answer": r.final_answer,
+                "is_correct": r.is_correct,
+                "token_len": r.token_len,
+            } for r in node.stats.rollouts],
+        })
+        for edge in node.children:
+            edges.append({
+                "parent": ids[key],
+                "child": ids[edge.child.state.key()],
+                "action_steps": [step(s) for s in edge.action_steps],
+            })
+    doc = {
+        "schema_version": 1,
+        "question": {
+            "id": tree.question.id,
+            "statement": tree.question.statement,
+            "golden_answer": tree.question.golden_answer,
+        },
+        "avg_solution_tokens": tree.avg_solution_tokens,
+        "threshold": tree.threshold,
+        "nodes": nodes,
+        "edges": edges,
+    }
+    if budget is not None:
+        doc["budget"] = {
+            "searches_done": budget.searches_done,
+            "policy_calls": budget.policy_calls,
+        }
+    return doc
+
+
+# Texts with quotes, backslashes, control characters, non-ASCII and
+# astral characters, which JSON must escape.
+_odd_texts = st.text(
+    alphabet=st.one_of(st.sampled_from('"\\\n\t\x00\x1f\x7f é€😀\u2028'),
+                       st.characters()),
+    min_size=1, max_size=6,
+)
+
+
+@st.composite
+def odd_trees(draw):
+    question = Question(draw(_odd_texts), draw(st.text(max_size=6)),
+                        draw(_odd_texts))
+    tree = Tree(question)
+    step = st.builds(Step, _odd_texts, st.integers(0, 10**12))
+    nodes = [tree.root]
+    for _ in range(draw(st.integers(0, 4))):
+        parent = draw(st.sampled_from(nodes))
+        action = tuple(draw(st.lists(step, min_size=1, max_size=3)))
+        nodes.append(tree.ensure_child(
+            parent, action, state_transition(parent.state, action)))
+    for node in tree.nodes.values():
+        node.stats.visit_count = draw(st.integers(0, 10**12))
+        for _ in range(draw(st.integers(0, 2))):
+            steps = tuple(draw(st.lists(step, max_size=3)))
+            node.stats.rollouts.append(Rollout(
+                steps=steps,
+                final_answer=draw(st.one_of(st.just(""), _odd_texts)),
+                is_correct=draw(st.booleans()),
+                token_len=sum(s.token_len for s in steps),
+            ))
+        if not node.stats.rollouts and draw(st.booleans()):
+            node.stats.forced_mc = Fraction(draw(st.integers(0, 3)), 4)
+    tree.avg_solution_tokens = draw(st.floats())
+    tree.threshold = draw(st.floats())
+    budget = draw(st.one_of(st.none(), st.builds(
+        SearchBudget, st.integers(0, 10**6), st.integers(0, 10**9))))
+    return tree, budget
+
+
+class TestTreeWriter:
+    @settings(deadline=None, max_examples=150)
+    @given(odd_trees())
+    def test_dump_equals_reference_json(self, tree_and_budget):
+        tree, budget = tree_and_budget
+        assert dump_tree(tree, budget) == json.dumps(
+            reference_tree_dict(tree, budget), indent=2)
+
+    def test_saved_built_trees_equal_reference_json(self, tmp_path):
+        for seed in range(4):
+            q, chain, comp, cfg = make_setup(error_prob=0.3, seed=seed,
+                                             tokens_per_step=2)
+            tree, budget = build_tree(q, comp, cfg)
+            path = tmp_path / f"{seed}.json"
+            save_tree(tree, path, budget)
+            assert path.read_text(encoding="utf-8") == json.dumps(
+                reference_tree_dict(tree, budget), indent=2) + "\n"
+        assert sorted(p.name for p in tmp_path.iterdir()) == \
+            [f"{seed}.json" for seed in range(4)]
+
+    def test_load_keeps_one_step_per_value(self, tmp_path):
+        q, chain, comp, cfg = make_setup(error_prob=0.3, seed=2)
+        tree, budget = build_tree(q, comp, cfg)
+        save_tree(tree, tmp_path / "t.json", budget)
+        loaded, _ = load_tree(tmp_path / "t.json")
+        found = {}
+        for node in loaded.nodes.values():
+            every = list(node.state.prefix_steps)
+            every += [s for r in node.stats.rollouts for s in r.steps]
+            every += [s for e in node.children for s in e.action_steps]
+            for s in every:
+                assert found.setdefault(s, s) is s
+
+    @pytest.mark.parametrize("damage", [
+        lambda text: text[: len(text) // 2],
+        lambda text: "",
+        lambda text: text.replace('"schema_version": 1', '"schema_version": 2'),
+        lambda text: "[1, 2]",
+        lambda text: text.replace('"nodes"', '"nodez"'),
+    ])
+    def test_unreadable_tree_raises_parse_error(self, tmp_path, damage):
+        q, chain, comp, cfg = make_setup(error_prob=0.3, seed=1)
+        tree, budget = build_tree(q, comp, cfg)
+        path = tmp_path / "t.json"
+        save_tree(tree, path, budget)
+        path.write_text(damage(path.read_text()))
+        with pytest.raises(ParseError):
+            load_tree(path)

@@ -1,11 +1,7 @@
-import json
-import threading
-from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
-
 import pytest
-from hypothesis import example, given, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
-from omegaprm.core import Question, State, make_step
+from omegaprm.core import Question, State, make_rollout, make_step
 from omegaprm.errors import CompleterUnavailable, TemplateError
 from omegaprm.policy import (
     CompleterRequest,
@@ -161,44 +157,96 @@ class TestSimulatedCompleter:
         assert n7 > 140
 
 
-class _FakeCompletionHandler(BaseHTTPRequestHandler):
-    fail_times = 0
-    requests_seen = []
-    completions = None
-
-    def do_POST(self):
-        body = json.loads(self.rfile.read(int(self.headers["Content-Length"])))
-        type(self).requests_seen.append(body)
-        if type(self).fail_times > 0:
-            type(self).fail_times -= 1
-            self.send_response(500)
-            self.end_headers()
-            return
-        n = body["n"]
-        if type(self).completions is not None:
-            out = type(self).completions[:n]
+def reference_sample_rollouts(comp, request):
+    """``SimulatedCompleter.sample_rollouts`` before the ground chain was
+    built once per question: the chain is re-split on every call and every
+    step is a fresh ``make_step``. The RNG draws are the ones to preserve."""
+    state = request.state
+    question = comp.questions[state.question_id]
+    chain_tokens = [step.split() for step in comp.chains[state.question_id]]
+    cum = [0]
+    for toks in chain_tokens:
+        cum.append(cum[-1] + len(toks))
+    prefix_tokens = list(state.key())
+    consumed = 0
+    while consumed < len(chain_tokens) and cum[consumed + 1] <= len(prefix_tokens):
+        consumed += 1
+    ground_prefix = [t for toks in chain_tokens[:consumed] for t in toks]
+    prefix_has_error = prefix_tokens[: len(ground_prefix)] != ground_prefix
+    rng = comp._rng_for(state)
+    spec = comp.spec
+    rollouts = []
+    for _ in range(request.n_samples):
+        steps = []
+        error_steps = []
+        for idx in range(consumed, len(chain_tokens)):
+            ground = chain_tokens[idx]
+            if rng.random() < spec.per_step_error_prob:
+                toks = [f"err{rng.randrange(1_000_000)}" for _ in ground]
+                error_steps.append(idx + 1)
+            else:
+                toks = ground
+            steps.append(make_step(" ".join(toks)))
+        has_error = prefix_has_error or bool(error_steps)
+        if not has_error or rng.random() < spec.recovery_prob:
+            final = question.golden_answer
+        elif spec.wrong_answer_pool:
+            final = rng.choices(
+                spec.wrong_answer_pool, weights=spec.wrong_answer_weights
+            )[0]
         else:
-            out = [f"step one step two the answer is 4" for _ in range(n)]
-        payload = json.dumps({"completions": out}).encode()
-        self.send_response(200)
-        self.send_header("Content-Type", "application/json")
-        self.end_headers()
-        self.wfile.write(payload)
+            first = error_steps[0] if error_steps else 0
+            final = f"wrong{first}"
+        rollouts.append(make_rollout(
+            steps, final, answers_equivalent(final, question.golden_answer),
+            meta={"error_steps": error_steps,
+                  "prefix_had_error": prefix_has_error},
+        ))
+    return rollouts
 
-    def log_message(self, *args):
-        pass
 
-
-@pytest.fixture
-def fake_server():
-    _FakeCompletionHandler.fail_times = 0
-    _FakeCompletionHandler.requests_seen = []
-    _FakeCompletionHandler.completions = None
-    server = ThreadingHTTPServer(("127.0.0.1", 0), _FakeCompletionHandler)
-    thread = threading.Thread(target=server.serve_forever, daemon=True)
-    thread.start()
-    yield f"http://127.0.0.1:{server.server_address[1]}/complete"
-    server.shutdown()
+class TestSimulatorMatchesReference:
+    @settings(deadline=None, max_examples=60)
+    @given(
+        seed=st.integers(0, 10_000),
+        error_prob=st.sampled_from([0.0, 0.15, 0.5, 1.0]),
+        recovery=st.sampled_from([0.0, 0.3]),
+        pool=st.sampled_from([None, ["7", "8"]]),
+        tokens=st.lists(st.integers(1, 3), min_size=1, max_size=8),
+        calls=st.lists(
+            st.tuples(st.integers(0, 30), st.booleans(), st.integers(1, 6)),
+            min_size=1, max_size=6,
+        ),
+    )
+    def test_rollouts_equal_reference(self, seed, error_prob, recovery, pool,
+                                      tokens, calls):
+        # Chain steps with doubled spaces check whitespace normalization;
+        # prefixes cut anywhere in the token stream, some with a bad token.
+        chain = ["  ".join(f"s{i}t{j}" for j in range(n))
+                 for i, n in enumerate(tokens, start=1)]
+        ground = [t for step in chain for t in step.split()]
+        q = Question("q1", "toy", "10")
+        spec = dict(per_step_error_prob=error_prob, recovery_prob=recovery,
+                    seed=seed, wrong_answer_pool=pool)
+        new = SimulatedCompleter({"q1": q}, {"q1": chain}, SimPolicySpec(**spec))
+        ref = SimulatedCompleter({"q1": q}, {"q1": chain}, SimPolicySpec(**spec))
+        ground_steps = {}
+        for cut, corrupt, n in calls:
+            toks = ground[: cut % (len(ground) + 1)]
+            if corrupt and toks:
+                toks = toks[:-1] + ["bad"]
+            state = State("q1", tuple(make_step(t) for t in toks))
+            request = CompleterRequest(state, n_samples=n)
+            got = new.sample_rollouts(request)
+            want = reference_sample_rollouts(ref, request)
+            assert got == want
+            assert [r.meta for r in got] == [r.meta for r in want]
+            for r in got:
+                # An uncorrupted step is the question's one ground Step.
+                first = len(chain) - len(r.steps) + 1
+                for idx, step in enumerate(r.steps, start=first):
+                    if idx not in r.meta["error_steps"]:
+                        assert ground_steps.setdefault(idx, step) is step
 
 
 class TestRemoteCompleter:
@@ -209,27 +257,27 @@ class TestRemoteCompleter:
         return RemoteCompleter({"q1": self.QUESTION}, endpoint, **kwargs)
 
     def test_basic_request(self, fake_server):
-        comp = self.make(fake_server)
+        comp = self.make(fake_server.url)
         rollouts = comp.sample_rollouts(CompleterRequest(State("q1"), 3))
         assert len(rollouts) == 3
         assert all(r.is_correct for r in rollouts)
         assert all(r.final_answer == "4" for r in rollouts)
 
     def test_batching_splits_requests(self, fake_server):
-        comp = self.make(fake_server, batch_size=4)
+        comp = self.make(fake_server.url, batch_size=4)
         comp.sample_rollouts(CompleterRequest(State("q1"), 10))
-        sizes = [b["n"] for b in _FakeCompletionHandler.requests_seen]
+        sizes = [b["n"] for b in fake_server.requests_seen]
         assert sizes == [4, 4, 2]
 
     def test_retries_transient_errors(self, fake_server):
-        _FakeCompletionHandler.fail_times = 2
-        comp = self.make(fake_server, max_retries=3)
+        fake_server.fail_times = 2
+        comp = self.make(fake_server.url, max_retries=3)
         rollouts = comp.sample_rollouts(CompleterRequest(State("q1"), 2))
         assert len(rollouts) == 2
 
     def test_unavailable_after_retry_budget(self, fake_server):
-        _FakeCompletionHandler.fail_times = 10
-        comp = self.make(fake_server, max_retries=2)
+        fake_server.fail_times = 10
+        comp = self.make(fake_server.url, max_retries=2)
         with pytest.raises(CompleterUnavailable):
             comp.sample_rollouts(CompleterRequest(State("q1"), 2))
 
@@ -239,24 +287,49 @@ class TestRemoteCompleter:
             comp.sample_rollouts(CompleterRequest(State("q1"), 1))
 
     def test_malformed_completion_kept_as_incorrect(self, fake_server):
-        _FakeCompletionHandler.completions = ["the answer is 4", "", 17]
-        comp = self.make(fake_server)
+        fake_server.completions = ["the answer is 4", "", 17]
+        comp = self.make(fake_server.url)
         rollouts = comp.sample_rollouts(CompleterRequest(State("q1"), 3))
         assert [r.is_correct for r in rollouts] == [True, False, False]
         assert rollouts[1].final_answer == ""
         assert rollouts[2].final_answer == ""
 
     def test_auth_header_sent(self, fake_server):
-        comp = self.make(fake_server, auth_token="sekrit")
+        comp = self.make(fake_server.url, auth_token="sekrit")
         headers = comp._headers()
         assert headers["Authorization"] == "Bearer sekrit"
 
     def test_request_carries_sampling_params(self, fake_server):
-        comp = self.make(fake_server)
+        comp = self.make(fake_server.url)
         comp.sample_rollouts(
             CompleterRequest(State("q1"), 1, temperature=0.7, max_tokens=99)
         )
-        body = _FakeCompletionHandler.requests_seen[-1]
+        body = fake_server.requests_seen[-1]
         assert body["temperature"] == 0.7
         assert body["max_tokens"] == 99
         assert "What is 2+2?" in body["prompt"]
+
+    def test_configured_sampling_params_replace_request_values(self, fake_server):
+        comp = self.make(fake_server.url, temperature=0.2, max_tokens=5)
+        comp.sample_rollouts(
+            CompleterRequest(State("q1"), 1, temperature=0.7, max_tokens=99)
+        )
+        body = fake_server.requests_seen[-1]
+        assert body["temperature"] == 0.2
+        assert body["max_tokens"] == 5
+
+    def test_retries_429_like_5xx(self, fake_server):
+        fake_server.fail_status = 429
+        fake_server.fail_times = 2
+        comp = self.make(fake_server.url, max_retries=3)
+        rollouts = comp.sample_rollouts(CompleterRequest(State("q1"), 2))
+        assert len(rollouts) == 2
+        assert len(fake_server.requests_seen) == 3
+
+    def test_other_client_errors_fail_at_once(self, fake_server):
+        fake_server.fail_status = 400
+        fake_server.fail_times = 1
+        comp = self.make(fake_server.url, max_retries=3)
+        with pytest.raises(CompleterUnavailable):
+            comp.sample_rollouts(CompleterRequest(State("q1"), 2))
+        assert len(fake_server.requests_seen) == 1
