@@ -164,9 +164,15 @@ def make_completer(cfg: RunConfig, questions, chains, scope: str = ""):
 
 
 def _read_corpus(path):
+    """The corpus at ``path``, or None when it is missing. A malformed
+    corpus is a user input error: one stderr line and exit 2."""
     if not os.path.exists(path):
         return None
-    return import_corpus_jsonl(path)
+    try:
+        return import_corpus_jsonl(path)
+    except ParseError as exc:
+        print(f"malformed corpus: {path}: {exc}", file=sys.stderr)
+        sys.exit(2)
 
 
 def _require(path):
@@ -174,6 +180,16 @@ def _require(path):
         print(f"missing upstream artifact: {path}", file=sys.stderr)
         sys.exit(3)
     return path
+
+
+def _read_upstream(reader, path):
+    """``reader(path)`` on an upstream artifact that must exist and parse;
+    otherwise one stderr line and exit 3."""
+    try:
+        return reader(_require(path))
+    except ParseError as exc:
+        print(f"corrupt upstream artifact: {path}: {exc}", file=sys.stderr)
+        sys.exit(3)
 
 
 # -- commands --------------------------------------------------------------
@@ -218,8 +234,8 @@ def _stored_tree(path, question):
 
 
 def cmd_generate(cfg: RunConfig) -> int:
-    kept_path = _require(os.path.join(cfg.output, "kept.jsonl"))
-    questions, chains = import_corpus_jsonl(kept_path)
+    questions, chains = _read_upstream(
+        import_corpus_jsonl, os.path.join(cfg.output, "kept.jsonl"))
     trees_dir = os.path.join(cfg.output, "trees")
     os.makedirs(trees_dir, exist_ok=True)
 
@@ -285,7 +301,8 @@ def cmd_export(cfg: RunConfig) -> int:
 
 
 def cmd_train(cfg: RunConfig) -> int:
-    examples_path = _require(os.path.join(cfg.output, "examples.jsonl"))
+    examples = _read_upstream(
+        import_examples_jsonl, os.path.join(cfg.output, "examples.jsonl"))
     objective = cfg.train.get("objective", "soft")
     settings_kwargs = {
         k: cfg.train[k] for k in ("learning_rate", "epochs") if k in cfg.train
@@ -293,11 +310,10 @@ def cmd_train(cfg: RunConfig) -> int:
     from .prm import TrainSettings
 
     settings = TrainSettings(**settings_kwargs)
-    examples = import_examples_jsonl(examples_path)
     pairs = None
     if objective == "pairwise":
-        pairs_path = _require(os.path.join(cfg.output, "pairs.jsonl"))
-        pairs = import_pairs_jsonl(pairs_path)
+        pairs = _read_upstream(
+            import_pairs_jsonl, os.path.join(cfg.output, "pairs.jsonl"))
     model, curve = train_toy_prm(
         examples, objective=objective, settings=settings, pairs=pairs,
     )
@@ -311,9 +327,9 @@ def cmd_train(cfg: RunConfig) -> int:
 
 
 def cmd_eval(cfg: RunConfig) -> int:
-    kept_path = _require(os.path.join(cfg.output, "kept.jsonl"))
+    questions, chains = _read_upstream(
+        import_corpus_jsonl, os.path.join(cfg.output, "kept.jsonl"))
     model_path = _require(os.path.join(cfg.output, "prm_model.json"))
-    questions, chains = import_corpus_jsonl(kept_path)
     model = load_model(model_path)
     k_max = int(cfg.eval.get("k_max", 16))
     n_resamples = int(cfg.eval.get("n_resamples", 100))

@@ -123,10 +123,15 @@ def state_transition(state: State, action_steps) -> State:
     action_steps = tuple(action_steps)
     if not action_steps:
         raise InvalidAction("state transition requires a nonempty action")
-    return State(
+    child = State(
         question_id=state.question_id,
         prefix_steps=state.prefix_steps + action_steps,
     )
+    # The child's key extends the parent's: only the action is tokenized.
+    object.__setattr__(child, "_key", state.key() + tuple(
+        tok for s in action_steps for tok in s.text.split()
+    ))
+    return child
 
 
 @dataclass

@@ -183,21 +183,28 @@ def _write_jsonl(records, path):
 
 def _read_jsonl(path, required_fields):
     records = []
-    with open(path, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                rec = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise ParseError(f"line {lineno}: {exc}", line=lineno) from exc
-            missing = [f for f in required_fields if f not in rec]
-            if missing:
-                raise ParseError(
-                    f"line {lineno}: missing fields {missing}", line=lineno
-                )
-            records.append(rec)
+    try:
+        with open(path, encoding="utf-8") as fh:
+            for lineno, line in enumerate(fh, start=1):
+                line = line.strip()
+                if not line:
+                    continue
+                try:
+                    rec = json.loads(line)
+                except json.JSONDecodeError as exc:
+                    raise ParseError(f"line {lineno}: {exc}", line=lineno) from exc
+                if not isinstance(rec, dict):
+                    raise ParseError(f"line {lineno}: not a JSON object",
+                                     line=lineno)
+                missing = [f for f in required_fields if f not in rec]
+                if missing:
+                    raise ParseError(
+                        f"line {lineno}: missing fields {missing}", line=lineno
+                    )
+                records.append(rec)
+    except UnicodeDecodeError as exc:
+        # Decoding runs ahead of the lines, so no line number is known.
+        raise ParseError(f"not UTF-8 text: {exc}") from exc
     return records
 
 
@@ -270,12 +277,16 @@ def import_corpus_jsonl(path):
     """Read questions (and, when present, simulator ground chains)."""
     questions = []
     chains = {}
-    for rec in _read_jsonl(path, ("id", "statement", "golden_answer")):
-        questions.append(Question(
-            id=rec["id"],
-            statement=rec["statement"],
-            golden_answer=rec["golden_answer"],
-        ))
+    for n, rec in enumerate(
+            _read_jsonl(path, ("id", "statement", "golden_answer")), start=1):
+        try:
+            questions.append(Question(
+                id=rec["id"],
+                statement=rec["statement"],
+                golden_answer=rec["golden_answer"],
+            ))
+        except ValueError as exc:
+            raise ParseError(f"record {n}: {exc}") from exc
         if "chain" in rec:
             chains[rec["id"]] = list(rec["chain"])
     return questions, chains

@@ -9,14 +9,17 @@ from __future__ import annotations
 
 import bisect
 import hashlib
+import json
 import math
 import random
 import re
+import select
+import threading
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from http.client import HTTPConnection, HTTPException, HTTPSConnection
 from typing import Optional
-
-import requests
+from urllib.parse import urlsplit
 
 from .core import Question, Rollout, State, make_rollout, make_step
 from .errors import CompleterUnavailable, ConfigError, TemplateError
@@ -233,6 +236,17 @@ class SimulatedCompleter(Completer):
         return rollouts
 
 
+def _dropped(sock) -> bool:
+    """True when an idle kept-alive socket is readable: the server closed it
+    (or sent something unasked), so it must not carry the next request."""
+    try:
+        poller = select.poll()
+    except AttributeError:  # no poll() on this platform
+        return bool(select.select([sock], [], [], 0)[0])
+    poller.register(sock, select.POLLIN)
+    return bool(poller.poll(0))
+
+
 class RemoteCompleter(Completer):
     """HTTP client for a completion server.
 
@@ -241,27 +255,45 @@ class RemoteCompleter(Completer):
     ``max_tokens``, when given, replace the request's values in every
     payload. Large requests are split into batches transparently. Malformed
     completions are kept as incorrect rollouts with an empty final answer.
-    Connection errors, timeouts, 429 and 5xx replies are retried with
-    exponential backoff; any other 4xx fails at once.
+    Connection errors, timeouts, 429 and 5xx replies and unparsable bodies
+    are retried with exponential backoff; any other non-2xx status fails at
+    once.
+
+    Each calling thread keeps one keep-alive ``http.client`` connection to
+    the endpoint; one the server closed while idle is reopened before use,
+    which is not a retry. Proxy environment variables are not consulted.
     """
 
     def __init__(self, questions, endpoint, *, auth_token=None, timeout=30.0,
                  max_retries=3, batch_size=8, retry_backoff=0.5,
-                 template=DEFAULT_PROMPT_TEMPLATE, session=None,
-                 temperature=None, max_tokens=None):
+                 template=DEFAULT_PROMPT_TEMPLATE, temperature=None,
+                 max_tokens=None):
         if temperature is not None and temperature < 0:
             raise ConfigError("temperature must be nonnegative")
         if max_tokens is not None and max_tokens < 1:
             raise ConfigError("max_tokens must be a positive integer")
+        try:
+            url = urlsplit(endpoint)
+            port = url.port
+        except ValueError as exc:
+            raise ConfigError(f"bad endpoint {endpoint!r}: {exc}") from None
+        if url.scheme not in ("http", "https") or not url.hostname:
+            raise ConfigError(
+                f"endpoint must be an http:// or https:// URL with a host, "
+                f"got {endpoint!r}"
+            )
+        connection = HTTPSConnection if url.scheme == "https" else HTTPConnection
+        self._connect = lambda: connection(url.hostname, port, timeout=timeout)
+        self._path = (url.path or "/") + (f"?{url.query}" if url.query else "")
+        self._local = threading.local()
+        self._steps = {}
         self.questions = dict(questions)
         self.endpoint = endpoint
         self.auth_token = auth_token
-        self.timeout = timeout
         self.max_retries = max_retries
         self.batch_size = batch_size
         self.retry_backoff = retry_backoff
         self.template = template
-        self.session = session or requests.Session()
         self.temperature = temperature
         self.max_tokens = max_tokens
 
@@ -271,23 +303,36 @@ class RemoteCompleter(Completer):
             headers["Authorization"] = f"Bearer {self.auth_token}"
         return headers
 
+    def _connection(self):
+        """This thread's connection; a kept-alive socket the server has
+        closed is dropped, and the next request opens a new one."""
+        conn = getattr(self._local, "conn", None)
+        if conn is None:
+            conn = self._local.conn = self._connect()
+        elif conn.sock is not None and _dropped(conn.sock):
+            conn.close()
+        return conn
+
     def _post(self, payload):
+        body = json.dumps(payload, allow_nan=False).encode()
+        headers = self._headers()
         last_error = None
         for attempt in range(self.max_retries):
+            conn = self._connection()
             try:
-                resp = self.session.post(
-                    self.endpoint, json=payload, headers=self._headers(),
-                    timeout=self.timeout,
-                )
-                if resp.status_code >= 500 or resp.status_code == 429:
-                    last_error = f"server returned {resp.status_code}"
-                elif resp.status_code >= 400:
+                conn.request("POST", self._path, body, headers)
+                resp = conn.getresponse()
+                data = resp.read()
+                if resp.status >= 500 or resp.status == 429:
+                    last_error = f"server returned {resp.status}"
+                elif not 200 <= resp.status < 300:
                     raise CompleterUnavailable(
-                        f"completer rejected request: {resp.status_code}"
+                        f"completer rejected request: {resp.status}"
                     )
                 else:
-                    return resp.json()
-            except (requests.ConnectionError, requests.Timeout, ValueError) as exc:
+                    return json.loads(data)
+            except (OSError, HTTPException, ValueError) as exc:
+                conn.close()
                 last_error = str(exc)
             if attempt + 1 < self.max_retries:
                 time.sleep(self.retry_backoff * (2 ** attempt))
@@ -297,11 +342,14 @@ class RemoteCompleter(Completer):
         if not isinstance(completion, str) or not completion.strip():
             return make_rollout([], "", False)
         # One step per whitespace token: any consecutive token span is a
-        # valid step, so binary search may cut anywhere.
-        steps = [make_step(tok) for tok in completion.split()]
+        # valid step, so binary search may cut anywhere. Each distinct token
+        # has one shared ``Step``.
+        steps = self._steps
         answer = extract_final_answer(completion)
         return make_rollout(
-            steps, answer, answers_equivalent(answer, question.golden_answer)
+            [steps.get(tok) or steps.setdefault(tok, make_step(tok))
+             for tok in completion.split()],
+            answer, answers_equivalent(answer, question.golden_answer),
         )
 
     def sample_rollouts(self, request: CompleterRequest):

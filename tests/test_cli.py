@@ -116,6 +116,60 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert err.count("\n") == 1 and tree.name in err
 
+    CORPUS_DAMAGE = {
+        "cut_line": lambda data: data[:-20],
+        "not_utf8": lambda data: data + b'{"id": "\xff"}\n',
+        "not_object": lambda data: data + b"[1, 2]\n",
+        "empty_answer": lambda data: data + (
+            b'{"id": "q9", "statement": "s", "golden_answer": ""}\n'),
+    }
+
+    @pytest.mark.parametrize("cmd", ["filter", "bench"])
+    @pytest.mark.parametrize("damage", sorted(CORPUS_DAMAGE))
+    def test_malformed_corpus_is_2(self, tmp_path, capsys, cmd, damage):
+        corpus = tmp_path / "corpus.jsonl"
+        write_corpus(corpus, n_questions=2)
+        corpus.write_bytes(self.CORPUS_DAMAGE[damage](corpus.read_bytes()))
+        config, _ = write_config(tmp_path)
+        with pytest.raises(SystemExit) as err:
+            run(cmd, config)
+        assert err.value.code == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "malformed corpus" in err
+
+    @pytest.mark.parametrize("cmd,artifact,objective", [
+        ("generate", "kept.jsonl", "soft"),
+        ("eval", "kept.jsonl", "soft"),
+        ("train", "examples.jsonl", "soft"),
+        ("train", "pairs.jsonl", "pairwise"),
+    ])
+    def test_malformed_upstream_jsonl_is_3(self, tmp_path, capsys, cmd,
+                                           artifact, objective):
+        write_corpus(tmp_path / "corpus.jsonl")
+        config, doc = write_config(tmp_path)
+        doc["train"] = {"objective": objective}
+        config.write_text(json.dumps(doc))
+        for stage in ("filter", "generate", "export", "train"):
+            assert run(stage, config) == 0
+        path = tmp_path / "out" / artifact
+        path.write_text(path.read_text() + "[1, 2]\n")
+        capsys.readouterr()
+        with pytest.raises(SystemExit) as err:
+            run(cmd, config)
+        assert err.value.code == 3
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and artifact in err
+
+    def test_malformed_remote_endpoint_is_2(self, tmp_path, capsys):
+        write_corpus(tmp_path / "corpus.jsonl", n_questions=1)
+        config, doc = write_config(tmp_path)
+        doc["completer"] = {"kind": "remote",
+                            "remote": {"endpoint": "localhost:9/complete"}}
+        config.write_text(json.dumps(doc))
+        assert run("filter", config) == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "localhost:9/complete" in err
+
     def test_export_without_trees_is_3(self, tmp_path):
         write_corpus(tmp_path / "corpus.jsonl")
         config, _ = write_config(tmp_path)

@@ -1,6 +1,7 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, strategies as st
 
 from omegaprm.core import (
     EngineConfig,
@@ -91,6 +92,19 @@ class TestStateTransition:
         assert a == b
         assert hash(a) == hash(b)
         assert repr(a) == repr(b)
+
+    @given(st.lists(
+        st.lists(st.text(alphabet="ab \t\n", min_size=1, max_size=8),
+                 min_size=1, max_size=4),
+        max_size=5,
+    ))
+    def test_derived_key_equals_split_prefix(self, actions):
+        state = State("q1")
+        for texts in actions:
+            state = state_transition(state, steps(*texts))
+            prefix = state.prefix_steps
+            assert state.key() == tuple(
+                tok for s in prefix for tok in s.text.split())
 
 
 class TestNodeStats:

@@ -1,8 +1,14 @@
+import os
+import subprocess
+import sys
+import threading
+
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from omegaprm import policy
 from omegaprm.core import Question, State, make_rollout, make_step
-from omegaprm.errors import CompleterUnavailable, TemplateError
+from omegaprm.errors import CompleterUnavailable, ConfigError, TemplateError
 from omegaprm.policy import (
     CompleterRequest,
     RemoteCompleter,
@@ -333,3 +339,113 @@ class TestRemoteCompleter:
         with pytest.raises(CompleterUnavailable):
             comp.sample_rollouts(CompleterRequest(State("q1"), 2))
         assert len(fake_server.requests_seen) == 1
+
+    def test_auth_header_reaches_server(self, fake_server):
+        comp = self.make(fake_server.url, auth_token="sekrit")
+        comp.sample_rollouts(CompleterRequest(State("q1"), 1))
+        headers = fake_server.headers_seen[-1]
+        assert headers["Authorization"] == "Bearer sekrit"
+        assert headers["Content-Type"] == "application/json"
+
+    @pytest.mark.parametrize("endpoint", [
+        "localhost:9/complete",
+        "ftp://127.0.0.1/complete",
+        "http:///complete",
+        "http://127.0.0.1:port/complete",
+        "127.0.0.1",
+    ])
+    def test_malformed_endpoint_is_config_error(self, endpoint):
+        with pytest.raises(ConfigError):
+            self.make(endpoint)
+
+
+class TestRemoteTransport:
+    """The keep-alive connection each thread holds to the server."""
+
+    QUESTIONS = {
+        "q1": Question("q1", "What is 2+2?", "4"),
+        "q2": Question("q2", "What is 3+3?", "6"),
+    }
+
+    def make(self, endpoint, **kwargs):
+        kwargs.setdefault("retry_backoff", 0.0)
+        return RemoteCompleter(self.QUESTIONS, endpoint, **kwargs)
+
+    @staticmethod
+    def answer_prompt(body):
+        answer = "6" if "3+3" in body["prompt"] else "4"
+        return [f"so the answer is {answer}"] * body["n"]
+
+    def test_sequential_requests_share_one_connection(self, fake_server_11):
+        comp = self.make(fake_server_11.url, batch_size=2)
+        for _ in range(5):
+            rollouts = comp.sample_rollouts(CompleterRequest(State("q1"), 4))
+            assert all(r.is_correct for r in rollouts)
+        assert len(fake_server_11.requests_seen) == 10
+        assert fake_server_11.connections == 1
+
+    def test_connection_closed_while_idle_is_reopened(self, fake_server_11,
+                                                      monkeypatch):
+        sleeps = []
+        monkeypatch.setattr(policy.time, "sleep", sleeps.append)
+        fake_server_11.close_idle = True
+        # One attempt only: a failed send on the dead socket would raise.
+        comp = self.make(fake_server_11.url, max_retries=1)
+        comp.sample_rollouts(CompleterRequest(State("q1"), 1))
+        assert fake_server_11.closed.wait(5)
+        rollouts = comp.sample_rollouts(CompleterRequest(State("q1"), 1))
+        assert rollouts[0].is_correct
+        assert len(fake_server_11.requests_seen) == 2
+        assert fake_server_11.connections == 2
+        assert sleeps == []
+
+    def test_threads_sharing_a_completer(self, fake_server_11):
+        fake_server_11.respond = self.answer_prompt
+        comp = self.make(fake_server_11.url)
+        answers = {}
+
+        def work(qid):
+            answers[qid] = [
+                r.final_answer
+                for _ in range(20)
+                for r in comp.sample_rollouts(CompleterRequest(State(qid), 2))
+            ]
+
+        threads = [threading.Thread(target=work, args=(q,)) for q in ("q1", "q2")]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join()
+        assert answers == {"q1": ["4"] * 40, "q2": ["6"] * 40}
+        assert fake_server_11.connections == 2
+
+    def test_server_closing_after_every_reply(self, fake_server):
+        comp = self.make(fake_server.url, max_retries=1)
+        for _ in range(3):
+            rollouts = comp.sample_rollouts(CompleterRequest(State("q1"), 2))
+            assert [r.final_answer for r in rollouts] == ["4", "4"]
+        assert fake_server.connections == 3
+
+    @given(st.lists(st.text(alphabet="ab 4\n", max_size=12), max_size=6))
+    def test_interned_rollouts_equal_per_token_steps(self, completions):
+        comp = self.make("http://127.0.0.1:1/complete")
+        question = self.QUESTIONS["q1"]
+        for text in completions + completions:
+            rollout = comp._to_rollout(text, question)
+            answer = extract_final_answer(text)
+            assert rollout == make_rollout(
+                [make_step(tok) for tok in text.split()], answer,
+                bool(text.strip()) and answers_equivalent(answer, "4"),
+            )
+        for step in comp._steps.values():
+            assert comp._steps[step.text] is step
+        for text in completions:
+            first, again = (comp._to_rollout(text, question) for _ in "ab")
+            assert all(a is b for a, b in zip(first.steps, again.steps))
+
+    def test_cli_import_leaves_requests_out(self):
+        src = os.path.join(os.path.dirname(os.path.dirname(
+            os.path.abspath(__file__))), "src")
+        env = dict(os.environ, PYTHONPATH=src)
+        code = "import sys, omegaprm.cli; sys.exit('requests' in sys.modules)"
+        subprocess.run([sys.executable, "-c", code], env=env, check=True)
