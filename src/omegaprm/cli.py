@@ -6,7 +6,6 @@ artifact is reproducible from (config, seed).
 from __future__ import annotations
 
 import argparse
-import hashlib
 import json
 import os
 import sys
@@ -25,6 +24,7 @@ from .dataset import (
     import_pairs_jsonl,
     tree_to_examples,
     tree_to_pairs,
+    write_json,
 )
 from .errors import (
     CompleterUnavailable,
@@ -34,7 +34,12 @@ from .errors import (
 )
 from .evaluate import accuracy_curve, efficiency_benchmark
 from .mcts import build_tree, load_tree, save_tree
-from .policy import RemoteCompleter, SimPolicySpec, SimulatedCompleter
+from .policy import (
+    RemoteCompleter,
+    SimPolicySpec,
+    SimulatedCompleter,
+    stable_int,
+)
 from .prm import load_model, save_model, train_toy_prm
 
 AUTH_TOKEN_ENV = "OMEGAPRM_AUTH_TOKEN"
@@ -131,13 +136,6 @@ class RunConfig:
         return self
 
 
-def _stable_int(*parts) -> int:
-    material = "\x1f".join(str(p) for p in parts)
-    return int.from_bytes(
-        hashlib.blake2b(material.encode(), digest_size=8).digest(), "big"
-    )
-
-
 def make_completer(cfg: RunConfig, questions, chains, scope: str = ""):
     """Build the configured completer. For the simulated policy the seed is
     derived from (run seed, scope) so each pipeline stage gets an
@@ -147,7 +145,7 @@ def make_completer(cfg: RunConfig, questions, chains, scope: str = ""):
         spec = SimPolicySpec(
             per_step_error_prob=cfg.sim.get("per_step_error_prob", 0.1),
             recovery_prob=cfg.sim.get("recovery_prob", 0.0),
-            seed=_stable_int(cfg.seed, scope),
+            seed=stable_int(cfg.seed, scope),
             wrong_answer_pool=cfg.sim.get("wrong_answer_pool"),
             wrong_answer_weights=cfg.sim.get("wrong_answer_weights"),
         )
@@ -265,10 +263,7 @@ def cmd_generate(cfg: RunConfig) -> int:
         else:
             summary["total_policy_calls"] += info.policy_calls
             summary["total_searches"] += info.searches_done
-    with open(os.path.join(cfg.output, "generate_summary.json"), "w",
-              encoding="utf-8") as fh:
-        json.dump(summary, fh, indent=2)
-        fh.write("\n")
+    write_json(summary, os.path.join(cfg.output, "generate_summary.json"))
     built = sum(1 for _, s, _ in results if s == "built")
     resumed = sum(1 for _, s, _ in results if s == "resumed")
     print(f"built {built}, resumed {resumed} of {len(questions)} trees "
@@ -318,10 +313,8 @@ def cmd_train(cfg: RunConfig) -> int:
         examples, objective=objective, settings=settings, pairs=pairs,
     )
     save_model(model, os.path.join(cfg.output, "prm_model.json"))
-    with open(os.path.join(cfg.output, "train_curve.json"), "w",
-              encoding="utf-8") as fh:
-        json.dump({"objective": objective, "loss_curve": curve}, fh, indent=2)
-        fh.write("\n")
+    write_json({"objective": objective, "loss_curve": curve},
+               os.path.join(cfg.output, "train_curve.json"))
     print(f"trained {objective} model; final loss {curve[-1]:.6f}")
     return 0
 
@@ -340,20 +333,15 @@ def cmd_eval(cfg: RunConfig) -> int:
         questions, completer, None, k_max,
         n_resamples=n_resamples, seed=cfg.seed, pool_size=pool_size,
     )
-    if hasattr(completer, "reset"):
-        completer.reset()
+    completer.reset()
     weighted = accuracy_curve(
         questions, completer, model, k_max,
         n_resamples=n_resamples, seed=cfg.seed, pool_size=pool_size,
     )
-    report = {
-        "majority": majority.to_dict(),
-        "prm_weighted": weighted.to_dict(),
-    }
-    with open(os.path.join(cfg.output, "eval_report.json"), "w",
-              encoding="utf-8") as fh:
-        json.dump(report, fh, indent=2)
-        fh.write("\n")
+    write_json(
+        {"majority": majority.to_dict(), "prm_weighted": weighted.to_dict()},
+        os.path.join(cfg.output, "eval_report.json"),
+    )
     majority.write_csv(os.path.join(cfg.output, "eval_majority.csv"))
     weighted.write_csv(os.path.join(cfg.output, "eval_weighted.csv"))
     print(
@@ -373,10 +361,7 @@ def cmd_bench(cfg: RunConfig) -> int:
     budget = int(cfg.bench.get("budget", 20000))
     completer = make_completer(cfg, questions, chains, scope="bench")
     report = efficiency_benchmark(questions, completer, cfg.engine, budget)
-    with open(os.path.join(cfg.output, "bench_report.json"), "w",
-              encoding="utf-8") as fh:
-        json.dump(report, fh, indent=2)
-        fh.write("\n")
+    write_json(report, os.path.join(cfg.output, "bench_report.json"))
     print(
         f"examples/call: brute {report['brute_force']['examples_per_call']:.4f}"
         f" vs omegaprm {report['omegaprm']['examples_per_call']:.4f}"

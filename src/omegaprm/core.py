@@ -8,24 +8,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Callable, Optional
+from typing import Optional
 
 from .errors import ConfigError, InvalidAction
-
-Tokenizer = Callable[[str], list]
-
-
-def whitespace_tokenize(text: str) -> list:
-    return text.split()
-
-
-def token_count(text: str, tokenizer: Tokenizer = whitespace_tokenize) -> int:
-    return len(tokenizer(text))
-
-
-def approx_token_count(text: str) -> int:
-    """Rough token count for real LLM text: one token per 4 characters."""
-    return max(1, (len(text) + 3) // 4)
 
 
 @dataclass(frozen=True)
@@ -53,8 +38,9 @@ class Step:
             raise ValueError("token_len must be nonnegative")
 
 
-def make_step(text: str, tokenizer: Tokenizer = whitespace_tokenize) -> Step:
-    return Step(text=text, token_len=token_count(text, tokenizer))
+def make_step(text: str) -> Step:
+    """A step whose length is its count of whitespace-separated tokens."""
+    return Step(text=text, token_len=len(text.split()))
 
 
 @dataclass(frozen=True)
@@ -104,10 +90,6 @@ class State:
     @property
     def prefix_text(self) -> str:
         return " ".join(s.text for s in self.prefix_steps)
-
-    @property
-    def prefix_token_len(self) -> int:
-        return sum(s.token_len for s in self.prefix_steps)
 
     def key(self) -> tuple:
         """Node identity: the prefix token sequence."""
@@ -176,7 +158,6 @@ class TreeNode:
     state: State
     stats: NodeStats = field(default_factory=NodeStats)
     children: list = field(default_factory=list)
-    parent: Optional["TreeNode"] = field(default=None, repr=False)
 
     @property
     def mc(self) -> Optional[Fraction]:

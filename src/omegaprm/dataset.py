@@ -1,4 +1,4 @@
-"""Question filtering, tree-to-dataset conversion, and JSONL I/O.
+"""Question filtering, tree-to-dataset conversion, and JSON/JSONL I/O.
 
 A tree edge becomes a pointwise training example when its action is a
 single step, i.e. its token length is below the tree's binary-search
@@ -8,17 +8,11 @@ preference examples via the Bernoulli normalization (1 + p - q) / 2.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .core import Question, State
-from .errors import (
-    EstimationFailed,
-    InvalidProbability,
-    ParseError,
-    TargetTooLarge,
-)
+from .errors import EstimationFailed, InvalidProbability, ParseError
 from .mcts import Tree, monte_carlo_estimate
-import random
 
 
 @dataclass(frozen=True)
@@ -29,7 +23,6 @@ class TrainingExample:
     step_text: str
     mc_value: float
     hard_label: int
-    meta: dict = field(default_factory=dict, compare=False, repr=False)
 
 
 @dataclass(frozen=True)
@@ -40,10 +33,6 @@ class PreferencePair:
     step_a: str
     step_b: str
     pref_a: float
-
-    @property
-    def pref_b(self) -> float:
-        return 1.0 - self.pref_a
 
 
 @dataclass
@@ -100,7 +89,6 @@ def tree_to_examples(tree: Tree):
             step_text=edge.action_text,
             mc_value=float(mc),
             hard_label=int(mc > 0),
-            meta={"prefix_token_len": parent.state.prefix_token_len},
         ))
     return examples
 
@@ -135,17 +123,6 @@ def tree_to_pairs(tree: Tree):
     return pairs
 
 
-def downsample(examples, target_count: int, seed: int):
-    """Seeded uniform subset without replacement, preserving input order."""
-    if target_count > len(examples):
-        raise TargetTooLarge(
-            f"target {target_count} exceeds dataset size {len(examples)}"
-        )
-    rng = random.Random(seed)
-    idxs = sorted(rng.sample(range(len(examples)), target_count))
-    return [examples[i] for i in idxs]
-
-
 # -- JSONL I/O -------------------------------------------------------------
 
 _EXAMPLE_FIELDS = ("question_id", "question", "prefix", "step", "mc", "hard_label")
@@ -172,6 +149,13 @@ def pair_to_record(pair: PreferencePair):
         "step_b": pair.step_b,
         "pref_a": pair.pref_a,
     }
+
+
+def write_json(doc, path):
+    """Write one JSON document to ``path``, indented, with a final newline."""
+    with open(path, "w", encoding="utf-8") as fh:
+        json.dump(doc, fh, indent=2)
+        fh.write("\n")
 
 
 def _write_jsonl(records, path):

@@ -13,10 +13,6 @@ class InvalidAction(OmegaPRMError):
     """A state transition was attempted with an empty action."""
 
 
-class TemplateError(OmegaPRMError):
-    """A prompt template is missing a required placeholder."""
-
-
 class CompleterUnavailable(OmegaPRMError):
     """The remote completer could not be reached within the retry budget."""
 
@@ -35,10 +31,6 @@ class PoolExhausted(OmegaPRMError):
 
 class InvalidProbability(OmegaPRMError):
     """A probability argument fell outside [0, 1]."""
-
-
-class TargetTooLarge(OmegaPRMError):
-    """Down-sampling was asked for more items than are available."""
 
 
 class ParseError(OmegaPRMError):

@@ -3,7 +3,7 @@ from __future__ import annotations
 
 import csv
 import random
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from typing import Optional
 
 from .core import EngineConfig, Question, State
@@ -24,7 +24,6 @@ class CandidateSolution:
     step_texts: list
     final_answer: str
     aggregate_score: Optional[float] = None
-    meta: dict = field(default_factory=dict, compare=False, repr=False)
 
 
 @dataclass
@@ -38,15 +37,7 @@ class EvalReport:
     config: dict = field(default_factory=dict)
 
     def to_dict(self):
-        return {
-            "method": self.method,
-            "ks": self.ks,
-            "accuracy_mean": self.accuracy_mean,
-            "accuracy_std": self.accuracy_std,
-            "n_resamples": self.n_resamples,
-            "per_question": self.per_question,
-            "config": self.config,
-        }
+        return asdict(self)
 
     def write_csv(self, path):
         with open(path, "w", newline="", encoding="utf-8") as fh:
@@ -124,13 +115,11 @@ def weighted_vote(candidates, weighted: bool) -> str:
 
 
 def sample_candidates(question: Question, completer, pool_size: int,
-                      model: Optional[ToyPrmModel] = None,
-                      temperature: float = 1.0):
+                      model: Optional[ToyPrmModel] = None):
     """Sample a fixed pool of full solutions from the question root."""
     rollouts = completer.sample_rollouts(CompleterRequest(
         state=State(question_id=question.id),
         n_samples=pool_size,
-        temperature=temperature,
     ))
     step_cache = {}  # shared by the pool's solutions, dropped with the pool
     candidates = []
@@ -247,8 +236,7 @@ def efficiency_benchmark(questions, completer, cfg: EngineConfig,
     cfg.validate()
 
     # Arm A: brute-force per-step Monte Carlo annotation.
-    if hasattr(completer, "reset"):
-        completer.reset()
+    completer.reset()
     brute_budget = SearchBudget()
     brute_examples = 0
     idx = 0
@@ -270,8 +258,7 @@ def efficiency_benchmark(questions, completer, cfg: EngineConfig,
     # Arm B: tree construction under the same cap. Each completed search
     # annotates its rollout up to the located first error, so it certifies
     # one per-step label for every step through that error.
-    if hasattr(completer, "reset"):
-        completer.reset()
+    completer.reset()
     omega_calls = 0
     omega_examples = 0
     omega_single_step_edges = 0

@@ -10,7 +10,7 @@ from __future__ import annotations
 import json
 import math
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from json.encoder import encode_basestring_ascii
 
@@ -60,7 +60,6 @@ class SearchBudget:
 class PoolEntry:
     node: TreeNode
     rollout: Rollout
-    ordinal: int
 
 
 class RolloutPool:
@@ -73,7 +72,6 @@ class RolloutPool:
     def __init__(self):
         self.entries = []
         self._seen = set()
-        self._next_ordinal = 0
 
     def __len__(self):
         return len(self.entries)
@@ -88,8 +86,7 @@ class RolloutPool:
         if key in self._seen:
             return False
         self._seen.add(key)
-        self.entries.append(PoolEntry(node, rollout, self._next_ordinal))
-        self._next_ordinal += 1
+        self.entries.append(PoolEntry(node, rollout))
         return True
 
     def total_visits(self) -> int:
@@ -104,7 +101,8 @@ class RolloutPool:
         return total
 
     def select(self, cfg: EngineConfig) -> PoolEntry:
-        """Pop the entry maximizing Q(s, r) + U(s); earliest ordinal wins ties."""
+        """Pop the entry maximizing Q(s, r) + U(s); the earliest added entry
+        wins ties."""
         if not self.entries:
             raise PoolExhausted("no rollout candidates available")
         total = self.total_visits()
@@ -130,9 +128,6 @@ class Tree:
         self.avg_solution_tokens = 0.0
         self.threshold = 0.0
 
-    def get(self, state: State):
-        return self.nodes.get(state.key())
-
     def ensure_child(self, parent: TreeNode, action_steps, child_state: State):
         """Return the node for ``child_state``, linking it under ``parent``
         if it does not exist yet. An already-known prefix keeps its first
@@ -141,8 +136,10 @@ class Tree:
         existing = self.nodes.get(key)
         if existing is not None:
             return existing
-        child = TreeNode(state=child_state, parent=parent)
-        parent.children.append(_make_edge(action_steps, child))
+        child = TreeNode(state=child_state)
+        parent.children.append(
+            Edge(action_steps=tuple(action_steps), child=child)
+        )
         self.nodes[key] = child
         return child
 
@@ -150,10 +147,6 @@ class Tree:
         for node in self.nodes.values():
             for edge in node.children:
                 yield node, edge
-
-
-def _make_edge(action_steps, child):
-    return Edge(action_steps=tuple(action_steps), child=child)
 
 
 @dataclass
@@ -169,7 +162,7 @@ class BudgetExhausted(Exception):
 
 
 def monte_carlo_estimate(completer: Completer, state: State, k: int,
-                         budget: SearchBudget = None, temperature: float = 1.0):
+                         budget: SearchBudget = None):
     """Sample k rollouts from ``state`` and return (MC, rollouts).
 
     MC is the exact fraction of rollouts whose final answer matched the
@@ -179,7 +172,7 @@ def monte_carlo_estimate(completer: Completer, state: State, k: int,
         raise ValueError("k must be >= 1")
     try:
         rollouts = completer.sample_rollouts(
-            CompleterRequest(state=state, n_samples=k, temperature=temperature)
+            CompleterRequest(state=state, n_samples=k)
         )
     except CompleterUnavailable as exc:
         raise EstimationFailed(str(exc)) from exc
@@ -193,12 +186,11 @@ class OmegaPRMEngine:
     """Builds the state-action tree for one question."""
 
     def __init__(self, question: Question, completer: Completer,
-                 cfg: EngineConfig, max_policy_calls=None, temperature=1.0):
+                 cfg: EngineConfig, max_policy_calls=None):
         cfg.validate()
         self.question = question
         self.completer = completer
         self.cfg = cfg
-        self.temperature = temperature
         self.max_policy_calls = max_policy_calls
         self.tree = Tree(question)
         self.pool = RolloutPool()
@@ -213,10 +205,7 @@ class OmegaPRMEngine:
         if (self.max_policy_calls is not None
                 and self.budget.policy_calls + n > self.max_policy_calls):
             raise BudgetExhausted
-        mc, rollouts = monte_carlo_estimate(
-            self.completer, state, n, self.budget, self.temperature
-        )
-        return mc, rollouts
+        return monte_carlo_estimate(self.completer, state, n, self.budget)
 
     # -- root seeding ------------------------------------------------------
 
@@ -282,7 +271,7 @@ class OmegaPRMEngine:
         while hi - lo > 1 and (cum[hi] - cum[lo]) >= self.tree.threshold:
             m = self._split_point(cum, lo, hi)
             prefix_state = state_transition(node.state, steps[:m])
-            existing = self.tree.get(prefix_state)
+            existing = self.tree.nodes.get(prefix_state.key())
             if existing is not None and existing.stats.has_mc():
                 mc, new_rollouts = existing.mc, []
             else:
@@ -354,13 +343,8 @@ class OmegaPRMEngine:
         return self.tree, self.budget
 
 
-def build_tree(question: Question, completer: Completer, cfg: EngineConfig,
-               max_policy_calls=None, temperature=1.0):
-    engine = OmegaPRMEngine(
-        question, completer, cfg,
-        max_policy_calls=max_policy_calls, temperature=temperature,
-    )
-    return engine.build()
+def build_tree(question: Question, completer: Completer, cfg: EngineConfig):
+    return OmegaPRMEngine(question, completer, cfg).build()
 
 
 # -- brute-force baseline (per-step annotation) ----------------------------
@@ -580,11 +564,10 @@ def tree_from_dict(doc):
         by_id[nd["id"]] = node
     for ed in doc["edges"]:
         parent = by_id[ed["parent"]]
-        child = by_id[ed["child"]]
-        child.parent = parent
-        parent.children.append(
-            _make_edge(tuple(step(s) for s in ed["action_steps"]), child)
-        )
+        parent.children.append(Edge(
+            action_steps=tuple(step(s) for s in ed["action_steps"]),
+            child=by_id[ed["child"]],
+        ))
     budget = None
     if "budget" in doc:
         budget = SearchBudget(**doc["budget"])

@@ -21,10 +21,10 @@ from http.client import HTTPConnection, HTTPException, HTTPSConnection
 from typing import Optional
 from urllib.parse import urlsplit
 
-from .core import Question, Rollout, State, make_rollout, make_step
-from .errors import CompleterUnavailable, ConfigError, TemplateError
+from .core import Question, State, make_rollout, make_step
+from .errors import CompleterUnavailable, ConfigError
 
-DEFAULT_PROMPT_TEMPLATE = "Question: {statement}\nSolution so far: {prefix}\n"
+PROMPT_TEMPLATE = "Question: {statement}\nSolution so far: {prefix}\n"
 
 _BOXED_RE = re.compile(r"\\boxed\{([^{}]*)\}")
 _MARKER_RE = re.compile(
@@ -78,13 +78,17 @@ def answers_equivalent(a: str, b: str) -> bool:
     return na.casefold() == nb.casefold()
 
 
-def render_prompt(state: State, question: Question,
-                  template: str = DEFAULT_PROMPT_TEMPLATE) -> str:
-    if "{statement}" not in template or "{prefix}" not in template:
-        raise TemplateError(
-            "template must contain {statement} and {prefix} placeholders"
-        )
-    return template.replace("{statement}", question.statement).replace(
+def stable_int(*parts) -> int:
+    """A 64-bit integer hashed from ``parts``, the same in every process
+    (unlike ``hash``); seeds every simulated RNG stream."""
+    material = "\x1f".join(str(p) for p in parts)
+    return int.from_bytes(
+        hashlib.blake2b(material.encode(), digest_size=8).digest(), "big"
+    )
+
+
+def render_prompt(state: State, question: Question) -> str:
+    return PROMPT_TEMPLATE.replace("{statement}", question.statement).replace(
         "{prefix}", state.prefix_text
     )
 
@@ -93,14 +97,10 @@ def render_prompt(state: State, question: Question,
 class CompleterRequest:
     state: State
     n_samples: int
-    temperature: float = 1.0
-    max_tokens: int = 1024
 
     def __post_init__(self):
         if self.n_samples < 1:
             raise ValueError("n_samples must be >= 1")
-        if self.temperature < 0:
-            raise ValueError("temperature must be nonnegative")
 
 
 class Completer:
@@ -108,6 +108,10 @@ class Completer:
 
     def sample_rollouts(self, request: CompleterRequest):
         raise NotImplementedError
+
+    def reset(self):
+        """Forget per-call state so an identical call sequence replays; a
+        completer without such state has nothing to forget."""
 
 
 @dataclass
@@ -177,9 +181,7 @@ class SimulatedCompleter(Completer):
         key = (state.question_id,) + state.key()
         ordinal = self._call_ordinals.get(key, 0)
         self._call_ordinals[key] = ordinal + 1
-        material = "\x1f".join([str(self.spec.seed), str(ordinal), *key])
-        digest = hashlib.blake2b(material.encode(), digest_size=8).digest()
-        return random.Random(int.from_bytes(digest, "big"))
+        return random.Random(stable_int(self.spec.seed, ordinal, *key))
 
     def reset(self):
         """Forget call ordinals so an identical call sequence replays."""
@@ -251,10 +253,10 @@ class RemoteCompleter(Completer):
     """HTTP client for a completion server.
 
     Wire protocol: POST {"prompt", "n", "temperature", "max_tokens"},
-    response {"completions": [text, ...]}. ``temperature`` and
-    ``max_tokens``, when given, replace the request's values in every
-    payload. Large requests are split into batches transparently. Malformed
-    completions are kept as incorrect rollouts with an empty final answer.
+    response {"completions": [text, ...]}; every payload carries the
+    completer's ``temperature`` and ``max_tokens``. Large requests are
+    split into batches transparently. Malformed completions are kept as
+    incorrect rollouts with an empty final answer.
     Connection errors, timeouts, 429 and 5xx replies and unparsable bodies
     are retried with exponential backoff; any other non-2xx status fails at
     once.
@@ -266,11 +268,10 @@ class RemoteCompleter(Completer):
 
     def __init__(self, questions, endpoint, *, auth_token=None, timeout=30.0,
                  max_retries=3, batch_size=8, retry_backoff=0.5,
-                 template=DEFAULT_PROMPT_TEMPLATE, temperature=None,
-                 max_tokens=None):
-        if temperature is not None and temperature < 0:
+                 temperature=1.0, max_tokens=1024):
+        if temperature < 0:
             raise ConfigError("temperature must be nonnegative")
-        if max_tokens is not None and max_tokens < 1:
+        if max_tokens < 1:
             raise ConfigError("max_tokens must be a positive integer")
         try:
             url = urlsplit(endpoint)
@@ -293,7 +294,6 @@ class RemoteCompleter(Completer):
         self.max_retries = max_retries
         self.batch_size = batch_size
         self.retry_backoff = retry_backoff
-        self.template = template
         self.temperature = temperature
         self.max_tokens = max_tokens
 
@@ -354,11 +354,7 @@ class RemoteCompleter(Completer):
 
     def sample_rollouts(self, request: CompleterRequest):
         question = self.questions[request.state.question_id]
-        prompt = render_prompt(request.state, question, self.template)
-        temperature = (request.temperature if self.temperature is None
-                       else self.temperature)
-        max_tokens = (request.max_tokens if self.max_tokens is None
-                      else self.max_tokens)
+        prompt = render_prompt(request.state, question)
         completions = []
         remaining = request.n_samples
         while remaining > 0:
@@ -366,8 +362,8 @@ class RemoteCompleter(Completer):
             data = self._post({
                 "prompt": prompt,
                 "n": n,
-                "temperature": temperature,
-                "max_tokens": max_tokens,
+                "temperature": self.temperature,
+                "max_tokens": self.max_tokens,
             })
             batch = data.get("completions", []) if isinstance(data, dict) else []
             completions.extend(batch[:n])

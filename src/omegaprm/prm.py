@@ -15,6 +15,7 @@ from dataclasses import dataclass, field, asdict
 
 import numpy as np
 
+from .dataset import write_json
 from .errors import EmptyDataset, EmptySolution
 
 SCORE_EPS = 1e-7
@@ -26,6 +27,11 @@ OVERLAP = N_HASH_BUCKETS + 2  # the only feature that depends on the prefix
 
 def clamp_score(y: float) -> float:
     return min(max(y, SCORE_EPS), 1.0 - SCORE_EPS)
+
+
+def _sigmoid(z: np.ndarray) -> np.ndarray:
+    """The logistic function, clipped to [SCORE_EPS, 1 - SCORE_EPS]."""
+    return np.clip(1.0 / (1.0 + np.exp(-z)), SCORE_EPS, 1.0 - SCORE_EPS)
 
 
 # -- losses ----------------------------------------------------------------
@@ -120,8 +126,7 @@ class ToyPrmModel:
     feature_version: int = FEATURE_VERSION
 
     def predict_features(self, X: np.ndarray) -> np.ndarray:
-        z = X @ self.weights
-        return np.clip(1.0 / (1.0 + np.exp(-z)), SCORE_EPS, 1.0 - SCORE_EPS)
+        return _sigmoid(X @ self.weights)
 
     def score(self, prefix_text: str, step_text: str) -> float:
         """Deterministic step score in (0, 1)."""
@@ -183,7 +188,7 @@ def _pointwise_fit(X, targets, settings):
     w = np.zeros(X.shape[1])
     curve = []
     for _ in range(settings.epochs):
-        y = np.clip(1.0 / (1.0 + np.exp(-(X @ w))), SCORE_EPS, 1.0 - SCORE_EPS)
+        y = _sigmoid(X @ w)
         loss = -np.mean(targets * np.log(y) + (1 - targets) * np.log(1 - y))
         curve.append(float(loss))
         grad = X.T @ (y - targets) / n
@@ -196,8 +201,8 @@ def _pairwise_fit(Xa, Xb, prefs, settings):
     w = np.zeros(Xa.shape[1])
     curve = []
     for _ in range(settings.epochs):
-        ya = np.clip(1.0 / (1.0 + np.exp(-(Xa @ w))), SCORE_EPS, 1.0 - SCORE_EPS)
-        yb = np.clip(1.0 / (1.0 + np.exp(-(Xb @ w))), SCORE_EPS, 1.0 - SCORE_EPS)
+        ya = _sigmoid(Xa @ w)
+        yb = _sigmoid(Xb @ w)
         s = ya + yb
         pa = np.clip(ya / s, SCORE_EPS, 1.0 - SCORE_EPS)
         loss = -np.mean(prefs * np.log(pa) + (1 - prefs) * np.log(1 - pa))
@@ -264,9 +269,7 @@ def save_model(model: ToyPrmModel, path):
         "settings": asdict(model.settings),
         "weights": [float(w) for w in model.weights],
     }
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(doc, fh, indent=2)
-        fh.write("\n")
+    write_json(doc, path)
 
 
 def load_model(path) -> ToyPrmModel:

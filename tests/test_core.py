@@ -8,11 +8,9 @@ from omegaprm.core import (
     NodeStats,
     Question,
     State,
-    approx_token_count,
     make_rollout,
     make_step,
     state_transition,
-    token_count,
 )
 from omegaprm.errors import ConfigError, InvalidAction
 
@@ -30,15 +28,11 @@ class TestTypes:
 
     def test_step_token_len_matches_tokenizer(self):
         s = make_step("two plus two")
-        assert s.token_len == token_count("two plus two") == 3
+        assert s.token_len == len("two plus two".split()) == 3
 
     def test_step_rejects_empty_text(self):
         with pytest.raises(ValueError):
             make_step("")
-
-    def test_approx_token_count(self):
-        assert approx_token_count("abcdefgh") == 2
-        assert approx_token_count("a") == 1
 
     def test_rollout_token_len_is_sum_of_steps(self):
         r = make_rollout(steps("a b", "c"), "1", True)

@@ -1,11 +1,10 @@
-"""Filtering, tree-to-dataset conversion, downsampling, and JSONL I/O."""
+"""Filtering, tree-to-dataset conversion, and JSONL I/O."""
 import json
 
 import pytest
 
 from omegaprm.core import Question, make_rollout, make_step, state_transition
 from omegaprm.dataset import (
-    downsample,
     export_corpus_jsonl,
     export_examples_jsonl,
     export_filter_report,
@@ -17,7 +16,7 @@ from omegaprm.dataset import (
     tree_to_examples,
     tree_to_pairs,
 )
-from omegaprm.errors import CompleterUnavailable, ParseError, TargetTooLarge
+from omegaprm.errors import CompleterUnavailable, ParseError
 from omegaprm.mcts import SearchBudget, Tree
 
 
@@ -142,7 +141,6 @@ class TestTreeToPairs:
         by_key = {(p.step_a, p.step_b): p for p in pairs}
         ab = by_key[("alpha", "beta")]
         assert ab.pref_a == pytest.approx((1 + 0.25 - 0.5) / 2)
-        assert ab.pref_b == pytest.approx(1 - ab.pref_a)
         ag = by_key[("alpha", "gamma")]
         assert ag.pref_a == pytest.approx((1 + 0.25 - 0.0) / 2)
         bg = by_key[("beta", "gamma")]
@@ -153,24 +151,6 @@ class TestTreeToPairs:
         tree = Tree(q)
         tree.threshold = 2.0
         assert tree_to_pairs(tree) == []
-
-
-class TestDownsample:
-    EXAMPLES = list(range(100))
-
-    def test_seeded_and_order_preserving(self):
-        a = downsample(self.EXAMPLES, 10, seed=7)
-        b = downsample(self.EXAMPLES, 10, seed=7)
-        assert a == b
-        assert a == sorted(a)
-        assert downsample(self.EXAMPLES, 10, seed=8) != a
-
-    def test_full_size_is_identity(self):
-        assert downsample(self.EXAMPLES, 100, seed=0) == self.EXAMPLES
-
-    def test_target_too_large(self):
-        with pytest.raises(TargetTooLarge):
-            downsample(self.EXAMPLES, 101, seed=0)
 
 
 class TestJsonlIO:

@@ -277,7 +277,7 @@ class TestMaintenance:
         engine = OmegaPRMEngine(q, comp, cfg)
         engine.seed_root()
         assert len(engine.pool) > 0
-        selected = engine.pool.entries[0].node  # earliest ordinal wins at start
+        selected = engine.pool.entries[0].node  # earliest entry wins at start
         others_before = {
             key: node.stats.visit_count
             for key, node in engine.tree.nodes.items()
@@ -324,7 +324,6 @@ class TestBuild:
                 t for s in edge.action_steps for t in s.text.split()
             )
             assert child.state.key() == parent.state.key() + action_tokens
-            assert child.parent is not None
         # MC of every node recomputes from its stored rollouts.
         for node in tree.nodes.values():
             if node.stats.rollouts:

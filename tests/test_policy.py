@@ -8,7 +8,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from omegaprm import policy
 from omegaprm.core import Question, State, make_rollout, make_step
-from omegaprm.errors import CompleterUnavailable, ConfigError, TemplateError
+from omegaprm.errors import CompleterUnavailable, ConfigError
 from omegaprm.policy import (
     CompleterRequest,
     RemoteCompleter,
@@ -71,25 +71,19 @@ class TestRenderPrompt:
     QUESTION = Question("q1", "What is 2+2?", "4")
 
     def test_empty_prefix(self):
-        text = render_prompt(State("q1"), self.QUESTION,
-                             "{statement}|{prefix}")
-        assert text == "What is 2+2?|"
+        text = render_prompt(State("q1"), self.QUESTION)
+        assert text == "Question: What is 2+2?\nSolution so far: \n"
 
     def test_prefix_steps_in_order(self):
         state = State("q1", (make_step("first"), make_step("second")))
-        text = render_prompt(state, self.QUESTION, "{statement}|{prefix}")
-        assert text == "What is 2+2?|first second"
-
-    def test_missing_placeholder(self):
-        with pytest.raises(TemplateError):
-            render_prompt(State("q1"), self.QUESTION, "{statement} only")
+        text = render_prompt(state, self.QUESTION)
+        assert text == "Question: What is 2+2?\nSolution so far: first second\n"
 
     def test_injective_over_prefixes(self):
         s1 = State("q1", (make_step("a"), make_step("b")))
         s2 = State("q1", (make_step("a b"), make_step("c")))
-        t = "{statement}|{prefix}"
-        assert render_prompt(s1, self.QUESTION, t) != \
-            render_prompt(s2, self.QUESTION, t)
+        assert render_prompt(s1, self.QUESTION) != \
+            render_prompt(s2, self.QUESTION)
 
 
 def make_sim(error_prob=0.0, recovery=0.0, seed=0, n_steps=6, **kwargs):
@@ -307,19 +301,15 @@ class TestRemoteCompleter:
 
     def test_request_carries_sampling_params(self, fake_server):
         comp = self.make(fake_server.url)
-        comp.sample_rollouts(
-            CompleterRequest(State("q1"), 1, temperature=0.7, max_tokens=99)
-        )
+        comp.sample_rollouts(CompleterRequest(State("q1"), 1))
         body = fake_server.requests_seen[-1]
-        assert body["temperature"] == 0.7
-        assert body["max_tokens"] == 99
+        assert body["temperature"] == 1.0
+        assert body["max_tokens"] == 1024
         assert "What is 2+2?" in body["prompt"]
 
     def test_configured_sampling_params_replace_request_values(self, fake_server):
         comp = self.make(fake_server.url, temperature=0.2, max_tokens=5)
-        comp.sample_rollouts(
-            CompleterRequest(State("q1"), 1, temperature=0.7, max_tokens=99)
-        )
+        comp.sample_rollouts(CompleterRequest(State("q1"), 1))
         body = fake_server.requests_seen[-1]
         assert body["temperature"] == 0.2
         assert body["max_tokens"] == 5
