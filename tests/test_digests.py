@@ -59,3 +59,45 @@ def test_tiny_workload_matches_pinned_digests(tmp_path, workload, parallelism):
     got = {name: digest(os.path.join(tmp_path, "out", name))
            for name in pinned}
     assert got == pinned
+
+
+# SHA-256 of (prm_model.json, train_curve.json) per workload and objective;
+# the soft objective is pinned in digests.json with the other artifacts.
+TRAIN_PINNED = {
+    "deep_search": {
+        "hard": (
+            "2a2158c695b81b6a7ee4ec3d38e549062fd08effc19dce615df16906514a212c",
+            "c46f11294959e9f3054800af797b9e60e5727eefb4e448171499bb2e8a5c39ad"),
+        "pairwise": (
+            "45e27e37b0aa85ba731f87bf4dd3b42f039a415ee6896c24754f5b64945fa1fa",
+            "4f5af701a56aa1df44b8b6f0a2d19d70918aacb699a9a1301eb0a2cf173ce415"),
+    },
+    "wide_eval": {
+        "hard": (
+            "97b9ef32dba7edd1bf79649f652e5cfe0f586678a15601339479bf9fa456f072",
+            "d259509fe85f1a35450e6284ae9d59289584aea9186f315e79d8621d60bed282"),
+        "pairwise": (
+            "5b7c1e4aa5d3a09da11057b5cc66c070fae5ef0404209186bab1dfe4d4ab21a1",
+            "0cf8a34993dde19dd5dd67e9437ef51a46c5da6bf8ea43a78e43096190490cfd"),
+    },
+}
+
+
+@pytest.mark.parametrize("workload", ["deep_search", "wide_eval"])
+def test_tiny_workload_training_bytes_per_objective(tmp_path, workload):
+    workloads.write_corpus(workload, "tiny", 0, str(tmp_path))
+    config = workloads.write_config(workload, 0, str(tmp_path))
+    for stage in ("filter", "generate", "export"):
+        assert main([stage, "--config", config]) == 0, stage
+    with open(config, encoding="utf-8") as fh:
+        doc = json.load(fh)
+    got = {}
+    for objective in ("hard", "pairwise"):
+        doc["train"] = {"objective": objective}
+        with open(config, "w", encoding="utf-8") as fh:
+            json.dump(doc, fh)
+        assert main(["train", "--config", config]) == 0, objective
+        got[objective] = tuple(
+            digest(os.path.join(tmp_path, "out", name))
+            for name in ("prm_model.json", "train_curve.json"))
+    assert got == TRAIN_PINNED[workload]
