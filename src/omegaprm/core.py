@@ -55,7 +55,6 @@ class Rollout:
     final_answer: str
     is_correct: bool
     token_len: int
-    meta: dict = field(default_factory=dict, compare=False, repr=False)
 
     def __post_init__(self):
         if self.token_len != sum(s.token_len for s in self.steps):
@@ -66,14 +65,13 @@ class Rollout:
         return " ".join(s.text for s in self.steps)
 
 
-def make_rollout(steps, final_answer, is_correct, meta=None) -> Rollout:
+def make_rollout(steps, final_answer, is_correct) -> Rollout:
     steps = tuple(steps)
     return Rollout(
         steps=steps,
         final_answer=final_answer,
         is_correct=is_correct,
         token_len=sum(s.token_len for s in steps),
-        meta=meta or {},
     )
 
 

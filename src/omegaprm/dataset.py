@@ -8,20 +8,23 @@ preference examples via the Bernoulli normalization (1 + p - q) / 2.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 from .core import Question, State
 from .errors import EstimationFailed, InvalidProbability, ParseError
 from .mcts import Tree, monte_carlo_estimate
 
 
+# The record classes are the JSONL records: their fields are the keys, in
+# order, so renaming or reordering a field changes the file format.
+
 @dataclass(frozen=True)
 class TrainingExample:
     question_id: str
     question: str
-    prefix_text: str
-    step_text: str
-    mc_value: float
+    prefix: str
+    step: str
+    mc: float
     hard_label: int
 
 
@@ -29,7 +32,7 @@ class TrainingExample:
 class PreferencePair:
     question_id: str
     question: str
-    prefix_text: str
+    prefix: str
     step_a: str
     step_b: str
     pref_a: float
@@ -85,9 +88,9 @@ def tree_to_examples(tree: Tree):
         examples.append(TrainingExample(
             question_id=tree.question.id,
             question=tree.question.statement,
-            prefix_text=parent.state.prefix_text,
-            step_text=edge.action_text,
-            mc_value=float(mc),
+            prefix=parent.state.prefix_text,
+            step=edge.action_text,
+            mc=float(mc),
             hard_label=int(mc > 0),
         ))
     return examples
@@ -115,7 +118,7 @@ def tree_to_pairs(tree: Tree):
                 pairs.append(PreferencePair(
                     question_id=tree.question.id,
                     question=tree.question.statement,
-                    prefix_text=parent.state.prefix_text,
+                    prefix=parent.state.prefix_text,
                     step_a=a.action_text,
                     step_b=b.action_text,
                     pref_a=pref_a,
@@ -124,32 +127,6 @@ def tree_to_pairs(tree: Tree):
 
 
 # -- JSONL I/O -------------------------------------------------------------
-
-_EXAMPLE_FIELDS = ("question_id", "question", "prefix", "step", "mc", "hard_label")
-_PAIR_FIELDS = ("question_id", "question", "prefix", "step_a", "step_b", "pref_a")
-
-
-def example_to_record(ex: TrainingExample):
-    return {
-        "question_id": ex.question_id,
-        "question": ex.question,
-        "prefix": ex.prefix_text,
-        "step": ex.step_text,
-        "mc": ex.mc_value,
-        "hard_label": ex.hard_label,
-    }
-
-
-def pair_to_record(pair: PreferencePair):
-    return {
-        "question_id": pair.question_id,
-        "question": pair.question,
-        "prefix": pair.prefix_text,
-        "step_a": pair.step_a,
-        "step_b": pair.step_b,
-        "pref_a": pair.pref_a,
-    }
-
 
 def write_json(doc, path):
     """Write one JSON document to ``path``, indented, with a final newline."""
@@ -192,55 +169,30 @@ def _read_jsonl(path, required_fields):
     return records
 
 
+def _import_records(cls, path):
+    names = [f.name for f in fields(cls)]
+    return [cls(**{f: rec[f] for f in names})
+            for rec in _read_jsonl(path, names)]
+
+
 def export_examples_jsonl(examples, path):
-    _write_jsonl((example_to_record(ex) for ex in examples), path)
+    _write_jsonl(map(vars, examples), path)
 
 
 def import_examples_jsonl(path):
-    return [
-        TrainingExample(
-            question_id=rec["question_id"],
-            question=rec["question"],
-            prefix_text=rec["prefix"],
-            step_text=rec["step"],
-            mc_value=rec["mc"],
-            hard_label=rec["hard_label"],
-        )
-        for rec in _read_jsonl(path, _EXAMPLE_FIELDS)
-    ]
+    return _import_records(TrainingExample, path)
 
 
 def export_pairs_jsonl(pairs, path):
-    _write_jsonl((pair_to_record(p) for p in pairs), path)
+    _write_jsonl(map(vars, pairs), path)
 
 
 def import_pairs_jsonl(path):
-    return [
-        PreferencePair(
-            question_id=rec["question_id"],
-            question=rec["question"],
-            prefix_text=rec["prefix"],
-            step_a=rec["step_a"],
-            step_b=rec["step_b"],
-            pref_a=rec["pref_a"],
-        )
-        for rec in _read_jsonl(path, _PAIR_FIELDS)
-    ]
+    return _import_records(PreferencePair, path)
 
 
 def export_filter_report(report, path):
-    _write_jsonl(
-        (
-            {
-                "question_id": rec.question_id,
-                "kept": rec.kept,
-                "correct_count": rec.correct_count,
-                "reason": rec.reason,
-            }
-            for rec in report
-        ),
-        path,
-    )
+    _write_jsonl(map(vars, report), path)
 
 
 def export_corpus_jsonl(questions, path, chains=None):

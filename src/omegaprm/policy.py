@@ -88,9 +88,8 @@ def stable_int(*parts) -> int:
 
 
 def render_prompt(state: State, question: Question) -> str:
-    return PROMPT_TEMPLATE.replace("{statement}", question.statement).replace(
-        "{prefix}", state.prefix_text
-    )
+    return PROMPT_TEMPLATE.format(statement=question.statement,
+                                  prefix=state.prefix_text)
 
 
 @dataclass(frozen=True)
@@ -224,17 +223,9 @@ class SimulatedCompleter(Completer):
             else:
                 first = error_steps[0] if error_steps else 0
                 final = f"wrong{first}"
-            rollouts.append(
-                make_rollout(
-                    steps,
-                    final,
-                    answers_equivalent(final, question.golden_answer),
-                    meta={
-                        "error_steps": error_steps,
-                        "prefix_had_error": prefix_has_error,
-                    },
-                )
-            )
+            rollouts.append(make_rollout(
+                steps, final, answers_equivalent(final, question.golden_answer)
+            ))
         return rollouts
 
 
@@ -273,6 +264,10 @@ class RemoteCompleter(Completer):
             raise ConfigError("temperature must be nonnegative")
         if max_tokens < 1:
             raise ConfigError("max_tokens must be a positive integer")
+        if batch_size < 1:
+            raise ConfigError("batch_size must be a positive integer")
+        if max_retries < 1:
+            raise ConfigError("max_retries must be a positive integer")
         try:
             url = urlsplit(endpoint)
             port = url.port

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import hashlib
 import json
-import math
 from dataclasses import dataclass, field, asdict
 
 import numpy as np
@@ -25,45 +24,35 @@ N_FEATURES = N_HASH_BUCKETS + 4  # buckets + bias, length, overlap, digit ratio
 OVERLAP = N_HASH_BUCKETS + 2  # the only feature that depends on the prefix
 
 
-def clamp_score(y: float) -> float:
-    return min(max(y, SCORE_EPS), 1.0 - SCORE_EPS)
-
-
 def _sigmoid(z: np.ndarray) -> np.ndarray:
     """The logistic function, clipped to [SCORE_EPS, 1 - SCORE_EPS]."""
     return np.clip(1.0 / (1.0 + np.exp(-z)), SCORE_EPS, 1.0 - SCORE_EPS)
 
 
-# -- losses ----------------------------------------------------------------
+# -- objectives ------------------------------------------------------------
+# Each takes logits and targets, and returns the mean loss followed by each
+# example's loss gradient with respect to its logits (the mean's gradient
+# is that divided by the number of examples).
 
-def pointwise_loss(y_hat: float, y: float) -> float:
-    """Cross-entropy of prediction y against (possibly soft) label y_hat."""
-    y = clamp_score(y)
-    return -(y_hat * math.log(y) + (1.0 - y_hat) * math.log(1.0 - y))
-
-
-def pointwise_loss_grad(y_hat: float, y: float) -> float:
-    """d(pointwise_loss)/dy."""
-    y = clamp_score(y)
-    return -(y_hat / y) + (1.0 - y_hat) / (1.0 - y)
-
-
-def pairwise_loss(pref_a: float, y_a: float, y_b: float) -> float:
-    """Cross-entropy between the preference target (pref_a, 1 - pref_a) and
-    the Bradley-Terry prediction (y_a, y_b) / (y_a + y_b)."""
-    y_a, y_b = clamp_score(y_a), clamp_score(y_b)
-    p_a = y_a / (y_a + y_b)
-    p_a = clamp_score(p_a)
-    return -(pref_a * math.log(p_a) + (1.0 - pref_a) * math.log(1.0 - p_a))
+def pointwise_objective(z, targets):
+    """Cross-entropy of predictions sigmoid(z) against (possibly soft)
+    labels ``targets``."""
+    y = _sigmoid(z)
+    loss = -np.mean(targets * np.log(y) + (1 - targets) * np.log(1 - y))
+    return loss, y - targets
 
 
-def pairwise_loss_grad(pref_a: float, y_a: float, y_b: float):
-    """(dL/dy_a, dL/dy_b) for the pairwise loss."""
-    y_a, y_b = clamp_score(y_a), clamp_score(y_b)
-    s = y_a + y_b
-    p_a = clamp_score(y_a / s)
-    dl_dpa = -(pref_a / p_a) + (1.0 - pref_a) / (1.0 - p_a)
-    return dl_dpa * (y_b / s**2), dl_dpa * (-y_a / s**2)
+def pairwise_objective(za, zb, prefs):
+    """Cross-entropy between the preference targets (prefs, 1 - prefs) and
+    the Bradley-Terry predictions (ya, yb) / (ya + yb), y = sigmoid(z)."""
+    ya = _sigmoid(za)
+    yb = _sigmoid(zb)
+    s = ya + yb
+    pa = np.clip(ya / s, SCORE_EPS, 1.0 - SCORE_EPS)
+    loss = -np.mean(prefs * np.log(pa) + (1 - prefs) * np.log(1 - pa))
+    dl_dpa = -(prefs / pa) + (1 - prefs) / (1 - pa)
+    return (loss, dl_dpa * yb / s**2 * ya * (1 - ya),
+            dl_dpa * (-ya) / s**2 * yb * (1 - yb))
 
 
 # -- featurization ---------------------------------------------------------
@@ -123,7 +112,6 @@ class ToyPrmModel:
     weights: np.ndarray
     objective: str = "soft"
     settings: TrainSettings = field(default_factory=TrainSettings)
-    feature_version: int = FEATURE_VERSION
 
     def predict_features(self, X: np.ndarray) -> np.ndarray:
         return _sigmoid(X @ self.weights)
@@ -183,36 +171,15 @@ def score_solution(model: ToyPrmModel, question_statement: str, step_texts,
 
 # -- training --------------------------------------------------------------
 
-def _pointwise_fit(X, targets, settings):
-    n = len(targets)
-    w = np.zeros(X.shape[1])
+def _descend(objective, Xs, targets, settings):
+    """Full-batch gradient descent from w = 0 on ``objective`` of the logits
+    X @ w of each feature matrix in ``Xs``. Returns (w, loss curve)."""
+    w = np.zeros(Xs[0].shape[1])
     curve = []
     for _ in range(settings.epochs):
-        y = _sigmoid(X @ w)
-        loss = -np.mean(targets * np.log(y) + (1 - targets) * np.log(1 - y))
+        loss, *grads = objective(*(X @ w for X in Xs), targets)
         curve.append(float(loss))
-        grad = X.T @ (y - targets) / n
-        w -= settings.learning_rate * grad
-    return w, curve
-
-
-def _pairwise_fit(Xa, Xb, prefs, settings):
-    n = len(prefs)
-    w = np.zeros(Xa.shape[1])
-    curve = []
-    for _ in range(settings.epochs):
-        ya = _sigmoid(Xa @ w)
-        yb = _sigmoid(Xb @ w)
-        s = ya + yb
-        pa = np.clip(ya / s, SCORE_EPS, 1.0 - SCORE_EPS)
-        loss = -np.mean(prefs * np.log(pa) + (1 - prefs) * np.log(1 - pa))
-        curve.append(float(loss))
-        dl_dpa = -(prefs / pa) + (1 - prefs) / (1 - pa)
-        dl_dya = dl_dpa * yb / s**2
-        dl_dyb = dl_dpa * (-ya) / s**2
-        grad = (
-            Xa.T @ (dl_dya * ya * (1 - ya)) + Xb.T @ (dl_dyb * yb * (1 - yb))
-        ) / n
+        grad = sum(X.T @ g for X, g in zip(Xs, grads)) / len(targets)
         w -= settings.learning_rate * grad
     return w, curve
 
@@ -230,19 +197,17 @@ def train_toy_prm(examples=None, objective: str = "soft", settings=None,
     if objective in ("soft", "hard"):
         if not examples:
             raise EmptyDataset("pointwise training requires examples")
-        X = np.stack([featurize(ex.prefix_text, ex.step_text) for ex in examples])
-        if objective == "soft":
-            targets = np.array([ex.mc_value for ex in examples], dtype=float)
-        else:
-            targets = np.array([ex.hard_label for ex in examples], dtype=float)
-        w, curve = _pointwise_fit(X, targets, settings)
+        X = np.stack([featurize(ex.prefix, ex.step) for ex in examples])
+        label = "mc" if objective == "soft" else "hard_label"
+        targets = np.array([getattr(ex, label) for ex in examples], dtype=float)
+        w, curve = _descend(pointwise_objective, (X,), targets, settings)
     elif objective == "pairwise":
         if not pairs:
             raise EmptyDataset("pairwise training requires preference pairs")
-        Xa = np.stack([featurize(p.prefix_text, p.step_a) for p in pairs])
-        Xb = np.stack([featurize(p.prefix_text, p.step_b) for p in pairs])
+        Xa = np.stack([featurize(p.prefix, p.step_a) for p in pairs])
+        Xb = np.stack([featurize(p.prefix, p.step_b) for p in pairs])
         prefs = np.array([p.pref_a for p in pairs], dtype=float)
-        w, curve = _pairwise_fit(Xa, Xb, prefs, settings)
+        w, curve = _descend(pairwise_objective, (Xa, Xb), prefs, settings)
     else:
         raise ValueError(f"unknown objective: {objective!r}")
     model = ToyPrmModel(weights=w, objective=objective, settings=settings)
@@ -253,7 +218,7 @@ def step_accuracy(model: ToyPrmModel, examples) -> float:
     """Fraction of examples whose thresholded score matches the hard label."""
     if not examples:
         raise EmptyDataset("accuracy requires a nonempty dataset")
-    X = np.stack([featurize(ex.prefix_text, ex.step_text) for ex in examples])
+    X = np.stack([featurize(ex.prefix, ex.step) for ex in examples])
     pred = model.predict_features(X) > 0.5
     labels = np.array([ex.hard_label for ex in examples], dtype=bool)
     return float(np.mean(pred == labels))
@@ -263,7 +228,7 @@ def step_accuracy(model: ToyPrmModel, examples) -> float:
 
 def save_model(model: ToyPrmModel, path):
     doc = {
-        "feature_version": model.feature_version,
+        "feature_version": FEATURE_VERSION,
         "n_hash_buckets": N_HASH_BUCKETS,
         "objective": model.objective,
         "settings": asdict(model.settings),
@@ -281,5 +246,4 @@ def load_model(path) -> ToyPrmModel:
         weights=np.array(doc["weights"], dtype=float),
         objective=doc["objective"],
         settings=TrainSettings(**doc["settings"]),
-        feature_version=doc["feature_version"],
     )

@@ -8,11 +8,11 @@ import math
 import random
 import time
 
+import numpy as np
 import pytest
 
 from omegaprm.core import EngineConfig, Question, make_rollout, make_step
 from omegaprm.dataset import (
-    example_to_record,
     tree_to_examples,
     tree_to_pairs,
 )
@@ -29,10 +29,8 @@ from omegaprm.mcts import (
 )
 from omegaprm.policy import SimPolicySpec, SimulatedCompleter
 from omegaprm.prm import (
-    pairwise_loss,
-    pairwise_loss_grad,
-    pointwise_loss,
-    pointwise_loss_grad,
+    pairwise_objective,
+    pointwise_objective,
     step_accuracy,
     train_toy_prm,
 )
@@ -168,6 +166,24 @@ def test_criterion_3_examples_per_call_ratio():
 
 # -- criterion 4: formula unit suite ---------------------------------------
 
+def logit(y):
+    return float(np.log(y) - np.log1p(-y))
+
+
+def pointwise(y_hat, z):
+    """(loss, dL/dz) of one example with label y_hat and logit z."""
+    loss, g = pointwise_objective(np.array([z]), np.array([y_hat]))
+    return float(loss), float(g[0])
+
+
+def pairwise(pref, za, zb):
+    """(loss, dL/dza, dL/dzb) of one pair with target pref and logits
+    za, zb."""
+    loss, ga, gb = pairwise_objective(
+        np.array([za]), np.array([zb]), np.array([pref]))
+    return float(loss), float(ga[0]), float(gb[0])
+
+
 def test_criterion_4_formula_values_and_gradients():
     cfg = EngineConfig()
     rel = 1e-9
@@ -177,12 +193,12 @@ def test_criterion_4_formula_values_and_gradients():
         math.isclose(rollout_value(0, 1000, cfg), 0.405, rel_tol=rel),
         rollout_value(1, 0, cfg) == 1.0,
         math.isclose(exploration_bonus(3, 16, cfg), 0.125, rel_tol=rel),
-        math.isclose(pointwise_loss(2 / 3, 2 / 3), 0.636514168294812818,
+        math.isclose(pointwise(2 / 3, logit(2 / 3))[0], 0.636514168294812818,
                      rel_tol=rel),
-        math.isclose(pointwise_loss(0.0, 0.5), 0.693147180559945309,
+        math.isclose(pointwise(0.0, logit(0.5))[0], 0.693147180559945309,
                      rel_tol=rel),
-        math.isclose(pairwise_loss(0.5, 0.4, 0.4), 0.693147180559945309,
-                     rel_tol=rel),
+        math.isclose(pairwise(0.5, logit(0.4), logit(0.4))[0],
+                     0.693147180559945309, rel_tol=rel),
     ]
     from omegaprm.dataset import normalize_pair
 
@@ -193,14 +209,17 @@ def test_criterion_4_formula_values_and_gradients():
     h = 1e-6
     grad_ok = True
     for y_hat, y in [(0.0, 0.3), (1.0, 0.7), (2 / 3, 0.2), (0.9, 0.85)]:
-        fd = (pointwise_loss(y_hat, y + h) - pointwise_loss(y_hat, y - h)) / (2 * h)
-        grad_ok &= math.isclose(pointwise_loss_grad(y_hat, y), fd, rel_tol=1e-6)
+        z = logit(y)
+        _, g = pointwise(y_hat, z)
+        fd = (pointwise(y_hat, z + h)[0] - pointwise(y_hat, z - h)[0]) / (2 * h)
+        grad_ok &= math.isclose(g, fd, rel_tol=1e-6)
     for pref, ya, yb in [(0.75, 0.6, 0.3), (1.0, 0.8, 0.4), (0.25, 0.2, 0.7)]:
-        ga, gb = pairwise_loss_grad(pref, ya, yb)
-        fda = (pairwise_loss(pref, ya + h, yb)
-               - pairwise_loss(pref, ya - h, yb)) / (2 * h)
-        fdb = (pairwise_loss(pref, ya, yb + h)
-               - pairwise_loss(pref, ya, yb - h)) / (2 * h)
+        za, zb = logit(ya), logit(yb)
+        _, ga, gb = pairwise(pref, za, zb)
+        fda = (pairwise(pref, za + h, zb)[0]
+               - pairwise(pref, za - h, zb)[0]) / (2 * h)
+        fdb = (pairwise(pref, za, zb + h)[0]
+               - pairwise(pref, za, zb - h)[0]) / (2 * h)
         grad_ok &= math.isclose(ga, fda, rel_tol=1e-5, abs_tol=1e-9)
         grad_ok &= math.isclose(gb, fdb, rel_tol=1e-5, abs_tol=1e-9)
 
@@ -352,8 +371,8 @@ def test_criterion_7_soft_vs_hard_objective():
             mc = sum(rng.random() < rate for _ in range(k)) / k
             out.append(TrainingExample(
                 question_id=f"s{seed_offset + i}", question="stmt",
-                prefix_text="", step_text=step,
-                mc_value=1.0 if (with_truth and is_good) else
+                prefix="", step=step,
+                mc=1.0 if (with_truth and is_good) else
                 (0.0 if with_truth else mc),
                 hard_label=int(is_good) if with_truth else int(mc > 0),
             ))
@@ -362,7 +381,7 @@ def test_criterion_7_soft_vs_hard_objective():
     train_examples = draw(240, 0)
     held_out = draw(120, 1000, with_truth=True)
     false_positive_rate = sum(
-        1 for ex in train_examples if ex.hard_label == 1 and ex.mc_value < 0.5
+        1 for ex in train_examples if ex.hard_label == 1 and ex.mc < 0.5
     ) / len(train_examples)
     soft_model, _ = train_toy_prm(train_examples, objective="soft")
     hard_model, _ = train_toy_prm(train_examples, objective="hard")
@@ -394,8 +413,8 @@ def _artifact_bundle(seed):
     bench = efficiency_benchmark([q], comp, EngineConfig(), budget=500)
     return {
         "tree": dump_tree(tree, budget),
-        "examples": json.dumps([example_to_record(ex) for ex in examples]),
-        "pairs": json.dumps([[p.prefix_text, p.step_a, p.step_b, p.pref_a]
+        "examples": json.dumps([vars(ex) for ex in examples]),
+        "pairs": json.dumps([[p.prefix, p.step_a, p.step_b, p.pref_a]
                              for p in pairs]),
         "weights": json.dumps([float(w) for w in model.weights]),
         "curve": json.dumps(curve),

@@ -170,6 +170,18 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert err.count("\n") == 1 and "localhost:9/complete" in err
 
+    @pytest.mark.parametrize("key", ["batch_size", "max_retries"])
+    def test_nonpositive_remote_batch_or_retries_is_2(self, tmp_path, capsys,
+                                                      key):
+        write_corpus(tmp_path / "corpus.jsonl", n_questions=1)
+        config, doc = write_config(tmp_path)
+        doc["completer"] = {"kind": "remote", "remote": {
+            "endpoint": "http://127.0.0.1:9/complete", key: 0}}
+        config.write_text(json.dumps(doc))
+        assert run("filter", config) == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and key in err
+
     def test_export_without_trees_is_3(self, tmp_path):
         write_corpus(tmp_path / "corpus.jsonl")
         config, _ = write_config(tmp_path)

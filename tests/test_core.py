@@ -43,11 +43,6 @@ class TestTypes:
             Rollout(steps=steps("a b"), final_answer="1", is_correct=True,
                     token_len=99)
 
-    def test_rollout_meta_excluded_from_equality(self):
-        a = make_rollout(steps("x"), "1", True, meta={"error_steps": [2]})
-        b = make_rollout(steps("x"), "1", True)
-        assert a == b
-
 
 class TestStateTransition:
     def test_from_root(self):

@@ -109,15 +109,15 @@ def toy_tree():
 class TestTreeToExamples:
     def test_single_step_edges_with_reference_mcs(self):
         examples = tree_to_examples(toy_tree())
-        by_step = {ex.step_text: ex for ex in examples}
+        by_step = {ex.step: ex for ex in examples}
         assert set(by_step) == {"alpha", "beta", "gamma"}
-        assert by_step["alpha"].mc_value == 0.25
-        assert by_step["beta"].mc_value == 0.5
-        assert by_step["gamma"].mc_value == 0.0
+        assert by_step["alpha"].mc == 0.25
+        assert by_step["beta"].mc == 0.5
+        assert by_step["gamma"].mc == 0.0
         assert by_step["alpha"].hard_label == 1
         assert by_step["beta"].hard_label == 1
         assert by_step["gamma"].hard_label == 0
-        assert all(ex.prefix_text == "" for ex in examples)
+        assert all(ex.prefix == "" for ex in examples)
         assert all(ex.question == "toy statement" for ex in examples)
 
     def test_threshold_is_strict(self):
@@ -130,7 +130,7 @@ class TestTreeToExamples:
         action = (make_step("mystery"),)
         state = state_transition(tree.root.state, action)
         tree.ensure_child(tree.root, action, state)  # no rollouts, no MC
-        steps = {ex.step_text for ex in tree_to_examples(tree)}
+        steps = {ex.step for ex in tree_to_examples(tree)}
         assert "mystery" not in steps
 
 

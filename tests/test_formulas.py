@@ -4,6 +4,7 @@ Expected constants were evaluated with mpmath at 30 digits and frozen here.
 """
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
@@ -11,12 +12,7 @@ from omegaprm.core import EngineConfig
 from omegaprm.dataset import normalize_pair
 from omegaprm.errors import InvalidProbability
 from omegaprm.mcts import exploration_bonus, rollout_value
-from omegaprm.prm import (
-    pairwise_loss,
-    pairwise_loss_grad,
-    pointwise_loss,
-    pointwise_loss_grad,
-)
+from omegaprm.prm import pairwise_objective, pointwise_objective
 
 REL = 1e-9
 CFG = EngineConfig()
@@ -24,6 +20,39 @@ CFG = EngineConfig()
 
 def relclose(a, b, rel=REL):
     return math.isclose(a, b, rel_tol=rel, abs_tol=1e-12)
+
+
+def logit(y):
+    """The logit of prediction y; 0 and 1 map to -inf and inf."""
+    with np.errstate(divide="ignore"):
+        return float(np.log(y) - np.log1p(-y))
+
+
+def pointwise(y_hat, z):
+    """(loss, dL/dz) of one example with label y_hat and logit z."""
+    # A logit far below 0 overflows exp to inf; the sigmoid's clip then
+    # gives SCORE_EPS as intended.
+    with np.errstate(over="ignore"):
+        loss, g = pointwise_objective(np.array([z]), np.array([y_hat]))
+    return float(loss), float(g[0])
+
+
+def pairwise(pref, za, zb):
+    """(loss, dL/dza, dL/dzb) of one pair with target pref and logits
+    za, zb."""
+    loss, ga, gb = pairwise_objective(
+        np.array([za]), np.array([zb]), np.array([pref]))
+    return float(loss), float(ga[0]), float(gb[0])
+
+
+def pointwise_loss(y_hat, y):
+    """The loss alone, of a prediction y rather than a logit."""
+    return pointwise(y_hat, logit(y))[0]
+
+
+def pairwise_loss(pref, ya, yb):
+    """The loss alone, of predictions ya, yb rather than logits."""
+    return pairwise(pref, logit(ya), logit(yb))[0]
 
 
 class TestRolloutValue:
@@ -137,8 +166,10 @@ class TestLossGradients:
     @pytest.mark.parametrize("y_hat,y", POINTS)
     def test_pointwise_grad_matches_finite_differences(self, y_hat, y):
         h = 1e-6
-        fd = (pointwise_loss(y_hat, y + h) - pointwise_loss(y_hat, y - h)) / (2 * h)
-        assert math.isclose(pointwise_loss_grad(y_hat, y), fd, rel_tol=1e-6)
+        z = logit(y)
+        _, g = pointwise(y_hat, z)
+        fd = (pointwise(y_hat, z + h)[0] - pointwise(y_hat, z - h)[0]) / (2 * h)
+        assert math.isclose(g, fd, rel_tol=1e-6)
 
     PAIR_POINTS = [
         (0.75, 0.6, 0.3), (0.5, 0.5, 0.5), (1.0, 0.8, 0.4), (0.25, 0.2, 0.7),
@@ -147,8 +178,9 @@ class TestLossGradients:
     @pytest.mark.parametrize("pref,ya,yb", PAIR_POINTS)
     def test_pairwise_grad_matches_finite_differences(self, pref, ya, yb):
         h = 1e-6
-        ga, gb = pairwise_loss_grad(pref, ya, yb)
-        fda = (pairwise_loss(pref, ya + h, yb) - pairwise_loss(pref, ya - h, yb)) / (2 * h)
-        fdb = (pairwise_loss(pref, ya, yb + h) - pairwise_loss(pref, ya, yb - h)) / (2 * h)
+        za, zb = logit(ya), logit(yb)
+        _, ga, gb = pairwise(pref, za, zb)
+        fda = (pairwise(pref, za + h, zb)[0] - pairwise(pref, za - h, zb)[0]) / (2 * h)
+        fdb = (pairwise(pref, za, zb + h)[0] - pairwise(pref, za, zb - h)[0]) / (2 * h)
         assert math.isclose(ga, fda, rel_tol=1e-5, abs_tol=1e-9)
         assert math.isclose(gb, fdb, rel_tol=1e-5, abs_tol=1e-9)

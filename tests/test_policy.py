@@ -79,11 +79,21 @@ class TestRenderPrompt:
         text = render_prompt(state, self.QUESTION)
         assert text == "Question: What is 2+2?\nSolution so far: first second\n"
 
+    def test_braces_in_statement_are_literal(self):
+        state = State("q", (make_step("x y"),))
+        text = render_prompt(state, Question("q", "what is {prefix}?", "1"))
+        assert text == "Question: what is {prefix}?\nSolution so far: x y\n"
+
     def test_injective_over_prefixes(self):
         s1 = State("q1", (make_step("a"), make_step("b")))
         s2 = State("q1", (make_step("a b"), make_step("c")))
         assert render_prompt(s1, self.QUESTION) != \
             render_prompt(s2, self.QUESTION)
+
+
+def is_error_step(step):
+    """The simulator writes a corrupted step as ``err<n>`` tokens."""
+    return step.text.startswith("err")
 
 
 def make_sim(error_prob=0.0, recovery=0.0, seed=0, n_steps=6, **kwargs):
@@ -133,7 +143,7 @@ class TestSimulatedCompleter:
             CompleterRequest(State("q1"), n_samples=50)
         )
         for r in rollouts:
-            assert r.is_correct == (not r.meta["error_steps"])
+            assert r.is_correct == (not any(is_error_step(s) for s in r.steps))
 
     def test_survival_probability_statistics(self):
         # 3 remaining steps, each failing with probability 1/3:
@@ -199,8 +209,6 @@ def reference_sample_rollouts(comp, request):
             final = f"wrong{first}"
         rollouts.append(make_rollout(
             steps, final, answers_equivalent(final, question.golden_answer),
-            meta={"error_steps": error_steps,
-                  "prefix_had_error": prefix_has_error},
         ))
     return rollouts
 
@@ -240,12 +248,11 @@ class TestSimulatorMatchesReference:
             got = new.sample_rollouts(request)
             want = reference_sample_rollouts(ref, request)
             assert got == want
-            assert [r.meta for r in got] == [r.meta for r in want]
             for r in got:
                 # An uncorrupted step is the question's one ground Step.
                 first = len(chain) - len(r.steps) + 1
                 for idx, step in enumerate(r.steps, start=first):
-                    if idx not in r.meta["error_steps"]:
+                    if not is_error_step(step):
                         assert ground_steps.setdefault(idx, step) is step
 
 
@@ -347,6 +354,13 @@ class TestRemoteCompleter:
     def test_malformed_endpoint_is_config_error(self, endpoint):
         with pytest.raises(ConfigError):
             self.make(endpoint)
+
+    @pytest.mark.parametrize("key", ["batch_size", "max_retries"])
+    def test_nonpositive_batch_size_or_retries_is_config_error(self, key):
+        # batch_size 0 would post n=0 forever; max_retries 0 would fail
+        # every request without one attempt.
+        with pytest.raises(ConfigError, match=key):
+            self.make("http://127.0.0.1:9/complete", **{key: 0})
 
 
 class TestRemoteTransport:

@@ -22,8 +22,8 @@ from omegaprm.prm import (
 
 def example(step, mc, prefix="", qid="q1"):
     return TrainingExample(
-        question_id=qid, question="stmt", prefix_text=prefix,
-        step_text=step, mc_value=mc, hard_label=int(mc > 0),
+        question_id=qid, question="stmt", prefix=prefix,
+        step=step, mc=mc, hard_label=int(mc > 0),
     )
 
 
@@ -80,18 +80,18 @@ class TestTraining:
         # positive class must sit below the hard ones.
         base = separable_examples()
         soft = [
-            example(ex.step_text, 0.75 if ex.hard_label else 0.0)
+            example(ex.step, 0.75 if ex.hard_label else 0.0)
             for ex in base
         ]
         hard_model, _ = train_toy_prm(base, objective="hard")
         soft_model, _ = train_toy_prm(soft, objective="soft")
         positives = [ex for ex in base if ex.hard_label]
         hard_mean = np.mean([
-            hard_model.score(ex.prefix_text, ex.step_text)
+            hard_model.score(ex.prefix, ex.step)
             for ex in positives
         ])
         soft_mean = np.mean([
-            soft_model.score(ex.prefix_text, ex.step_text)
+            soft_model.score(ex.prefix, ex.step)
             for ex in positives
         ])
         assert soft_mean < hard_mean
@@ -103,14 +103,14 @@ class TestTraining:
             good = f"combine {rng.randrange(100)} terms"
             bad = " ".join(f"err{rng.randrange(1000)}" for _ in range(3))
             pairs.append(PreferencePair(
-                question_id="q1", question="stmt", prefix_text="",
+                question_id="q1", question="stmt", prefix="",
                 step_a=good, step_b=bad, pref_a=1.0,
             ))
         model, curve = train_toy_prm(objective="pairwise", pairs=pairs)
         assert curve[-1] < curve[0]
         better = sum(
-            model.score(p.prefix_text, p.step_a)
-            > model.score(p.prefix_text, p.step_b)
+            model.score(p.prefix, p.step_a)
+            > model.score(p.prefix, p.step_b)
             for p in pairs
         )
         assert better / len(pairs) >= 0.95
@@ -118,9 +118,9 @@ class TestTraining:
     def test_shuffled_labels_not_learnable(self):
         rng = random.Random(3)
         examples = separable_examples()
-        labels = [ex.mc_value for ex in examples]
+        labels = [ex.mc for ex in examples]
         rng.shuffle(labels)
-        shuffled = [example(ex.step_text, mc)
+        shuffled = [example(ex.step, mc)
                     for ex, mc in zip(examples, labels)]
         model, _ = train_toy_prm(shuffled, objective="hard")
         # Held-out fresh draws from the same generators: near-chance.
