@@ -6,11 +6,13 @@ artifact is reproducible from (config, seed).
 from __future__ import annotations
 
 import argparse
+import concurrent.futures
 import json
 import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
+import threading
 from dataclasses import dataclass, field
+from functools import partial
 
 from .core import EngineConfig
 from .dataset import (
@@ -29,6 +31,7 @@ from .dataset import (
 from .errors import (
     CompleterUnavailable,
     ConfigError,
+    EmptyDataset,
     EstimationFailed,
     ParseError,
 )
@@ -40,7 +43,7 @@ from .policy import (
     SimulatedCompleter,
     stable_int,
 )
-from .prm import load_model, save_model, train_toy_prm
+from .prm import TrainSettings, load_model, save_model, train_toy_prm
 
 AUTH_TOKEN_ENV = "OMEGAPRM_AUTH_TOKEN"
 
@@ -57,6 +60,7 @@ _REMOTE_KEYS = {
     "max_tokens",
 }
 _TRAIN_KEYS = {"objective", "learning_rate", "epochs"}
+_OBJECTIVES = ("soft", "hard", "pairwise")
 _EVAL_KEYS = {"k_max", "n_resamples", "pool_size"}
 _BENCH_KEYS = {"budget"}
 _TOP_KEYS = {
@@ -116,6 +120,8 @@ class RunConfig:
         cfg.filter_k = int(doc.get("filter_k", 32))
         cfg.train = doc.get("train", {})
         _check_keys(cfg.train, _TRAIN_KEYS, "train")
+        if cfg.train.get("objective", "soft") not in _OBJECTIVES:
+            raise ConfigError(f"train.objective must be one of {_OBJECTIVES}")
         cfg.eval = doc.get("eval", {})
         _check_keys(cfg.eval, _EVAL_KEYS, "eval")
         cfg.bench = doc.get("bench", {})
@@ -190,7 +196,53 @@ def _read_upstream(reader, path):
         sys.exit(3)
 
 
+def _map_questions(cfg: RunConfig, work, questions):
+    """``work(question)`` for each question, in question order.
+
+    At parallelism 1 (or for a single question) it runs in this process.
+    Otherwise the simulated completer, which holds the GIL, runs in worker
+    processes, so ``work`` and its results must pickle; the remote one,
+    which waits on the network and keeps one connection per thread, runs
+    on threads.
+    """
+    workers = min(cfg.parallelism, len(questions))
+    if workers <= 1:
+        return list(map(work, questions))
+    # Each pool class is imported on first access (the process pool pulls
+    # in multiprocessing), so a command pays only for the one it uses.
+    if cfg.completer_kind == "sim":
+        pool = concurrent.futures.ProcessPoolExecutor(
+            workers, mp_context=_worker_start())
+    else:
+        pool = concurrent.futures.ThreadPoolExecutor(workers)
+    with pool:
+        return list(pool.map(work, questions))
+
+
+def _worker_start():
+    """The multiprocessing context worker processes start from.
+
+    A forked worker starts at once with the package imported; a spawned
+    one imports the package and numpy again, about 0.45 s per pool on a
+    2-core VM, which is more than the pool saves on a 24-question
+    generate. Fork is used only where it is safe: on Linux, and while no
+    other thread of this process could hold a lock at the fork.
+    """
+    import multiprocessing  # already loaded by the process pool
+
+    forkable = sys.platform == "linux" and threading.active_count() == 1
+    return multiprocessing.get_context("fork" if forkable else "spawn")
+
+
 # -- commands --------------------------------------------------------------
+
+def _filter_one(cfg: RunConfig, chains, question):
+    """(kept?, filter record) of one question."""
+    completer = make_completer(cfg, [question], chains,
+                               scope=f"filter/{question.id}")
+    kept, report = filter_questions([question], completer, cfg.filter_k)
+    return bool(kept), report[0]
+
 
 def cmd_filter(cfg: RunConfig) -> int:
     loaded = _read_corpus(cfg.corpus)
@@ -199,15 +251,7 @@ def cmd_filter(cfg: RunConfig) -> int:
         return 2
     questions, chains = loaded
     os.makedirs(cfg.output, exist_ok=True)
-
-    def filter_one(question):
-        completer = make_completer(cfg, [question], chains,
-                                   scope=f"filter/{question.id}")
-        kept, report = filter_questions([question], completer, cfg.filter_k)
-        return bool(kept), report[0]
-
-    with ThreadPoolExecutor(max_workers=cfg.parallelism) as pool:
-        results = list(pool.map(filter_one, questions))
+    results = _map_questions(cfg, partial(_filter_one, cfg, chains), questions)
     kept = [q for q, (ok, _) in zip(questions, results) if ok]
     report = [rec for _, rec in results]
     export_corpus_jsonl(kept, os.path.join(cfg.output, "kept.jsonl"), chains)
@@ -231,28 +275,31 @@ def _stored_tree(path, question):
     return tree, budget
 
 
+def _generate_one(cfg: RunConfig, chains, trees_dir, question):
+    """Resume or build one question's tree, saved under ``trees_dir``.
+    Returns (question id, status, budget or error text) but not the tree,
+    so no tree crosses a worker process's pipe."""
+    path = os.path.join(trees_dir, f"{question.id}.json")
+    stored = _stored_tree(path, question)
+    if stored is not None:
+        return question.id, "resumed", stored[1]
+    completer = make_completer(cfg, [question], chains,
+                               scope=f"generate/{question.id}")
+    try:
+        tree, budget = build_tree(question, completer, cfg.engine)
+    except (CompleterUnavailable, EstimationFailed) as exc:
+        return question.id, "failed", str(exc)
+    save_tree(tree, path, budget)
+    return question.id, "built", budget
+
+
 def cmd_generate(cfg: RunConfig) -> int:
     questions, chains = _read_upstream(
         import_corpus_jsonl, os.path.join(cfg.output, "kept.jsonl"))
     trees_dir = os.path.join(cfg.output, "trees")
     os.makedirs(trees_dir, exist_ok=True)
-
-    def generate_one(question):
-        path = os.path.join(trees_dir, f"{question.id}.json")
-        stored = _stored_tree(path, question)
-        if stored is not None:
-            return question.id, "resumed", stored[1]
-        completer = make_completer(cfg, [question], chains,
-                                   scope=f"generate/{question.id}")
-        try:
-            tree, budget = build_tree(question, completer, cfg.engine)
-        except (CompleterUnavailable, EstimationFailed) as exc:
-            return question.id, "failed", str(exc)
-        save_tree(tree, path, budget)
-        return question.id, "built", budget
-
-    with ThreadPoolExecutor(max_workers=cfg.parallelism) as pool:
-        results = list(pool.map(generate_one, questions))
+    results = _map_questions(
+        cfg, partial(_generate_one, cfg, chains, trees_dir), questions)
 
     summary = {"questions": [], "total_policy_calls": 0, "total_searches": 0,
                "failures": []}
@@ -296,22 +343,23 @@ def cmd_export(cfg: RunConfig) -> int:
 
 
 def cmd_train(cfg: RunConfig) -> int:
-    examples = _read_upstream(
-        import_examples_jsonl, os.path.join(cfg.output, "examples.jsonl"))
     objective = cfg.train.get("objective", "soft")
-    settings_kwargs = {
+    settings = TrainSettings(**{
         k: cfg.train[k] for k in ("learning_rate", "epochs") if k in cfg.train
-    }
-    from .prm import TrainSettings
-
-    settings = TrainSettings(**settings_kwargs)
-    pairs = None
+    })
+    # Each objective reads only the file it trains on.
     if objective == "pairwise":
-        pairs = _read_upstream(
-            import_pairs_jsonl, os.path.join(cfg.output, "pairs.jsonl"))
-    model, curve = train_toy_prm(
-        examples, objective=objective, settings=settings, pairs=pairs,
-    )
+        path = os.path.join(cfg.output, "pairs.jsonl")
+        data = {"pairs": _read_upstream(import_pairs_jsonl, path)}
+    else:
+        path = os.path.join(cfg.output, "examples.jsonl")
+        data = {"examples": _read_upstream(import_examples_jsonl, path)}
+    try:
+        model, curve = train_toy_prm(
+            objective=objective, settings=settings, **data)
+    except EmptyDataset as exc:
+        print(f"empty upstream artifact: {path}: {exc}", file=sys.stderr)
+        return 3
     save_model(model, os.path.join(cfg.output, "prm_model.json"))
     write_json({"objective": objective, "loss_curve": curve},
                os.path.join(cfg.output, "train_curve.json"))
@@ -322,8 +370,8 @@ def cmd_train(cfg: RunConfig) -> int:
 def cmd_eval(cfg: RunConfig) -> int:
     questions, chains = _read_upstream(
         import_corpus_jsonl, os.path.join(cfg.output, "kept.jsonl"))
-    model_path = _require(os.path.join(cfg.output, "prm_model.json"))
-    model = load_model(model_path)
+    model = _read_upstream(
+        load_model, os.path.join(cfg.output, "prm_model.json"))
     k_max = int(cfg.eval.get("k_max", 16))
     n_resamples = int(cfg.eval.get("n_resamples", 100))
     pool_size = int(cfg.eval.get("pool_size", max(k_max, 64)))

@@ -1,4 +1,5 @@
-"""Shared domain types: questions, steps, rollouts, states, tree nodes.
+"""Shared domain types: questions, steps, rollouts, states, tree nodes;
+and the writer every artifact goes through.
 
 Monte Carlo estimates are stored as exact rationals (``fractions.Fraction``)
 so that the boundary predicates ``MC == 0`` and ``MC == 1`` are exact; they
@@ -6,11 +7,25 @@ are converted to float only at export time.
 """
 from __future__ import annotations
 
+import os
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Optional
 
 from .errors import ConfigError, InvalidAction
+
+
+@contextmanager
+def open_replacing(path, newline=None):
+    """A text file to write whose content replaces ``path`` when the block
+    ends without error: it is written as ``<path>.tmp`` and renamed over
+    ``path``, so ``path`` holds either its previous content or the whole
+    new one, whenever the process dies."""
+    tmp = f"{path}.tmp"
+    with open(tmp, "w", encoding="utf-8", newline=newline) as fh:
+        yield fh
+    os.replace(tmp, path)
 
 
 @dataclass(frozen=True)
@@ -45,11 +60,7 @@ def make_step(text: str) -> Step:
 
 @dataclass(frozen=True)
 class Rollout:
-    """A sampled completion: ordered steps plus the extracted final answer.
-
-    ``meta`` carries simulator-only bookkeeping (e.g. injected error
-    positions) consumed by tests; the engine never reads it.
-    """
+    """A sampled completion: ordered steps plus the extracted final answer."""
 
     steps: tuple
     final_answer: str
@@ -93,7 +104,7 @@ class State:
         """Node identity: the prefix token sequence."""
         key = self._key
         if key is None:
-            key = tuple(tok for s in self.prefix_steps for tok in s.text.split())
+            key = tuple(self.prefix_text.split())
             object.__setattr__(self, "_key", key)
         return key
 
@@ -109,32 +120,48 @@ def state_transition(state: State, action_steps) -> State:
     )
     # The child's key extends the parent's: only the action is tokenized.
     object.__setattr__(child, "_key", state.key() + tuple(
-        tok for s in action_steps for tok in s.text.split()
-    ))
+        " ".join(s.text for s in action_steps).split()))
     return child
 
 
-@dataclass
 class NodeStats:
     """Visit count, rollouts and the derived Monte Carlo estimate.
 
     ``forced_mc`` marks terminal wrong-answer states whose MC is known to be
-    zero without any rollouts of their own.
+    zero without any rollouts of their own. Rollouts are only ever added,
+    through ``add_rollouts``, which keeps a running count of the correct
+    ones and the MC they give, so reading ``mc`` recounts nothing.
     """
 
-    visit_count: int = 0
-    rollouts: list = field(default_factory=list)
-    forced_mc: Optional[Fraction] = None
+    __slots__ = ("visit_count", "forced_mc", "_rollouts", "_correct", "_mc")
+
+    def __init__(self):
+        self.visit_count = 0
+        self.forced_mc: Optional[Fraction] = None
+        self._rollouts = ()
+        self._correct = 0
+        self._mc = None
+
+    @property
+    def rollouts(self) -> tuple:
+        return self._rollouts
+
+    def add_rollouts(self, rollouts):
+        rollouts = tuple(rollouts)
+        if not rollouts:
+            return
+        self._rollouts += rollouts
+        self._correct += sum(1 for r in rollouts if r.is_correct)
+        self._mc = Fraction(self._correct, len(self._rollouts))
 
     @property
     def mc(self) -> Optional[Fraction]:
-        if self.rollouts:
-            correct = sum(1 for r in self.rollouts if r.is_correct)
-            return Fraction(correct, len(self.rollouts))
+        if self._rollouts:
+            return self._mc
         return self.forced_mc
 
     def has_mc(self) -> bool:
-        return bool(self.rollouts) or self.forced_mc is not None
+        return bool(self._rollouts) or self.forced_mc is not None
 
 
 @dataclass

@@ -10,7 +10,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, fields
 
-from .core import Question, State
+from .core import Question, State, open_replacing
 from .errors import EstimationFailed, InvalidProbability, ParseError
 from .mcts import Tree, monte_carlo_estimate
 
@@ -129,14 +129,15 @@ def tree_to_pairs(tree: Tree):
 # -- JSONL I/O -------------------------------------------------------------
 
 def write_json(doc, path):
-    """Write one JSON document to ``path``, indented, with a final newline."""
-    with open(path, "w", encoding="utf-8") as fh:
+    """Write one JSON document to ``path``, indented, with a final newline,
+    through a temporary file (``core.open_replacing``)."""
+    with open_replacing(path) as fh:
         json.dump(doc, fh, indent=2)
         fh.write("\n")
 
 
 def _write_jsonl(records, path):
-    with open(path, "w", encoding="utf-8") as fh:
+    with open_replacing(path) as fh:
         for rec in records:
             fh.write(json.dumps(rec, ensure_ascii=False))
             fh.write("\n")

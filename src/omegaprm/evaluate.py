@@ -6,7 +6,7 @@ import random
 from dataclasses import asdict, dataclass, field
 from typing import Optional
 
-from .core import EngineConfig, Question, State
+from .core import EngineConfig, Question, State, open_replacing
 from .dataset import tree_to_examples
 from .errors import EstimationFailed
 from .mcts import (
@@ -40,7 +40,7 @@ class EvalReport:
         return asdict(self)
 
     def write_csv(self, path):
-        with open(path, "w", newline="", encoding="utf-8") as fh:
+        with open_replacing(path, newline="") as fh:
             writer = csv.writer(fh)
             writer.writerow(["k", "accuracy_mean", "accuracy_std"])
             for k, mean, std in zip(self.ks, self.accuracy_mean, self.accuracy_std):

@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import json
 import math
-import os
 from dataclasses import dataclass
 from fractions import Fraction
 from json.encoder import encode_basestring_ascii
@@ -22,6 +21,7 @@ from .core import (
     State,
     Step,
     TreeNode,
+    open_replacing,
     state_transition,
 )
 from .errors import (
@@ -212,7 +212,7 @@ class OmegaPRMEngine:
     def seed_root(self) -> TreeNode:
         root = self.tree.root
         _, rollouts = self._sample(root.state, self.cfg.k_rollouts)
-        root.stats.rollouts.extend(rollouts)
+        root.stats.add_rollouts(rollouts)
         self.tree.avg_solution_tokens = sum(
             r.token_len for r in rollouts
         ) / len(rollouts)
@@ -283,7 +283,7 @@ class OmegaPRMEngine:
                 probe_node = self.tree.ensure_child(
                     prev_node, steps[prev_pos:m], prefix_state
                 )
-                probe_node.stats.rollouts.extend(new_rollouts)
+                probe_node.stats.add_rollouts(new_rollouts)
                 for r in new_rollouts:
                     self.pool.add(probe_node, r)
                 trajectory.append(probe_node)
@@ -298,7 +298,7 @@ class OmegaPRMEngine:
             prev_node, steps[prev_pos:hi], error_state
         )
         if hi in staged_error and staged_error[hi]:
-            error_node.stats.rollouts.extend(staged_error[hi])
+            error_node.stats.add_rollouts(staged_error[hi])
         elif not error_node.stats.has_mc():
             # Terminal wrong end, never probed: its answer is wrong, MC = 0.
             error_node.stats.forced_mc = Fraction(0)
@@ -503,12 +503,10 @@ def dump_tree(tree: Tree, budget: SearchBudget = None) -> str:
 def save_tree(tree: Tree, path, budget: SearchBudget = None):
     """Write ``tree`` to ``path`` through a temporary file, so ``path``
     holds either its previous content or the whole new tree."""
-    tmp = f"{path}.tmp"
-    with open(tmp, "w", encoding="utf-8") as fh:
+    with open_replacing(path) as fh:
         for chunk in _tree_chunks(tree, budget):
             fh.write(chunk)
         fh.write("\n")
-    os.replace(tmp, path)
 
 
 def _rollout_from_dict(d, step):
@@ -556,9 +554,8 @@ def tree_from_dict(doc):
             node = TreeNode(state=state)
             tree.nodes[state.key()] = node
         node.stats.visit_count = nd["visit_count"]
-        node.stats.rollouts = [
-            _rollout_from_dict(r, step) for r in nd["rollouts"]
-        ]
+        node.stats.add_rollouts(
+            _rollout_from_dict(r, step) for r in nd["rollouts"])
         if not node.stats.rollouts and nd["mc_num"] is not None:
             node.stats.forced_mc = Fraction(nd["mc_num"], nd["mc_den"])
         by_id[nd["id"]] = node

@@ -8,6 +8,7 @@ prediction head y = sigmoid(w . phi(prefix, step)).
 """
 from __future__ import annotations
 
+import functools
 import hashlib
 import json
 from dataclasses import dataclass, field, asdict
@@ -15,7 +16,7 @@ from dataclasses import dataclass, field, asdict
 import numpy as np
 
 from .dataset import write_json
-from .errors import EmptyDataset, EmptySolution
+from .errors import EmptyDataset, EmptySolution, ParseError
 
 SCORE_EPS = 1e-7
 FEATURE_VERSION = 1
@@ -57,6 +58,7 @@ def pairwise_objective(za, zb, prefs):
 
 # -- featurization ---------------------------------------------------------
 
+@functools.lru_cache(maxsize=1 << 16)  # trigrams recur across steps
 def _bucket(gram: str) -> int:
     digest = hashlib.blake2b(gram.encode(), digest_size=4).digest()
     return int.from_bytes(digest, "big") % N_HASH_BUCKETS
@@ -238,12 +240,26 @@ def save_model(model: ToyPrmModel, path):
 
 
 def load_model(path) -> ToyPrmModel:
-    with open(path, encoding="utf-8") as fh:
-        doc = json.load(fh)
-    if doc["feature_version"] != FEATURE_VERSION:
-        raise ValueError("checkpoint feature map version mismatch")
-    return ToyPrmModel(
-        weights=np.array(doc["weights"], dtype=float),
-        objective=doc["objective"],
-        settings=TrainSettings(**doc["settings"]),
-    )
+    """Read the checkpoint at ``path``. Raises ``ParseError`` when it is not
+    a whole checkpoint of this feature map (malformed, truncated, another
+    feature version or bucket count, or weights of another length)."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            doc = json.load(fh)
+        if doc["feature_version"] != FEATURE_VERSION:
+            raise ValueError(f"feature_version {doc['feature_version']!r}, "
+                             f"expected {FEATURE_VERSION}")
+        if doc["n_hash_buckets"] != N_HASH_BUCKETS:
+            raise ValueError(f"n_hash_buckets {doc['n_hash_buckets']!r}, "
+                             f"expected {N_HASH_BUCKETS}")
+        weights = np.array(doc["weights"], dtype=float)
+        if weights.shape != (N_FEATURES,):
+            raise ValueError(f"weights of shape {weights.shape}, "
+                             f"expected ({N_FEATURES},)")
+        return ToyPrmModel(
+            weights=weights,
+            objective=doc["objective"],
+            settings=TrainSettings(**doc["settings"]),
+        )
+    except (ValueError, KeyError, TypeError) as exc:
+        raise ParseError(f"not a readable model ({exc})") from exc

@@ -2,12 +2,22 @@
 resumability, and rerun determinism."""
 import json
 import os
+import pickle
+import threading
+from functools import partial
 
 import pytest
 
-from omegaprm.cli import RunConfig, main
+from omegaprm.cli import (
+    RunConfig,
+    _filter_one,
+    _generate_one,
+    _map_questions,
+    _worker_start,
+    main,
+)
 from omegaprm.core import Question
-from omegaprm.dataset import export_corpus_jsonl
+from omegaprm.dataset import export_corpus_jsonl, import_corpus_jsonl
 from omegaprm.errors import ConfigError
 
 
@@ -33,6 +43,7 @@ class TestRunConfig:
         {"eval": {"bootstrap": True}},
         {"parallelism": 0},
         {"engine": {"alpha": 2.0}},
+        {"train": {"objective": "listwise"}},
     ])
     def test_invalid_configs_rejected(self, doc):
         with pytest.raises(ConfigError):
@@ -189,6 +200,48 @@ class TestExitCodes:
             run("export", config)
         assert err.value.code == 3
 
+    @pytest.mark.parametrize("artifact,objective", [
+        ("examples.jsonl", "soft"),
+        ("examples.jsonl", "hard"),
+        ("pairs.jsonl", "pairwise"),
+    ])
+    def test_train_on_empty_export_is_3(self, tmp_path, capsys, artifact,
+                                        objective):
+        write_corpus(tmp_path / "corpus.jsonl", n_questions=1)
+        config, doc = write_config(tmp_path)
+        doc["train"] = {"objective": objective}
+        config.write_text(json.dumps(doc))
+        for stage in ("filter", "generate", "export"):
+            assert run(stage, config) == 0
+        (tmp_path / "out" / artifact).write_text("")
+        capsys.readouterr()
+        assert run("train", config) == 3
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and artifact in err
+        assert not (tmp_path / "out" / "prm_model.json").exists()
+
+    MODEL_DAMAGE = {
+        "truncated": lambda text: text[: len(text) // 2],
+        "not_json": lambda text: "weights: [0.5]\n",
+        "other_version": lambda text: text.replace(
+            '"feature_version": 1', '"feature_version": 2'),
+    }
+
+    @pytest.mark.parametrize("damage", sorted(MODEL_DAMAGE))
+    def test_unreadable_model_eval_is_3(self, tmp_path, capsys, damage):
+        write_corpus(tmp_path / "corpus.jsonl", n_questions=1)
+        config, _ = write_config(tmp_path)
+        for stage in ("filter", "generate", "export", "train"):
+            assert run(stage, config) == 0
+        model = tmp_path / "out" / "prm_model.json"
+        model.write_text(self.MODEL_DAMAGE[damage](model.read_text()))
+        capsys.readouterr()
+        with pytest.raises(SystemExit) as err:
+            run("eval", config)
+        assert err.value.code == 3
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "prm_model.json" in err
+
 
 @pytest.fixture
 def pipeline(tmp_path):
@@ -341,6 +394,78 @@ class TestPipeline:
             assert tree.read_bytes() == \
                 (parallel / "trees" / tree.name).read_bytes()
 
+    def test_pairwise_training_reads_pairs_only(self, pipeline):
+        tmp_path, config, doc = pipeline
+        for cmd in ("filter", "generate", "export"):
+            assert run(cmd, config) == 0
+        (tmp_path / "out" / "examples.jsonl").unlink()
+        doc2 = dict(doc, train={"objective": "pairwise", "epochs": 5})
+        config2 = tmp_path / "config_pw.json"
+        config2.write_text(json.dumps(doc2))
+        assert run("train", config2) == 0
+
+    def test_generate_rerun_in_worker_processes_resumes(self, pipeline,
+                                                        capsys):
+        tmp_path, config, doc = pipeline
+        assert run("filter", config) == 0
+        assert run("generate", config) == 0
+        summary = tmp_path / "out" / "generate_summary.json"
+        assert run("generate", config) == 0
+        serial = summary.read_bytes()
+        n = len(json.loads(serial)["questions"])
+        assert n > 1
+        config.write_text(json.dumps(dict(doc, parallelism=2)))
+        capsys.readouterr()
+        assert run("generate", config) == 0
+        assert f"built 0, resumed {n} of {n} trees" in capsys.readouterr().out
+        assert summary.read_bytes() == serial
+
+    def test_worker_partials_survive_pickle(self, pipeline):
+        tmp_path, config, doc = pipeline
+        assert run("filter", config) == 0
+        questions, chains = import_corpus_jsonl(tmp_path / "out" / "kept.jsonl")
+        question = questions[0]
+        cfg = RunConfig.from_file(config)
+        filter_work = partial(_filter_one, cfg, chains)
+        assert pickle.loads(pickle.dumps(filter_work))(question) == \
+            filter_work(question)
+        trees = tmp_path / "trees"
+        trees.mkdir()
+        generate_work = partial(_generate_one, cfg, chains, str(trees))
+        qid, status, budget = generate_work(question)
+        assert status == "built"
+        # The copy finds the tree the original saved.
+        assert pickle.loads(pickle.dumps(generate_work))(question) == \
+            (qid, "resumed", budget)
+
+    @pytest.mark.parametrize("kind,parallelism,in_workers", [
+        ("sim", 1, False),
+        ("sim", 2, True),
+        ("remote", 2, False),
+    ])
+    def test_map_questions_keeps_order(self, kind, parallelism, in_workers):
+        cfg = RunConfig(completer_kind=kind, parallelism=parallelism)
+        questions = [Question(f"q{i}", "s", "1") for i in range(5)]
+        results = _map_questions(cfg, _question_and_pid, questions)
+        assert [qid for qid, _ in results] == [q.id for q in questions]
+        assert all((pid != os.getpid()) == in_workers for _, pid in results)
+
+    def test_workers_spawn_beside_another_thread(self):
+        cfg = RunConfig(parallelism=2)
+        questions = [Question(f"q{i}", "s", "1") for i in range(3)]
+        release = threading.Event()
+        other = threading.Thread(target=release.wait, args=(30,))
+        other.start()
+        try:
+            assert _worker_start().get_start_method() == "spawn"
+            results = _map_questions(cfg, _question_and_pid, questions)
+        finally:
+            release.set()
+            other.join(timeout=30)
+        assert not other.is_alive()
+        assert [qid for qid, _ in results] == [q.id for q in questions]
+        assert all(pid != os.getpid() for _, pid in results)
+
     def test_pairwise_training_path(self, pipeline):
         tmp_path, config, doc = pipeline
         for cmd in ("filter", "generate", "export"):
@@ -351,3 +476,7 @@ class TestPipeline:
         assert run("train", config2) == 0
         model = json.loads((tmp_path / "out" / "prm_model.json").read_text())
         assert model["objective"] == "pairwise"
+
+
+def _question_and_pid(question):
+    return question.id, os.getpid()

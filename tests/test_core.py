@@ -99,23 +99,37 @@ class TestStateTransition:
 class TestNodeStats:
     def test_mc_is_exact_fraction_of_correct_rollouts(self):
         stats = NodeStats()
-        stats.rollouts = [
+        stats.add_rollouts([
             make_rollout(steps("a"), "1", True),
             make_rollout(steps("b"), "2", False),
             make_rollout(steps("c"), "1", True),
-        ]
+        ])
         assert stats.mc == Fraction(2, 3)
 
     def test_mc_boundaries_are_exact(self):
-        stats = NodeStats()
-        stats.rollouts = [make_rollout(steps("a"), "2", False)] * 8
-        assert stats.mc == 0
-        stats.rollouts = [make_rollout(steps("a"), "1", True)] * 8
-        assert stats.mc == 1
+        wrong, right = NodeStats(), NodeStats()
+        wrong.add_rollouts([make_rollout(steps("a"), "2", False)] * 8)
+        assert wrong.mc == 0
+        right.add_rollouts([make_rollout(steps("a"), "1", True)] * 8)
+        assert right.mc == 1
 
     def test_mc_none_without_rollouts(self):
         assert NodeStats().mc is None
         assert not NodeStats().has_mc()
+
+    @given(st.lists(st.lists(st.booleans(), max_size=5), max_size=6))
+    def test_running_mc_equals_recount_after_each_addition(self, batches):
+        stats = NodeStats()
+        for batch in batches:
+            stats.add_rollouts(
+                make_rollout(steps("a"), "1" if ok else "2", ok)
+                for ok in batch)
+            rollouts = stats.rollouts
+            if rollouts:
+                correct = sum(1 for r in rollouts if r.is_correct)
+                assert stats.mc == Fraction(correct, len(rollouts))
+            else:
+                assert stats.mc is None and not stats.has_mc()
 
 
 class TestEngineConfig:

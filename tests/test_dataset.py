@@ -92,11 +92,11 @@ def toy_tree():
         action = (make_step(text),)
         state = state_transition(parent.state, action)
         node = tree.ensure_child(parent, action, state)
-        node.stats.rollouts = [
+        node.stats.add_rollouts(
             make_rollout((make_step("z"),), "9" if i < n_correct else "0",
                          i < n_correct)
             for i in range(n_total)
-        ]
+        )
         return node
 
     add(tree.root, "alpha", 1, 4)

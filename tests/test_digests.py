@@ -9,6 +9,7 @@ import hashlib
 import importlib.util
 import json
 import os
+import shutil
 
 import pytest
 
@@ -59,6 +60,57 @@ def test_tiny_workload_matches_pinned_digests(tmp_path, workload, parallelism):
     got = {name: digest(os.path.join(tmp_path, "out", name))
            for name in pinned}
     assert got == pinned
+
+
+# The artifacts each stage writes.
+STAGE_OUTPUTS = {
+    "filter": ("kept.jsonl", "filter_report.jsonl"),
+    "generate": ("trees", "generate_summary.json"),
+    "export": ("examples.jsonl", "pairs.jsonl"),
+    "train": ("prm_model.json", "train_curve.json"),
+    "eval": ("eval_report.json", "eval_majority.csv", "eval_weighted.csv"),
+    "bench": ("bench_report.json",),
+}
+
+
+def test_stage_outputs_cover_pinned_artifacts():
+    assert tuple(STAGE_OUTPUTS) == STAGES
+    assert sorted(n for names in STAGE_OUTPUTS.values() for n in names) == \
+        sorted(PINNED["deep_search"]["tiny"]["0"])
+
+
+def _truncate(path):
+    with open(path, "rb+") as fh:
+        fh.truncate(os.path.getsize(path) // 2)
+
+
+@pytest.mark.parametrize("damage", ["truncate", "delete"])
+def test_damaged_stage_outputs_are_rewritten(tmp_path, damage):
+    """Truncating or deleting a stage's outputs and rerunning that stage
+    gives the pinned artifacts back. A damaged tree is rebuilt; a deleted
+    trees directory is built again."""
+    workloads.write_corpus("deep_search", "tiny", 0, str(tmp_path))
+    config = workloads.write_config("deep_search", 0, str(tmp_path))
+    for stage in STAGES:
+        assert main([stage, "--config", config]) == 0, stage
+    out = tmp_path / "out"
+    pinned = PINNED["deep_search"]["tiny"]["0"]
+    for stage, names in STAGE_OUTPUTS.items():
+        for name in names:
+            path = out / name
+            if path.is_dir() and damage == "delete":
+                shutil.rmtree(path)
+            elif path.is_dir():
+                for tree in path.iterdir():
+                    _truncate(tree)
+            elif damage == "delete":
+                path.unlink()
+            else:
+                _truncate(path)
+        assert main([stage, "--config", config]) == 0, stage
+        got = {name: digest(out / name) for name in pinned}
+        assert got == pinned, stage
+    assert not list(out.rglob("*.tmp"))
 
 
 # SHA-256 of (prm_model.json, train_curve.json) per workload and objective;

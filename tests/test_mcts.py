@@ -72,9 +72,9 @@ def wrong_rollout_at(chain, error_step):
 
 def node_with_mc(prefix, mc_rollouts):
     node = TreeNode(state=State("q1", steps(*prefix)))
-    node.stats.rollouts = [
+    node.stats.add_rollouts(
         make_rollout(steps("x"), "10" if ok else "0", ok) for ok in mc_rollouts
-    ]
+    )
     return node
 
 
@@ -266,7 +266,7 @@ class TestLocateFirstError:
         with pytest.raises(InvalidSearchTarget):
             engine.locate_first_error(engine.tree.root, good)
         dead = TreeNode(state=State("q1", steps("zz")))
-        dead.stats.rollouts = [make_rollout(steps("x"), "0", False)]
+        dead.stats.add_rollouts([make_rollout(steps("x"), "0", False)])
         with pytest.raises(InvalidSearchTarget):
             engine.locate_first_error(dead, wrong_rollout_at(chain, 2))
 
@@ -479,12 +479,12 @@ def odd_trees(draw):
         node.stats.visit_count = draw(st.integers(0, 10**12))
         for _ in range(draw(st.integers(0, 2))):
             steps = tuple(draw(st.lists(step, max_size=3)))
-            node.stats.rollouts.append(Rollout(
+            node.stats.add_rollouts([Rollout(
                 steps=steps,
                 final_answer=draw(st.one_of(st.just(""), _odd_texts)),
                 is_correct=draw(st.booleans()),
                 token_len=sum(s.token_len for s in steps),
-            ))
+            )])
         if not node.stats.rollouts and draw(st.booleans()):
             node.stats.forced_mc = Fraction(draw(st.integers(0, 3)), 4)
     tree.avg_solution_tokens = draw(st.floats())

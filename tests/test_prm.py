@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from omegaprm.dataset import PreferencePair, TrainingExample
-from omegaprm.errors import EmptyDataset, EmptySolution
+from omegaprm.errors import EmptyDataset, EmptySolution, ParseError
 from omegaprm.prm import (
     N_FEATURES,
     aggregate_solution_score,
@@ -250,5 +250,28 @@ class TestCheckpoints:
         doc = json.loads(path.read_text())
         doc["feature_version"] = 999
         path.write_text(json.dumps(doc))
-        with pytest.raises(ValueError):
+        with pytest.raises(ParseError):
+            load_model(path)
+
+    DAMAGE = {
+        "truncated": lambda text: text[: len(text) // 2],
+        "empty": lambda text: "",
+        "not_object": lambda text: "[1, 2]",
+        "weights_length": lambda text: text.replace(
+            '"weights": [', '"weights": [1.0, '),
+        "buckets": lambda text: text.replace(
+            '"n_hash_buckets": 64', '"n_hash_buckets": 32'),
+        "settings": lambda text: text.replace(
+            '"settings": {', '"settings": {"x": 1, '),
+    }
+
+    @pytest.mark.parametrize("damage", sorted(DAMAGE))
+    def test_unreadable_checkpoint_raises_parse_error(self, tmp_path, damage):
+        model, _ = train_toy_prm(separable_examples(), objective="soft")
+        path = tmp_path / "model.json"
+        save_model(model, path)
+        text = path.read_text()
+        assert self.DAMAGE[damage](text) != text
+        path.write_text(self.DAMAGE[damage](text))
+        with pytest.raises(ParseError):
             load_model(path)
