@@ -8,11 +8,13 @@ from __future__ import annotations
 import argparse
 import concurrent.futures
 import json
+import math
 import os
 import sys
 import threading
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields, replace
 from functools import partial
+from typing import Optional
 
 from .core import EngineConfig
 from .dataset import (
@@ -34,6 +36,7 @@ from .errors import (
     EmptyDataset,
     EstimationFailed,
     ParseError,
+    UpstreamError,
 )
 from .evaluate import accuracy_curve, efficiency_benchmark
 from .mcts import build_tree, load_tree, save_tree
@@ -46,100 +49,166 @@ from .policy import (
 from .prm import TrainSettings, load_model, save_model, train_toy_prm
 
 AUTH_TOKEN_ENV = "OMEGAPRM_AUTH_TOKEN"
-
-_ENGINE_KEYS = {
-    "alpha", "beta", "len_scale_L", "c_puct", "k_rollouts",
-    "search_limit", "step_split_target",
-}
-_SIM_KEYS = {
-    "per_step_error_prob", "recovery_prob", "wrong_answer_pool",
-    "wrong_answer_weights",
-}
-_REMOTE_KEYS = {
-    "endpoint", "timeout", "max_retries", "batch_size", "temperature",
-    "max_tokens",
-}
-_TRAIN_KEYS = {"objective", "learning_rate", "epochs"}
-_OBJECTIVES = ("soft", "hard", "pairwise")
-_EVAL_KEYS = {"k_max", "n_resamples", "pool_size"}
-_BENCH_KEYS = {"budget"}
-_TOP_KEYS = {
-    "engine", "completer", "corpus", "output", "parallelism", "seed",
-    "filter_k", "train", "eval", "bench",
-}
+# The JSON types that a field annotation (a string, as every module here
+# postpones annotations) admits: a string is not a number, a float is not
+# an integer, and true is not a number.
+_JSON_TYPES = {"int": int, "float": (int, float), "str": str, "dict": dict,
+               "Optional[int]": (int, type(None)),
+               "Optional[list]": (list, type(None))}
+# The RemoteCompleter arguments that ``completer.remote`` may set; their
+# defaults are RemoteCompleter's.
+_REMOTE_KEYS = {"endpoint": "str", "timeout": "float", "max_retries": "int",
+                "batch_size": "int", "temperature": "float",
+                "max_tokens": "int"}
 
 
-def _check_keys(section, allowed, where):
-    unknown = set(section) - allowed
-    if unknown:
-        raise ConfigError(f"unknown keys in {where}: {sorted(unknown)}")
+@dataclass
+class EvalSettings:
+    """The ``eval`` section; ``pool_size`` defaults to max(k_max, 64)."""
+
+    k_max: int = 16
+    n_resamples: int = 100
+    pool_size: Optional[int] = None
+
+    def __post_init__(self):
+        if self.pool_size is None:
+            self.pool_size = max(self.k_max, 64)
+
+
+@dataclass
+class BenchSettings:
+    """The ``bench`` section: the policy-call budget of each arm."""
+
+    budget: int = 20000
 
 
 @dataclass
 class RunConfig:
-    engine: EngineConfig = field(default_factory=EngineConfig)
-    completer_kind: str = "sim"
-    sim: dict = field(default_factory=dict)
-    remote: dict = field(default_factory=dict)
+    """A run's settings. The config's top-level keys are the fields from
+    ``corpus`` to ``filter_k``; each section is the dataclass that consumes
+    it, whose fields are its keys and their defaults."""
+
     corpus: str = "corpus.jsonl"
     output: str = "out"
     parallelism: int = 1
     seed: int = 0
     filter_k: int = 32
-    train: dict = field(default_factory=dict)
-    eval: dict = field(default_factory=dict)
-    bench: dict = field(default_factory=dict)
+    engine: EngineConfig = field(default_factory=EngineConfig)
+    completer_kind: str = "sim"
+    # Its seed is unused: make_completer derives one per stage.
+    sim: SimPolicySpec = field(default_factory=SimPolicySpec)
+    remote: dict = field(default_factory=dict)
+    objective: str = "soft"
+    train: TrainSettings = field(default_factory=TrainSettings)
+    eval: EvalSettings = field(default_factory=EvalSettings)
+    bench: BenchSettings = field(default_factory=BenchSettings)
 
     @classmethod
-    def from_file(cls, path):
-        with open(path, encoding="utf-8") as fh:
-            doc = json.load(fh)
-        return cls.from_dict(doc)
+    def from_file(cls, path, **flags):
+        try:
+            with open(path, encoding="utf-8") as fh:
+                doc = json.load(fh)
+        except (OSError, ValueError) as exc:  # ValueError: not UTF-8 or JSON
+            raise ConfigError(f"cannot read config {path}: {exc}") from None
+        return cls.from_dict(doc, **flags)
 
     @classmethod
-    def from_dict(cls, doc):
-        _check_keys(doc, _TOP_KEYS, "config")
-        cfg = cls()
-        engine = doc.get("engine", {})
-        _check_keys(engine, _ENGINE_KEYS, "engine")
-        cfg.engine = EngineConfig(**engine)
-        cfg.engine.validate()
-        completer = doc.get("completer", {})
-        _check_keys(completer, {"kind", "sim", "remote"}, "completer")
-        cfg.completer_kind = completer.get("kind", "sim")
-        if cfg.completer_kind not in ("sim", "remote"):
+    def from_dict(cls, doc, **flags):
+        """The config of the JSON object ``doc``, with the command-line
+        ``flags`` (top-level keys, or ``completer_kind``) in place of its
+        own values. A key outside its section, or a value of the wrong JSON
+        type or out of range, is a ConfigError."""
+        kind = flags.pop("completer_kind", None)
+        top = {**_object(doc, "config"), **flags}
+        section = {key: top.pop(key, {}) for key in (
+            "engine", "completer", "train", "eval", "bench")}
+        completer = _checked(section["completer"], {
+            "kind": "str", "sim": "dict", "remote": "dict"}, "completer")
+        train = _object(section["train"], "train")
+        objective = train.pop("objective", "soft")
+        return _section(
+            cls, top, "config", objective=objective,
+            engine=_section(EngineConfig, section["engine"],
+                            "engine").validate(),
+            completer_kind=kind or completer.get("kind", "sim"),
+            sim=_section(SimPolicySpec, completer.get("sim", {}),
+                         "completer.sim", seed=0),
+            remote=_checked(completer.get("remote", {}), _REMOTE_KEYS,
+                            "completer.remote"),
+            train=_section(TrainSettings, train, "train"),
+            eval=_section(EvalSettings, section["eval"], "eval"),
+            bench=_section(BenchSettings, section["bench"], "bench"),
+        ).check()
+
+    def check(self):
+        """This config, once the values that no section bounds itself are
+        in range."""
+        if self.parallelism < 1 or self.filter_k < 2:
+            raise ConfigError("need parallelism >= 1 and filter_k >= 2")
+        if self.objective not in ("soft", "hard", "pairwise"):
+            raise ConfigError("train.objective must be soft, hard or pairwise")
+        if self.train.epochs < 1 or self.train.learning_rate <= 0:
+            raise ConfigError("need train.epochs >= 1, learning_rate > 0")
+        ev = self.eval
+        if not 1 <= ev.k_max <= ev.pool_size or ev.n_resamples < 1:
+            raise ConfigError("need 1 <= eval.k_max <= eval.pool_size and "
+                              "eval.n_resamples >= 1")
+        if self.bench.budget < 1:
+            raise ConfigError("bench.budget must be >= 1")
+        pool = self.sim.wrong_answer_pool or []
+        weights = self.sim.wrong_answer_weights
+        if not all(isinstance(answer, str) for answer in pool):
+            raise ConfigError(
+                "completer.sim.wrong_answer_pool must hold strings")
+        if weights is not None and not (
+                len(weights) == len(pool)
+                and all(isinstance(w, (int, float)) and 0 <= w < math.inf
+                        for w in weights)
+                and sum(weights) > 0):
+            raise ConfigError("completer.sim.wrong_answer_weights needs one "
+                              "weight >= 0 per wrong answer, not all 0")
+        if self.completer_kind not in ("sim", "remote"):
             raise ConfigError("completer.kind must be 'sim' or 'remote'")
-        cfg.sim = completer.get("sim", {})
-        _check_keys(cfg.sim, _SIM_KEYS, "completer.sim")
-        cfg.remote = completer.get("remote", {})
-        _check_keys(cfg.remote, _REMOTE_KEYS, "completer.remote")
-        cfg.corpus = doc.get("corpus", cfg.corpus)
-        cfg.output = doc.get("output", cfg.output)
-        cfg.parallelism = int(doc.get("parallelism", 1))
-        cfg.seed = int(doc.get("seed", 0))
-        cfg.filter_k = int(doc.get("filter_k", 32))
-        cfg.train = doc.get("train", {})
-        _check_keys(cfg.train, _TRAIN_KEYS, "train")
-        if cfg.train.get("objective", "soft") not in _OBJECTIVES:
-            raise ConfigError(f"train.objective must be one of {_OBJECTIVES}")
-        cfg.eval = doc.get("eval", {})
-        _check_keys(cfg.eval, _EVAL_KEYS, "eval")
-        cfg.bench = doc.get("bench", {})
-        _check_keys(cfg.bench, _BENCH_KEYS, "bench")
-        if cfg.parallelism < 1:
-            raise ConfigError("parallelism must be >= 1")
-        return cfg
-
-    def apply_overrides(self, args):
-        if args.seed is not None:
-            self.seed = args.seed
-        if args.parallelism is not None:
-            self.parallelism = args.parallelism
-        if args.output is not None:
-            self.output = args.output
-        if args.completer is not None:
-            self.completer_kind = args.completer
+        if self.completer_kind == "remote":
+            if "endpoint" not in self.remote:
+                raise ConfigError("completer.remote.endpoint is required")
+            if self.remote.get("timeout", 1) <= 0:  # every request would fail
+                raise ConfigError("completer.remote.timeout must be > 0")
+            RemoteCompleter({}, **self.remote)  # rejects values out of range
         return self
+
+
+def _object(doc, where):
+    """A copy of ``doc``, which must be a JSON object."""
+    if not isinstance(doc, dict):
+        raise ConfigError(f"{where} must be a JSON object, got {doc!r}")
+    return dict(doc)
+
+
+def _checked(doc, types, where):
+    """The JSON object ``doc`` at ``where``, once each key is one of
+    ``types`` and holds a finite value of the JSON type it names there."""
+    doc = _object(doc, where)
+    for key, value in doc.items():
+        if key not in types:
+            raise ConfigError(f"unknown key in {where}: {key!r}")
+        if (isinstance(value, bool)
+                or not isinstance(value, _JSON_TYPES[types[key]])
+                or isinstance(value, float) and not math.isfinite(value)):
+            raise ConfigError(
+                f"{where}.{key} must be {types[key]}, got {value!r}")
+    return doc
+
+
+def _section(cls, doc, where, **given):
+    """``cls`` built from the config object ``doc`` at ``where`` and the
+    field values ``given``: its other fields are the object's keys. A value
+    that ``cls`` rejects with a ValueError is a ConfigError."""
+    types = {f.name: f.type for f in fields(cls) if f.name not in given}
+    try:
+        return cls(**_checked(doc, types, where), **given)
+    except ValueError as exc:
+        raise ConfigError(f"{where}: {exc}") from None
 
 
 def make_completer(cfg: RunConfig, questions, chains, scope: str = ""):
@@ -148,52 +217,22 @@ def make_completer(cfg: RunConfig, questions, chains, scope: str = ""):
     independent, reproducible stream."""
     questions_by_id = {q.id: q for q in questions}
     if cfg.completer_kind == "sim":
-        spec = SimPolicySpec(
-            per_step_error_prob=cfg.sim.get("per_step_error_prob", 0.1),
-            recovery_prob=cfg.sim.get("recovery_prob", 0.0),
-            seed=stable_int(cfg.seed, scope),
-            wrong_answer_pool=cfg.sim.get("wrong_answer_pool"),
-            wrong_answer_weights=cfg.sim.get("wrong_answer_weights"),
-        )
+        spec = replace(cfg.sim, seed=stable_int(cfg.seed, scope))
         return SimulatedCompleter(questions_by_id, chains, spec)
-    remote = dict(cfg.remote)
-    endpoint = remote.pop("endpoint", None)
-    if not endpoint:
-        raise ConfigError("completer.remote.endpoint is required")
-    return RemoteCompleter(
-        questions_by_id, endpoint,
-        auth_token=os.environ.get(AUTH_TOKEN_ENV),
-        **remote,
-    )
+    return RemoteCompleter(questions_by_id,
+                           auth_token=os.environ.get(AUTH_TOKEN_ENV),
+                           **cfg.remote)
 
 
-def _read_corpus(path):
-    """The corpus at ``path``, or None when it is missing. A malformed
-    corpus is a user input error: one stderr line and exit 2."""
-    if not os.path.exists(path):
-        return None
+def _read(reader, path, what="upstream artifact", error=UpstreamError):
+    """``reader(path)``; a file that is missing or malformed raises
+    ``error`` (a ConfigError for the corpus, which is the run's input)."""
     try:
-        return import_corpus_jsonl(path)
+        return reader(path)
+    except OSError as exc:
+        raise error(f"cannot read {what}: {path}: {exc.strerror}") from None
     except ParseError as exc:
-        print(f"malformed corpus: {path}: {exc}", file=sys.stderr)
-        sys.exit(2)
-
-
-def _require(path):
-    if not os.path.exists(path):
-        print(f"missing upstream artifact: {path}", file=sys.stderr)
-        sys.exit(3)
-    return path
-
-
-def _read_upstream(reader, path):
-    """``reader(path)`` on an upstream artifact that must exist and parse;
-    otherwise one stderr line and exit 3."""
-    try:
-        return reader(_require(path))
-    except ParseError as exc:
-        print(f"corrupt upstream artifact: {path}: {exc}", file=sys.stderr)
-        sys.exit(3)
+        raise error(f"malformed {what}: {path}: {exc}") from None
 
 
 def _map_questions(cfg: RunConfig, work, questions):
@@ -245,11 +284,8 @@ def _filter_one(cfg: RunConfig, chains, question):
 
 
 def cmd_filter(cfg: RunConfig) -> int:
-    loaded = _read_corpus(cfg.corpus)
-    if loaded is None:
-        print(f"cannot read corpus: {cfg.corpus}", file=sys.stderr)
-        return 2
-    questions, chains = loaded
+    questions, chains = _read(import_corpus_jsonl, cfg.corpus, "corpus",
+                              ConfigError)
     os.makedirs(cfg.output, exist_ok=True)
     results = _map_questions(cfg, partial(_filter_one, cfg, chains), questions)
     kept = [q for q, (ok, _) in zip(questions, results) if ok]
@@ -294,7 +330,7 @@ def _generate_one(cfg: RunConfig, chains, trees_dir, question):
 
 
 def cmd_generate(cfg: RunConfig) -> int:
-    questions, chains = _read_upstream(
+    questions, chains = _read(
         import_corpus_jsonl, os.path.join(cfg.output, "kept.jsonl"))
     trees_dir = os.path.join(cfg.output, "trees")
     os.makedirs(trees_dir, exist_ok=True)
@@ -321,19 +357,15 @@ def cmd_generate(cfg: RunConfig) -> int:
 
 
 def cmd_export(cfg: RunConfig) -> int:
-    trees_dir = _require(os.path.join(cfg.output, "trees"))
-    names = sorted(n for n in os.listdir(trees_dir) if n.endswith(".json"))
+    trees_dir = os.path.join(cfg.output, "trees")
+    names = sorted(n for n in os.listdir(trees_dir) if n.endswith(".json")) \
+        if os.path.isdir(trees_dir) else []
     if not names:
-        print(f"missing upstream artifact: {trees_dir}/*.json", file=sys.stderr)
-        return 3
+        raise UpstreamError(f"missing upstream artifact: {trees_dir}/*.json")
     examples = []
     pairs = []
     for name in names:
-        try:
-            tree, _ = load_tree(os.path.join(trees_dir, name))
-        except ParseError as exc:
-            print(f"corrupt upstream artifact: {exc}", file=sys.stderr)
-            return 3
+        tree, _ = _read(load_tree, os.path.join(trees_dir, name))
         examples.extend(tree_to_examples(tree))
         pairs.extend(tree_to_pairs(tree))
     export_examples_jsonl(examples, os.path.join(cfg.output, "examples.jsonl"))
@@ -343,48 +375,42 @@ def cmd_export(cfg: RunConfig) -> int:
 
 
 def cmd_train(cfg: RunConfig) -> int:
-    objective = cfg.train.get("objective", "soft")
-    settings = TrainSettings(**{
-        k: cfg.train[k] for k in ("learning_rate", "epochs") if k in cfg.train
-    })
     # Each objective reads only the file it trains on.
-    if objective == "pairwise":
+    if cfg.objective == "pairwise":
         path = os.path.join(cfg.output, "pairs.jsonl")
-        data = {"pairs": _read_upstream(import_pairs_jsonl, path)}
+        data = {"pairs": _read(import_pairs_jsonl, path)}
     else:
         path = os.path.join(cfg.output, "examples.jsonl")
-        data = {"examples": _read_upstream(import_examples_jsonl, path)}
+        data = {"examples": _read(import_examples_jsonl, path)}
     try:
         model, curve = train_toy_prm(
-            objective=objective, settings=settings, **data)
+            objective=cfg.objective, settings=cfg.train, **data)
     except EmptyDataset as exc:
-        print(f"empty upstream artifact: {path}: {exc}", file=sys.stderr)
-        return 3
+        raise UpstreamError(f"empty upstream artifact: {path}: {exc}") \
+            from None
     save_model(model, os.path.join(cfg.output, "prm_model.json"))
-    write_json({"objective": objective, "loss_curve": curve},
+    write_json({"objective": cfg.objective, "loss_curve": curve},
                os.path.join(cfg.output, "train_curve.json"))
-    print(f"trained {objective} model; final loss {curve[-1]:.6f}")
+    print(f"trained {cfg.objective} model; final loss {curve[-1]:.6f}")
     return 0
 
 
 def cmd_eval(cfg: RunConfig) -> int:
-    questions, chains = _read_upstream(
+    questions, chains = _read(
         import_corpus_jsonl, os.path.join(cfg.output, "kept.jsonl"))
-    model = _read_upstream(
+    model = _read(
         load_model, os.path.join(cfg.output, "prm_model.json"))
-    k_max = int(cfg.eval.get("k_max", 16))
-    n_resamples = int(cfg.eval.get("n_resamples", 100))
-    pool_size = int(cfg.eval.get("pool_size", max(k_max, 64)))
-
     completer = make_completer(cfg, questions, chains, scope="eval")
     majority = accuracy_curve(
-        questions, completer, None, k_max,
-        n_resamples=n_resamples, seed=cfg.seed, pool_size=pool_size,
+        questions, completer, None, cfg.eval.k_max,
+        n_resamples=cfg.eval.n_resamples, seed=cfg.seed,
+        pool_size=cfg.eval.pool_size,
     )
     completer.reset()
     weighted = accuracy_curve(
-        questions, completer, model, k_max,
-        n_resamples=n_resamples, seed=cfg.seed, pool_size=pool_size,
+        questions, completer, model, cfg.eval.k_max,
+        n_resamples=cfg.eval.n_resamples, seed=cfg.seed,
+        pool_size=cfg.eval.pool_size,
     )
     write_json(
         {"majority": majority.to_dict(), "prm_weighted": weighted.to_dict()},
@@ -393,22 +419,19 @@ def cmd_eval(cfg: RunConfig) -> int:
     majority.write_csv(os.path.join(cfg.output, "eval_majority.csv"))
     weighted.write_csv(os.path.join(cfg.output, "eval_weighted.csv"))
     print(
-        f"k={k_max}: majority {majority.accuracy_mean[-1]:.3f}, "
+        f"k={cfg.eval.k_max}: majority {majority.accuracy_mean[-1]:.3f}, "
         f"prm-weighted {weighted.accuracy_mean[-1]:.3f}"
     )
     return 0
 
 
 def cmd_bench(cfg: RunConfig) -> int:
-    loaded = _read_corpus(cfg.corpus)
-    if loaded is None:
-        print(f"missing upstream artifact: {cfg.corpus}", file=sys.stderr)
-        return 3
-    questions, chains = loaded
+    questions, chains = _read(import_corpus_jsonl, cfg.corpus, "corpus",
+                              ConfigError)
     os.makedirs(cfg.output, exist_ok=True)
-    budget = int(cfg.bench.get("budget", 20000))
     completer = make_completer(cfg, questions, chains, scope="bench")
-    report = efficiency_benchmark(questions, completer, cfg.engine, budget)
+    report = efficiency_benchmark(questions, completer, cfg.engine,
+                                  cfg.bench.budget)
     write_json(report, os.path.join(cfg.output, "bench_report.json"))
     print(
         f"examples/call: brute {report['brute_force']['examples_per_call']:.4f}"
@@ -429,31 +452,43 @@ COMMANDS = {
 
 
 def build_parser():
+    # A flag that is not given is left out of the parsed namespace.
     parser = argparse.ArgumentParser(
         prog="omegaprm",
         description="Automatic process supervision pipeline",
+        argument_default=argparse.SUPPRESS,
     )
     parser.add_argument("command", choices=sorted(COMMANDS))
-    parser.add_argument("--config", default=None, help="path to JSON config")
-    parser.add_argument("--seed", type=int, default=None)
-    parser.add_argument("--parallelism", type=int, default=None)
-    parser.add_argument("--output", default=None)
-    parser.add_argument("--completer", choices=["sim", "remote"], default=None)
+    parser.add_argument("--config", help="path to JSON config")
+    parser.add_argument("--seed", type=int)
+    parser.add_argument("--parallelism", type=int)
+    parser.add_argument("--output")
+    parser.add_argument("--completer", choices=["sim", "remote"],
+                        dest="completer_kind")
     return parser
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    """Run one command and return its exit code: 0 on success, 1 when
+    ``generate`` built no tree, 2 on a ConfigError and 3 on an
+    UpstreamError, each with one line on stderr. Never raises SystemExit."""
     try:
-        if args.config:
-            cfg = RunConfig.from_file(args.config)
+        flags = vars(build_parser().parse_args(argv))
+    except SystemExit as exc:  # argparse printed the usage or the help
+        return exc.code
+    command = COMMANDS[flags.pop("command")]
+    try:
+        if "config" in flags:
+            cfg = RunConfig.from_file(flags.pop("config"), **flags)
         else:
-            cfg = RunConfig()
-        cfg.apply_overrides(args)
-        return COMMANDS[args.command](cfg)
+            cfg = RunConfig.from_dict({}, **flags)
+        return command(cfg)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
+    except UpstreamError as exc:
+        print(exc, file=sys.stderr)
+        return 3
 
 
 if __name__ == "__main__":

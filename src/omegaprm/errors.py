@@ -6,7 +6,11 @@ class OmegaPRMError(Exception):
 
 
 class ConfigError(OmegaPRMError):
-    """A configuration value violates its documented bounds."""
+    """The config or the corpus is unreadable, ill-typed or out of range."""
+
+
+class UpstreamError(OmegaPRMError):
+    """An artifact an earlier pipeline command writes is unusable."""
 
 
 class InvalidAction(OmegaPRMError):

@@ -578,4 +578,4 @@ def load_tree(path):
         try:
             return tree_from_dict(json.load(fh))
         except (ValueError, KeyError, TypeError) as exc:
-            raise ParseError(f"{path}: not a readable tree ({exc})") from exc
+            raise ParseError(f"not a readable tree ({exc})") from exc

@@ -125,7 +125,7 @@ class SimPolicySpec:
     the first corrupted step.
     """
 
-    per_step_error_prob: float = 0.0
+    per_step_error_prob: float = 0.1
     recovery_prob: float = 0.0
     seed: int = 0
     wrong_answer_pool: Optional[list] = None

@@ -1,10 +1,15 @@
 """Command-line pipeline: config validation, exit codes, artifacts,
 resumability, and rerun determinism."""
+import importlib.util
 import json
 import os
 import pickle
+import re
+import subprocess
+import sys
 import threading
 from functools import partial
+from pathlib import Path
 
 import pytest
 
@@ -19,6 +24,43 @@ from omegaprm.cli import (
 from omegaprm.core import Question
 from omegaprm.dataset import export_corpus_jsonl, import_corpus_jsonl
 from omegaprm.errors import ConfigError
+
+
+def _load_module(path):
+    spec = importlib.util.spec_from_file_location(path.stem, path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+ROOT = Path(__file__).resolve().parent.parent
+WORKLOADS = _load_module(ROOT / "perfbench" / "workloads.py")
+# The value each key left out of a config has always loaded to.
+LOADER_DEFAULTS = {
+    "corpus": "corpus.jsonl", "output": "out", "parallelism": 1, "seed": 0,
+    "filter_k": 32, "completer.kind": "sim", "train.objective": "soft",
+    "engine.alpha": 0.5, "engine.beta": 0.9, "engine.len_scale_L": 500.0,
+    "engine.c_puct": 0.125, "engine.k_rollouts": 8,
+    "engine.search_limit": 100, "engine.step_split_target": 16,
+    "completer.sim.per_step_error_prob": 0.1,
+    "completer.sim.recovery_prob": 0.0,
+    "completer.sim.wrong_answer_pool": None,
+    "completer.sim.wrong_answer_weights": None,
+    "train.learning_rate": 2.0, "train.epochs": 300,
+    "eval.k_max": 16, "eval.n_resamples": 100, "bench.budget": 20000,
+}
+
+
+def _dotted(doc, prefix=""):
+    """The leaves of nested dict ``doc`` under dotted keys."""
+    out = {}
+    for key, value in doc.items():
+        key = f"{prefix}.{key}" if prefix else key
+        if isinstance(value, dict):
+            out.update(_dotted(value, key))
+        else:
+            out[key] = value
+    return out
 
 
 class TestRunConfig:
@@ -44,6 +86,44 @@ class TestRunConfig:
         {"parallelism": 0},
         {"engine": {"alpha": 2.0}},
         {"train": {"objective": "listwise"}},
+        # Strings are not numbers, floats are not integers, and true is
+        # not a number; values are never coerced.
+        {"engine": {"k_rollouts": "8"}},
+        {"engine": {"k_rollouts": 8.0}},
+        {"engine": {"c_puct": True}},
+        {"parallelism": "x"},
+        {"seed": "7"},
+        {"completer": {"sim": {"per_step_error_prob": 2}}},
+        {"completer": {"sim": {"per_step_error_prob": float("nan")}}},
+        {"completer": {"sim": {"seed": 3}}},  # derived from the run seed
+        {"completer": {"sim": [0.1]}},
+        {"filter_k": 1},
+        {"completer": {"kind": "remote", "remote": {
+            "endpoint": "http://127.0.0.1:9/complete", "temperature": "hot"}}},
+        {"completer": {"remote": {"temperature": "hot"}}},
+        {"completer": {"remote": {"retry_backoff": 0.1}}},
+        {"completer": {"kind": "remote"}},
+        {"bench": {"budget": "x"}},
+        {"bench": {"budget": 0}},
+        {"train": {"epochs": "3"}},
+        {"train": {"epochs": 0}},
+        {"train": {"learning_rate": 0}},
+        {"eval": {"k_max": "abc"}},
+        {"eval": {"k_max": 0}},
+        {"eval": {"n_resamples": 0}},
+        {"eval": {"k_max": 100, "pool_size": 8}},
+        {"engine": [1]},
+        [],
+        {"completer": {"sim": {"wrong_answer_pool": [1]}}},
+        {"completer": {"sim": {"wrong_answer_pool": ["1"],
+                               "wrong_answer_weights": [1, 2]}}},
+        {"completer": {"sim": {"wrong_answer_pool": ["1"],
+                               "wrong_answer_weights": [-1]}}},
+        {"completer": {"sim": {"wrong_answer_pool": ["1"],
+                               "wrong_answer_weights": ["1"]}}},
+        {"completer": {"sim": {"wrong_answer_weights": [1]}}},
+        {"completer": {"kind": "remote", "remote": {
+            "endpoint": "http://127.0.0.1:9/complete", "timeout": 0}}},
     ])
     def test_invalid_configs_rejected(self, doc):
         with pytest.raises(ConfigError):
@@ -55,6 +135,43 @@ class TestRunConfig:
         cfg = RunConfig.from_file(path)
         assert cfg.seed == 7
         assert cfg.output == "results"
+
+    @pytest.mark.parametrize("source", [
+        "empty", "readme", "tests", "deep_search", "wide_eval", "remote"])
+    def test_documented_and_benchmark_configs_load(self, tmp_path, source):
+        # Each key given loads as written, and each key left out loads to
+        # the default the loader has always used.
+        if source == "empty":
+            doc = {}
+        elif source == "readme":
+            readme = (ROOT / "README.md").read_text(encoding="utf-8")
+            doc = json.loads(re.search(
+                r"Example `run.json`:\n\n```json\n(.*?)```", readme,
+                re.S).group(1))
+        elif source == "tests":
+            _, doc = write_config(tmp_path)
+        else:
+            doc = json.loads(Path(WORKLOADS.write_config(
+                source, 0, str(tmp_path),
+                endpoint="http://127.0.0.1:9/complete")).read_text())
+        cfg = RunConfig.from_dict(doc)
+        loaded = {
+            **{key: getattr(cfg, key) for key in (
+                "corpus", "output", "parallelism", "seed", "filter_k")},
+            "completer.kind": cfg.completer_kind,
+            "train.objective": cfg.objective,
+            **_dotted(vars(cfg.engine), "engine"),
+            **_dotted(vars(cfg.sim), "completer.sim"),
+            **_dotted(cfg.remote, "completer.remote"),
+            **_dotted(vars(cfg.train), "train"),
+            **_dotted(vars(cfg.eval), "eval"),
+            **_dotted(vars(cfg.bench), "bench"),
+        }
+        del loaded["completer.sim.seed"]
+        given = _dotted(doc)
+        k_max = given.get("eval.k_max", 16)
+        assert loaded == {**LOADER_DEFAULTS,
+                          "eval.pool_size": max(k_max, 64), **given}
 
 
 def write_corpus(path, n_questions=6):
@@ -99,13 +216,92 @@ class TestExitCodes:
     def test_missing_corpus_is_2(self, tmp_path):
         config, _ = write_config(tmp_path)
         assert run("filter", config) == 2
+        assert run("bench", config) == 2
+
+    # Each of these once ended in a traceback (exit 1), some of them only
+    # inside a worker process or after writing an artifact; the string seed
+    # was coerced to an integer.
+    REJECTED = [
+        ("filter", "engine", {"k_rollouts": "8"}),
+        ("filter", "parallelism", "x"),
+        ("filter", "completer", {"sim": {"per_step_error_prob": 2}}),
+        ("filter", "filter_k", 1),
+        ("filter", "completer", {"kind": "remote", "remote": {
+            "endpoint": "http://127.0.0.1:9/complete", "temperature": "hot"}}),
+        ("bench", "bench", {"budget": "x"}),
+        ("train", "train", {"epochs": "3"}),
+        ("train", "train", {"epochs": 0}),
+        ("eval", "eval", {"k_max": "abc"}),
+        ("eval", "eval", {"k_max": 0}),
+        ("eval", "eval", {"n_resamples": 0}),
+        ("eval", "eval", {"k_max": 100, "pool_size": 8}),
+        ("filter", "seed", "7"),
+    ]
+
+    @pytest.mark.parametrize("cmd,key,value", REJECTED)
+    def test_rejected_config_value_is_2(self, tmp_path, capsys, cmd, key,
+                                        value):
+        write_corpus(tmp_path / "corpus.jsonl", n_questions=2)
+        config, doc = write_config(tmp_path)
+        doc["parallelism"] = 2
+        for stage in ("filter", "generate", "export", "train"):
+            if stage == cmd:
+                break
+            assert run(stage, config) == 0
+        before = sorted(p.name for p in (tmp_path / "out").glob("*"))
+        config.write_text(json.dumps(dict(doc, **{key: value})))
+        capsys.readouterr()
+        assert run(cmd, config) == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "Traceback" not in err
+        assert sorted(p.name for p in (tmp_path / "out").glob("*")) == before
+
+    @pytest.mark.parametrize("value", ["0", "-3"])
+    def test_nonpositive_parallelism_flag_is_2(self, tmp_path, capsys, value):
+        write_corpus(tmp_path / "corpus.jsonl", n_questions=2)
+        config, _ = write_config(tmp_path)
+        assert main(["filter", "--config", str(config),
+                     "--parallelism", value]) == 2
+        assert capsys.readouterr().err.count("\n") == 1
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("data", [None, b"{not json", b"\xff{}"])
+    def test_unreadable_config_file_is_2(self, tmp_path, capsys, data):
+        path = tmp_path / "run.json"
+        if data is not None:
+            path.write_bytes(data)
+        assert main(["filter", "--config", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and str(path) in err
+
+    @pytest.mark.parametrize("case", [
+        "missing_config", "bad_value_in_worker", "parallelism_flag"])
+    def test_module_run_exits_2_with_one_line(self, tmp_path, case):
+        # As a script, so worker processes start as they do for users.
+        write_corpus(tmp_path / "corpus.jsonl", n_questions=2)
+        config, doc = write_config(tmp_path)
+        argv = ["filter", "--config", str(config), "--parallelism", "2"]
+        if case == "missing_config":
+            config.unlink()
+        elif case == "bad_value_in_worker":
+            doc["completer"]["sim"]["per_step_error_prob"] = 2
+            config.write_text(json.dumps(doc))
+        else:
+            argv[-1] = "0"
+        src = str(ROOT / "src")
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")])))
+        proc = subprocess.run([sys.executable, "-m", "omegaprm.cli", *argv],
+                              env=env, capture_output=True, text=True,
+                              timeout=60)
+        assert proc.returncode == 2
+        assert proc.stderr.count("\n") == 1
+        assert "Traceback" not in proc.stderr
 
     def test_generate_without_filter_is_3(self, tmp_path):
         write_corpus(tmp_path / "corpus.jsonl")
         config, _ = write_config(tmp_path)
-        with pytest.raises(SystemExit) as err:
-            run("generate", config)
-        assert err.value.code == 3
+        assert run("generate", config) == 3
 
     def test_engine_rng_seed_is_2(self, tmp_path):
         # The engine has no RNG of its own; a seed for it would be ignored.
@@ -142,9 +338,7 @@ class TestExitCodes:
         write_corpus(corpus, n_questions=2)
         corpus.write_bytes(self.CORPUS_DAMAGE[damage](corpus.read_bytes()))
         config, _ = write_config(tmp_path)
-        with pytest.raises(SystemExit) as err:
-            run(cmd, config)
-        assert err.value.code == 2
+        assert run(cmd, config) == 2
         err = capsys.readouterr().err
         assert err.count("\n") == 1 and "malformed corpus" in err
 
@@ -165,9 +359,7 @@ class TestExitCodes:
         path = tmp_path / "out" / artifact
         path.write_text(path.read_text() + "[1, 2]\n")
         capsys.readouterr()
-        with pytest.raises(SystemExit) as err:
-            run(cmd, config)
-        assert err.value.code == 3
+        assert run(cmd, config) == 3
         err = capsys.readouterr().err
         assert err.count("\n") == 1 and artifact in err
 
@@ -196,9 +388,7 @@ class TestExitCodes:
     def test_export_without_trees_is_3(self, tmp_path):
         write_corpus(tmp_path / "corpus.jsonl")
         config, _ = write_config(tmp_path)
-        with pytest.raises(SystemExit) as err:
-            run("export", config)
-        assert err.value.code == 3
+        assert run("export", config) == 3
 
     @pytest.mark.parametrize("artifact,objective", [
         ("examples.jsonl", "soft"),
@@ -236,9 +426,7 @@ class TestExitCodes:
         model = tmp_path / "out" / "prm_model.json"
         model.write_text(self.MODEL_DAMAGE[damage](model.read_text()))
         capsys.readouterr()
-        with pytest.raises(SystemExit) as err:
-            run("eval", config)
-        assert err.value.code == 3
+        assert run("eval", config) == 3
         err = capsys.readouterr().err
         assert err.count("\n") == 1 and "prm_model.json" in err
 
