@@ -34,7 +34,6 @@ from .errors import (
     CompleterUnavailable,
     ConfigError,
     EmptyDataset,
-    EstimationFailed,
     ParseError,
     UpstreamError,
 )
@@ -323,7 +322,7 @@ def _generate_one(cfg: RunConfig, chains, trees_dir, question):
                                scope=f"generate/{question.id}")
     try:
         tree, budget = build_tree(question, completer, cfg.engine)
-    except (CompleterUnavailable, EstimationFailed) as exc:
+    except CompleterUnavailable as exc:
         return question.id, "failed", str(exc)
     save_tree(tree, path, budget)
     return question.id, "built", budget
@@ -401,21 +400,15 @@ def cmd_eval(cfg: RunConfig) -> int:
     model = _read(
         load_model, os.path.join(cfg.output, "prm_model.json"))
     completer = make_completer(cfg, questions, chains, scope="eval")
-    majority = accuracy_curve(
-        questions, completer, None, cfg.eval.k_max,
-        n_resamples=cfg.eval.n_resamples, seed=cfg.seed,
-        pool_size=cfg.eval.pool_size,
-    )
-    completer.reset()
-    weighted = accuracy_curve(
-        questions, completer, model, cfg.eval.k_max,
-        n_resamples=cfg.eval.n_resamples, seed=cfg.seed,
-        pool_size=cfg.eval.pool_size,
-    )
-    write_json(
-        {"majority": majority.to_dict(), "prm_weighted": weighted.to_dict()},
-        os.path.join(cfg.output, "eval_report.json"),
-    )
+    reports = accuracy_curve(questions, completer, model, cfg.eval.k_max,
+                             cfg.eval.n_resamples, cfg.seed,
+                             cfg.eval.pool_size)
+    majority, weighted = reports["majority"], reports["prm_weighted"]
+    if questions and len(majority.config["skipped"]) == len(questions):
+        raise CompleterUnavailable(
+            f"no pool sampled for any of the {len(questions)} eval questions")
+    write_json({method: r.to_dict() for method, r in reports.items()},
+               os.path.join(cfg.output, "eval_report.json"))
     majority.write_csv(os.path.join(cfg.output, "eval_majority.csv"))
     weighted.write_csv(os.path.join(cfg.output, "eval_weighted.csv"))
     print(
@@ -451,9 +444,16 @@ COMMANDS = {
 }
 
 
+class _Parser(argparse.ArgumentParser):
+    def error(self, message):
+        """Raise a rejected command line as a ConfigError, so ``main``
+        reports it in one stderr line, not argparse's usage and error."""
+        raise ConfigError(message)
+
+
 def build_parser():
     # A flag that is not given is left out of the parsed namespace.
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="omegaprm",
         description="Automatic process supervision pipeline",
         argument_default=argparse.SUPPRESS,
@@ -469,20 +469,23 @@ def build_parser():
 
 
 def main(argv=None) -> int:
-    """Run one command and return its exit code: 0 on success, 1 when
-    ``generate`` built no tree, 2 on a ConfigError and 3 on an
-    UpstreamError, each with one line on stderr. Never raises SystemExit."""
+    """Run one command and return its exit code: 0 on success, 1 when the
+    completer failed (one stderr line) or ``generate`` built no tree, 2 on
+    a ConfigError, a rejected command line included, and 3 on an
+    UpstreamError, each with one stderr line. Never raises SystemExit."""
     try:
         flags = vars(build_parser().parse_args(argv))
-    except SystemExit as exc:  # argparse printed the usage or the help
-        return exc.code
-    command = COMMANDS[flags.pop("command")]
-    try:
+        command = COMMANDS[flags.pop("command")]
         if "config" in flags:
             cfg = RunConfig.from_file(flags.pop("config"), **flags)
         else:
             cfg = RunConfig.from_dict({}, **flags)
         return command(cfg)
+    except SystemExit as exc:  # argparse printed the help
+        return exc.code
+    except CompleterUnavailable as exc:
+        print(f"completer unavailable: {exc}", file=sys.stderr)
+        return 1
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2

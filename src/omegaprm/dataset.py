@@ -11,7 +11,7 @@ import json
 from dataclasses import dataclass, fields
 
 from .core import Question, State, open_replacing
-from .errors import EstimationFailed, InvalidProbability, ParseError
+from .errors import CompleterUnavailable, InvalidProbability, ParseError
 from .mcts import Tree, monte_carlo_estimate
 
 
@@ -57,7 +57,7 @@ def filter_questions(corpus, completer, k_filter: int = 32, budget=None):
         root = State(question_id=question.id)
         try:
             mc, _ = monte_carlo_estimate(completer, root, k_filter, budget)
-        except EstimationFailed:
+        except CompleterUnavailable:
             report.append(FilterRecord(question.id, False, -1, "unresolved"))
             continue
         correct = mc.numerator * k_filter // mc.denominator

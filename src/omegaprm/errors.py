@@ -21,10 +21,6 @@ class CompleterUnavailable(OmegaPRMError):
     """The remote completer could not be reached within the retry budget."""
 
 
-class EstimationFailed(OmegaPRMError):
-    """A Monte Carlo estimation could not be completed."""
-
-
 class InvalidSearchTarget(OmegaPRMError):
     """locate_first_error was called on a target violating its preconditions."""
 

@@ -8,7 +8,7 @@ from typing import Optional
 
 from .core import EngineConfig, Question, State, open_replacing
 from .dataset import tree_to_examples
-from .errors import EstimationFailed
+from .errors import CompleterUnavailable
 from .mcts import (
     OmegaPRMEngine,
     SearchBudget,
@@ -21,7 +21,6 @@ from .prm import ToyPrmModel, score_solution
 
 @dataclass
 class CandidateSolution:
-    step_texts: list
     final_answer: str
     aggregate_score: Optional[float] = None
 
@@ -124,18 +123,13 @@ def sample_candidates(question: Question, completer, pool_size: int,
     step_cache = {}  # shared by the pool's solutions, dropped with the pool
     candidates = []
     for r in rollouts:
-        texts = [s.text for s in r.steps]
         score = None
-        if model is not None and texts:
-            score = score_solution(model, question.statement, texts,
-                                   cache=step_cache)
+        if model is not None and r.steps:
+            score = score_solution(model, question.statement,
+                                   [s.text for s in r.steps], cache=step_cache)
         elif model is not None:
             score = 0.0  # empty completion: no evidence of correctness
-        candidates.append(CandidateSolution(
-            step_texts=texts,
-            final_answer=r.final_answer,
-            aggregate_score=score,
-        ))
+        candidates.append(CandidateSolution(r.final_answer, score))
     return candidates
 
 
@@ -151,77 +145,86 @@ def _k_schedule(k_max: int):
 
 def accuracy_curve(questions, completer, model, k_max: int,
                    n_resamples: int = 100, seed: int = 0,
-                   pool_size: Optional[int] = None) -> EvalReport:
-    """Voting accuracy as a function of the number of sampled solutions.
+                   pool_size: Optional[int] = None) -> dict:
+    """Majority and PRM-weighted voting accuracy against the number of
+    sampled solutions, as ``{"majority": EvalReport, "prm_weighted":
+    EvalReport}``.
 
-    Each question gets one fixed pool; per k, accuracy is averaged over
-    seeded random subsets of size k (subsets keep pool order so the vote
-    tie-break is stable). k = pool size has zero resampling freedom.
+    After a ``completer.reset()``, each method samples one fixed pool per
+    question, scored by ``model`` for the weighted one. A question whose
+    pool fails for either method is skipped by both and listed in both
+    reports' ``skipped``. Per k, accuracy is averaged over seeded random
+    subsets of size k, each drawn once and voted by both methods; subsets
+    keep pool order so the vote tie-break is stable, and k = pool size has
+    zero resampling freedom.
 
-    Every subset is voted exactly as ``weighted_vote`` votes that subset
-    in pool order (first-member representatives, scores summed in pool
-    order, ties to the first class), but on answer ids, an equivalence
-    table and golden-answer matches computed once per pool.
+    Every subset is voted exactly as ``weighted_vote`` votes it in pool
+    order, but on answer ids, an equivalence table and golden-answer
+    matches computed once per pool.
     """
     pool_size = pool_size or k_max
     if k_max > pool_size:
         raise ValueError("k_max must not exceed the candidate pool size")
-    weighted = model is not None
-    method = "prm_weighted" if weighted else "majority"
-    usable, skipped = [], []
-    for question in questions:
-        try:
-            pool = sample_candidates(question, completer, pool_size, model)
-        except EstimationFailed:
-            skipped.append(question.id)
-            continue
-        distinct, answer_ids, eq = _answer_table(
-            [cand.final_answer for cand in pool])
-        golden = [answers_equivalent(a, question.golden_answer)
-                  for a in distinct]
-        usable.append((question, len(pool), answer_ids, eq,
-                       _votes(pool, weighted), golden))
+    scorers = {"majority": None, "prm_weighted": model}
+    # Per method and question index: the pool's answer ids, equivalence
+    # table, votes and golden matches. Only the pool being reduced is held.
+    tables = {method: {} for method in scorers}
+    failed = set()
+    for method, scorer in scorers.items():
+        completer.reset()
+        for i, question in enumerate(questions):
+            if i in failed:
+                continue
+            try:
+                pool = sample_candidates(question, completer, pool_size, scorer)
+            except CompleterUnavailable:
+                failed.add(i)
+                continue
+            distinct, answer_ids, eq = _answer_table(
+                [cand.final_answer for cand in pool])
+            golden = [answers_equivalent(a, question.golden_answer)
+                      for a in distinct]
+            tables[method][i] = (answer_ids, eq,
+                                 _votes(pool, scorer is not None), golden)
+    usable = [i for i in range(len(questions)) if i not in failed]
 
     rng = random.Random(seed)
     ks = _k_schedule(k_max)
-    means, stds = [], []
-    per_question_at_kmax = []
+    accs = {method: [] for method in scorers}  # per k: one per resample
     for k in ks:
-        resamples = 1 if k == pool_size else n_resamples
-        accs = []
-        per_question = []
-        for _ in range(resamples):
-            correct = 0
-            per_question = []
-            for question, n, answer_ids, eq, votes, golden in usable:
-                if k == pool_size:
-                    order = range(n)
-                else:
-                    order = sorted(rng.sample(range(pool_size), k))
-                ok = golden[_vote(order, answer_ids, eq, votes)]
-                correct += ok
-                per_question.append({"question_id": question.id, "correct": bool(ok)})
-            accs.append(correct / len(usable) if usable else 0.0)
-        mean = sum(accs) / len(accs)
-        if len(accs) > 1:
-            var = sum((a - mean) ** 2 for a in accs) / (len(accs) - 1)
-            std = var ** 0.5
-        else:
-            std = 0.0
-        means.append(mean)
-        stds.append(std)
-        if k == ks[-1]:
-            per_question_at_kmax = per_question
-    return EvalReport(
-        method=method,
-        ks=ks,
-        accuracy_mean=means,
-        accuracy_std=stds,
-        n_resamples=n_resamples,
-        per_question=per_question_at_kmax,
-        config={"k_max": k_max, "pool_size": pool_size, "seed": seed,
-                "skipped": skipped},
-    )
+        for runs in accs.values():
+            runs.append([])
+        for _ in range(1 if k == pool_size else n_resamples):
+            hits = {method: [] for method in scorers}
+            for i in usable:
+                order = (range(pool_size) if k == pool_size
+                         else sorted(rng.sample(range(pool_size), k)))
+                for method, table in tables.items():
+                    answer_ids, eq, votes, golden = table[i]
+                    hits[method].append(
+                        golden[_vote(order, answer_ids, eq, votes)])
+            for method, row in hits.items():
+                accs[method][-1].append(
+                    sum(row) / len(usable) if usable else 0.0)
+    skipped = [questions[i].id for i in sorted(failed)]
+    reports = {}
+    for method, per_k in accs.items():
+        means = [sum(runs) / len(runs) for runs in per_k]
+        stds = [(sum((a - mean) ** 2 for a in runs) / (len(runs) - 1)) ** 0.5
+                if len(runs) > 1 else 0.0 for runs, mean in zip(per_k, means)]
+        reports[method] = EvalReport(
+            method=method,
+            ks=ks,
+            accuracy_mean=means,
+            accuracy_std=stds,
+            n_resamples=n_resamples,
+            # The last subset vote at the largest k.
+            per_question=[{"question_id": questions[i].id, "correct": bool(ok)}
+                          for i, ok in zip(usable, hits[method])],
+            config={"k_max": k_max, "pool_size": pool_size, "seed": seed,
+                    "skipped": list(skipped)},
+        )
+    return reports
 
 
 def efficiency_benchmark(questions, completer, cfg: EngineConfig,

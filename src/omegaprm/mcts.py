@@ -25,8 +25,6 @@ from .core import (
     state_transition,
 )
 from .errors import (
-    CompleterUnavailable,
-    EstimationFailed,
     InvalidSearchTarget,
     ParseError,
     PoolExhausted,
@@ -170,12 +168,9 @@ def monte_carlo_estimate(completer: Completer, state: State, k: int,
     """
     if k < 1:
         raise ValueError("k must be >= 1")
-    try:
-        rollouts = completer.sample_rollouts(
-            CompleterRequest(state=state, n_samples=k)
-        )
-    except CompleterUnavailable as exc:
-        raise EstimationFailed(str(exc)) from exc
+    rollouts = completer.sample_rollouts(
+        CompleterRequest(state=state, n_samples=k)
+    )
     if budget is not None:
         budget.policy_calls += k
     correct = sum(1 for r in rollouts if r.is_correct)
@@ -246,9 +241,9 @@ class OmegaPRMEngine:
         Probed prefixes with MC > 0 become chained tree nodes; ones with
         0 < MC < 1 feed their wrong rollouts to the pool. Stops once the
         unverified span is a single step or shorter than the tree's
-        step-length threshold. ``BudgetExhausted`` and ``EstimationFailed``
-        propagate; the nodes already probed stay in the tree, since their
-        statistics are valid.
+        step-length threshold. ``BudgetExhausted`` and
+        ``CompleterUnavailable`` propagate; the nodes already probed stay in
+        the tree, since their statistics are valid.
         """
         if rollout.is_correct:
             raise InvalidSearchTarget("rollout has a correct final answer")
@@ -316,7 +311,7 @@ class OmegaPRMEngine:
         """One select -> binary search -> maintain iteration.
 
         Returns False when the pool is exhausted. A search aborted by
-        ``EstimationFailed`` propagates and does not count against the
+        ``CompleterUnavailable`` propagates and does not count against the
         search limit; its probed statistics are kept.
         """
         try:

@@ -319,15 +319,12 @@ def lift_run():
 
     _, _, eval_completers = lift_corpus("eval")
     eval_comp = DispatchCompleter(eval_completers)
-    majority = accuracy_curve(questions, eval_comp, None, k_max=16,
-                              n_resamples=100, seed=0, pool_size=64)
-    eval_comp.reset()
-    weighted = accuracy_curve(questions, eval_comp, model, k_max=16,
-                              n_resamples=100, seed=0, pool_size=64)
+    reports = accuracy_curve(questions, eval_comp, model, k_max=16,
+                             n_resamples=100, seed=0, pool_size=64)
     return {
         "examples": examples,
-        "majority_at_16": majority.accuracy_mean[-1],
-        "weighted_at_16": weighted.accuracy_mean[-1],
+        "majority_at_16": reports["majority"].accuracy_mean[-1],
+        "weighted_at_16": reports["prm_weighted"].accuracy_mean[-1],
         "elapsed": time.perf_counter() - t0,
     }
 
@@ -406,9 +403,8 @@ def _artifact_bundle(seed):
     examples = tree_to_examples(tree)
     pairs = tree_to_pairs(tree)
     model, curve = train_toy_prm(examples, objective="soft")
-    comp.reset()
-    curve_report = accuracy_curve([q], comp, model, k_max=4, n_resamples=10,
-                                  seed=seed, pool_size=8)
+    reports = accuracy_curve([q], comp, model, k_max=4, n_resamples=10,
+                             seed=seed, pool_size=8)
     comp.reset()
     bench = efficiency_benchmark([q], comp, EngineConfig(), budget=500)
     return {
@@ -418,7 +414,7 @@ def _artifact_bundle(seed):
                              for p in pairs]),
         "weights": json.dumps([float(w) for w in model.weights]),
         "curve": json.dumps(curve),
-        "eval": json.dumps(curve_report.to_dict()),
+        "eval": json.dumps({m: r.to_dict() for m, r in reports.items()}),
         "bench": json.dumps(bench),
     }
 

@@ -265,6 +265,44 @@ class TestExitCodes:
         assert capsys.readouterr().err.count("\n") == 1
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("argv", [
+        ["filter", "--parallelism", "x"],
+        ["frobnicate"],
+        ["filter", "--frobnicate"],
+        [],
+    ], ids=["bad_flag_value", "unknown_command", "unknown_flag", "no_command"])
+    def test_rejected_command_line_is_2(self, capsys, argv):
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("config error: ")
+        assert captured.err.count("\n") == 1 and "usage" not in captured.err
+        assert captured.out == ""
+
+    def test_help_is_0(self, capsys):
+        assert main(["--help"]) == 0
+        assert capsys.readouterr().out.startswith("usage: omegaprm")
+
+    @pytest.mark.parametrize("cmd", ["eval", "bench"])
+    def test_completer_outage_is_1(self, tmp_path, capsys, fake_server, cmd):
+        write_corpus(tmp_path / "corpus.jsonl", n_questions=2)
+        config, doc = write_config(tmp_path)
+        if cmd == "eval":
+            for stage in ("filter", "generate", "export", "train"):
+                assert run(stage, config) == 0
+        fake_server.fail_times = 10 ** 6
+        doc["completer"] = {"kind": "remote", "remote": {
+            "endpoint": fake_server.url, "max_retries": 1}}
+        config.write_text(json.dumps(doc))
+        before = sorted(p.name for p in (tmp_path / "out").glob("*")) \
+            if cmd == "eval" else []
+        capsys.readouterr()
+        assert run(cmd, config) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("completer unavailable: ")
+        assert err.count("\n") == 1 and "Traceback" not in err
+        assert fake_server.requests_seen
+        assert sorted(p.name for p in (tmp_path / "out").glob("*")) == before
+
     @pytest.mark.parametrize("data", [None, b"{not json", b"\xff{}"])
     def test_unreadable_config_file_is_2(self, tmp_path, capsys, data):
         path = tmp_path / "run.json"

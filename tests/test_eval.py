@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from omegaprm.core import EngineConfig, Question, make_rollout, make_step
+from omegaprm.errors import CompleterUnavailable
 from omegaprm.evaluate import (
     CandidateSolution,
     _answer_table,
@@ -16,15 +17,23 @@ from omegaprm.evaluate import (
     sample_candidates,
     weighted_vote,
 )
-from omegaprm.policy import SimPolicySpec, SimulatedCompleter, answers_equivalent
+from omegaprm.policy import (
+    Completer,
+    SimPolicySpec,
+    SimulatedCompleter,
+    answers_equivalent,
+)
 from omegaprm.prm import train_toy_prm
 from test_prm import separable_examples
 
 
-def cand(answer, score=None, steps=("s",)):
-    return CandidateSolution(
-        step_texts=list(steps), final_answer=answer, aggregate_score=score
-    )
+def cand(answer, score=None):
+    return CandidateSolution(final_answer=answer, aggregate_score=score)
+
+
+@pytest.fixture(scope="module")
+def model():
+    return train_toy_prm(separable_examples(), objective="hard")[0]
 
 
 class TestWeightedVote:
@@ -109,11 +118,20 @@ def tricky_pools(n_pools, seed):
                for _ in range(n)]
 
 
-class _TrickyCompleter:
-    """Seeded pools of two-step solutions with TRICKY_ANSWERS answers."""
+class _TrickyCompleter(Completer):
+    """Seeded pools of two-step solutions with TRICKY_ANSWERS answers. With
+    ``replays`` its ``reset`` replays the pools, as the simulator's does;
+    without, ``reset`` is a no-op and every pool is new, as a remote
+    completer's are."""
 
-    def __init__(self, seed):
+    def __init__(self, seed, replays=False):
+        self.seed = seed
+        self.replays = replays
         self.rng = random.Random(seed)
+
+    def reset(self):
+        if self.replays:
+            self.rng = random.Random(self.seed)
 
     def sample_rollouts(self, request):
         rng = self.rng
@@ -151,30 +169,40 @@ class TestPooledVote:
                 assert distinct[_vote(order, answer_ids, eq, votes)] == expected
                 assert weighted_vote(subset, weighted) == expected
 
-    @pytest.mark.parametrize("weighted", [True, False])
-    def test_curve_matches_reference_curve(self, weighted):
+    @pytest.mark.parametrize("replays", [True, False])
+    def test_curve_matches_reference_curve(self, model, replays):
+        # One call gives both curves; each must equal its method's curve
+        # written out directly, over its own pools and its own
+        # random.Random(seed), which draws the same subsets.
         questions = [Question(f"q{i}", f"question {i}", golden)
                      for i, golden in enumerate(["1", "1000", "1.0000000015", "a"])]
-        model = None
-        if weighted:
-            model, _ = train_toy_prm(separable_examples(), objective="hard")
-        report = accuracy_curve(questions, _TrickyCompleter(3), model,
-                                k_max=12, n_resamples=30, seed=4, pool_size=12)
-        completer = _TrickyCompleter(3)
-        pools = [sample_candidates(q, completer, 12, model) for q in questions]
-        rng = random.Random(4)
-        means = []
-        for k in _k_schedule(12):
-            accs = []
-            for _ in range(1 if k == 12 else 30):
-                correct = 0
-                for q, pool in zip(questions, pools):
-                    idxs = sorted(rng.sample(range(12), k)) if k < 12 else range(12)
-                    answer = reference_vote([pool[i] for i in idxs], weighted)
-                    correct += answers_equivalent(answer, q.golden_answer)
-                accs.append(correct / len(questions))
-            means.append(sum(accs) / len(accs))
-        assert report.accuracy_mean == means
+        reports = accuracy_curve(questions, _TrickyCompleter(3, replays),
+                                 model, k_max=12, n_resamples=30, seed=4,
+                                 pool_size=12)
+        completer = _TrickyCompleter(3, replays)
+        for method, scorer in (("majority", None), ("prm_weighted", model)):
+            completer.reset()
+            pools = [sample_candidates(q, completer, 12, scorer)
+                     for q in questions]
+            rng = random.Random(4)
+            means = []
+            for k in _k_schedule(12):
+                accs = []
+                for _ in range(1 if k == 12 else 30):
+                    correct = []
+                    for q, pool in zip(questions, pools):
+                        idxs = (sorted(rng.sample(range(12), k)) if k < 12
+                                else range(12))
+                        answer = reference_vote([pool[i] for i in idxs],
+                                                scorer is not None)
+                        correct.append(answers_equivalent(answer,
+                                                          q.golden_answer))
+                    accs.append(sum(correct) / len(questions))
+                means.append(sum(accs) / len(accs))
+            report = reports[method]
+            assert report.method == method
+            assert report.accuracy_mean == means
+            assert [r["correct"] for r in report.per_question] == correct
 
 
 def sim_world(n_questions=4, error_prob=0.0, seed=0, **spec_kwargs):
@@ -219,45 +247,87 @@ class TestSampleCandidates:
         assert [c.aggregate_score for c in pool] == [0.0, 0.0, 0.0]
 
 
+class _FailingCompleter(Completer):
+    """``inner``, except that sampling ``question_id`` raises
+    CompleterUnavailable after ``resets`` + 1 calls of ``reset``."""
+
+    def __init__(self, inner, question_id, resets):
+        self.inner = inner
+        self.question_id = question_id
+        self.resets = resets
+        self.seen = -1
+
+    def reset(self):
+        self.seen += 1
+        self.inner.reset()
+
+    def sample_rollouts(self, request):
+        if (request.state.question_id == self.question_id
+                and self.seen == self.resets):
+            raise CompleterUnavailable("down")
+        return self.inner.sample_rollouts(request)
+
+
 class TestAccuracyCurve:
-    def test_noiseless_policy_is_always_right(self):
+    def test_noiseless_policy_is_always_right(self, model):
         questions, comp = sim_world(error_prob=0.0)
-        report = accuracy_curve(questions, comp, model=None, k_max=8,
-                                n_resamples=5)
-        assert report.ks == [1, 2, 4, 8]
-        assert report.accuracy_mean == [1.0] * 4
-        assert report.method == "majority"
-        assert all(r["correct"] for r in report.per_question)
+        reports = accuracy_curve(questions, comp, model, k_max=8,
+                                 n_resamples=5)
+        assert list(reports) == ["majority", "prm_weighted"]
+        for method, report in reports.items():
+            assert report.method == method
+            assert report.ks == [1, 2, 4, 8]
+            assert report.accuracy_mean == [1.0] * 4
+            assert all(r["correct"] for r in report.per_question)
 
-    def test_zero_variance_at_full_pool(self):
+    def test_zero_variance_at_full_pool(self, model):
         questions, comp = sim_world(error_prob=0.4, seed=5)
-        report = accuracy_curve(questions, comp, model=None, k_max=8,
-                                n_resamples=20)
-        assert report.accuracy_std[-1] == 0.0
+        reports = accuracy_curve(questions, comp, model, k_max=8,
+                                 n_resamples=20)
+        assert all(r.accuracy_std[-1] == 0.0 for r in reports.values())
 
-    def test_k_schedule_includes_non_power_max(self):
+    def test_k_schedule_includes_non_power_max(self, model):
         questions, comp = sim_world()
-        report = accuracy_curve(questions, comp, model=None, k_max=6,
-                                pool_size=6)
-        assert report.ks == [1, 2, 4, 6]
+        reports = accuracy_curve(questions, comp, model, k_max=6,
+                                 pool_size=6)
+        assert all(r.ks == [1, 2, 4, 6] for r in reports.values())
 
-    def test_k_max_cannot_exceed_pool(self):
+    def test_k_max_cannot_exceed_pool(self, model):
         questions, comp = sim_world()
         with pytest.raises(ValueError):
-            accuracy_curve(questions, comp, model=None, k_max=8, pool_size=4)
+            accuracy_curve(questions, comp, model, k_max=8, pool_size=4)
 
-    def test_deterministic_given_seeds(self):
+    def test_deterministic_given_seeds(self, model):
+        # accuracy_curve resets the completer itself.
         questions, comp = sim_world(error_prob=0.4, seed=5)
-        r1 = accuracy_curve(questions, comp, model=None, k_max=8, seed=3,
+        r1 = accuracy_curve(questions, comp, model, k_max=8, seed=3,
                             n_resamples=10)
-        comp.reset()
-        r2 = accuracy_curve(questions, comp, model=None, k_max=8, seed=3,
+        r2 = accuracy_curve(questions, comp, model, k_max=8, seed=3,
                             n_resamples=10)
-        assert r1.to_dict() == r2.to_dict()
+        assert {m: r.to_dict() for m, r in r1.items()} == \
+            {m: r.to_dict() for m, r in r2.items()}
 
-    def test_csv_export(self, tmp_path):
+    @pytest.mark.parametrize("resets", [0, 1], ids=["majority", "weighted"])
+    def test_failed_pool_is_skipped_by_both(self, model, resets):
+        # The subset draws depend on the number of usable questions only,
+        # so both curves equal those of the corpus without the question.
+        questions, comp = sim_world(error_prob=0.4, seed=5)
+        reports = accuracy_curve(questions, _FailingCompleter(comp, "q1",
+                                                              resets),
+                                 model, k_max=8, seed=3, n_resamples=10)
+        rest = [q for q in questions if q.id != "q1"]
+        expected = accuracy_curve(rest, comp, model, k_max=8, seed=3,
+                                  n_resamples=10)
+        for method, report in reports.items():
+            assert report.config["skipped"] == ["q1"]
+            assert [r["question_id"] for r in report.per_question] == \
+                ["q0", "q2", "q3"]
+            assert report.accuracy_mean == expected[method].accuracy_mean
+            assert report.per_question == expected[method].per_question
+
+    def test_csv_export(self, tmp_path, model):
         questions, comp = sim_world()
-        report = accuracy_curve(questions, comp, model=None, k_max=4)
+        report = accuracy_curve(questions, comp, model, k_max=4)["majority"]
         path = tmp_path / "curve.csv"
         report.write_csv(path)
         lines = path.read_text().splitlines()

@@ -19,7 +19,7 @@ from omegaprm.core import (
     state_transition,
 )
 from omegaprm.errors import (
-    EstimationFailed,
+    CompleterUnavailable,
     InvalidSearchTarget,
     ParseError,
     PoolExhausted,
@@ -148,14 +148,12 @@ class TestMonteCarloEstimate:
         with pytest.raises(ValueError):
             monte_carlo_estimate(comp, State("q1"), 0)
 
-    def test_wraps_completer_failure(self):
+    def test_completer_failure_propagates(self):
         class Dead:
             def sample_rollouts(self, request):
-                from omegaprm.errors import CompleterUnavailable
-
                 raise CompleterUnavailable("down")
 
-        with pytest.raises(EstimationFailed):
+        with pytest.raises(CompleterUnavailable):
             monte_carlo_estimate(Dead(), State("q1"), 4)
 
 
