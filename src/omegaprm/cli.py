@@ -285,10 +285,13 @@ def _filter_one(cfg: RunConfig, chains, question):
 def cmd_filter(cfg: RunConfig) -> int:
     questions, chains = _read(import_corpus_jsonl, cfg.corpus, "corpus",
                               ConfigError)
-    os.makedirs(cfg.output, exist_ok=True)
     results = _map_questions(cfg, partial(_filter_one, cfg, chains), questions)
     kept = [q for q, (ok, _) in zip(questions, results) if ok]
     report = [rec for _, rec in results]
+    if questions and all(rec.reason == "unresolved" for rec in report):
+        raise CompleterUnavailable(
+            f"no root sampled for any of the {len(questions)} questions")
+    os.makedirs(cfg.output, exist_ok=True)
     export_corpus_jsonl(kept, os.path.join(cfg.output, "kept.jsonl"), chains)
     export_filter_report(report, os.path.join(cfg.output, "filter_report.jsonl"))
     print(f"kept {len(kept)} of {len(questions)} questions")
@@ -324,6 +327,7 @@ def _generate_one(cfg: RunConfig, chains, trees_dir, question):
         tree, budget = build_tree(question, completer, cfg.engine)
     except CompleterUnavailable as exc:
         return question.id, "failed", str(exc)
+    os.makedirs(trees_dir, exist_ok=True)
     save_tree(tree, path, budget)
     return question.id, "built", budget
 
@@ -332,7 +336,6 @@ def cmd_generate(cfg: RunConfig) -> int:
     questions, chains = _read(
         import_corpus_jsonl, os.path.join(cfg.output, "kept.jsonl"))
     trees_dir = os.path.join(cfg.output, "trees")
-    os.makedirs(trees_dir, exist_ok=True)
     results = _map_questions(
         cfg, partial(_generate_one, cfg, chains, trees_dir), questions)
 
@@ -345,13 +348,14 @@ def cmd_generate(cfg: RunConfig) -> int:
         else:
             summary["total_policy_calls"] += info.policy_calls
             summary["total_searches"] += info.searches_done
+    failures = summary["failures"]
+    if questions and len(failures) == len(questions):
+        raise CompleterUnavailable(failures[0]["error"])
     write_json(summary, os.path.join(cfg.output, "generate_summary.json"))
     built = sum(1 for _, s, _ in results if s == "built")
     resumed = sum(1 for _, s, _ in results if s == "resumed")
     print(f"built {built}, resumed {resumed} of {len(questions)} trees "
           f"({summary['total_policy_calls']} policy calls)")
-    if questions and not built + resumed:
-        return 1
     return 0
 
 
@@ -470,9 +474,9 @@ def build_parser():
 
 def main(argv=None) -> int:
     """Run one command and return its exit code: 0 on success, 1 when the
-    completer failed (one stderr line) or ``generate`` built no tree, 2 on
-    a ConfigError, a rejected command line included, and 3 on an
-    UpstreamError, each with one stderr line. Never raises SystemExit."""
+    completer failed, 2 on a ConfigError, a rejected command line included,
+    and 3 on an UpstreamError, each with one stderr line. Never raises
+    SystemExit."""
     try:
         flags = vars(build_parser().parse_args(argv))
         command = COMMANDS[flags.pop("command")]

@@ -211,9 +211,11 @@ def export_corpus_jsonl(questions, path, chains=None):
 
 
 def import_corpus_jsonl(path):
-    """Read questions (and, when present, simulator ground chains)."""
+    """Read questions (and, when present, simulator ground chains). Each
+    question id must be unique."""
     questions = []
     chains = {}
+    ids = set()
     for n, rec in enumerate(
             _read_jsonl(path, ("id", "statement", "golden_answer")), start=1):
         try:
@@ -222,8 +224,11 @@ def import_corpus_jsonl(path):
                 statement=rec["statement"],
                 golden_answer=rec["golden_answer"],
             ))
-        except ValueError as exc:
+            if rec["id"] in ids:  # TypeError: an id that cannot be a key
+                raise ValueError(f"duplicate id {rec['id']!r}")
+        except (ValueError, TypeError) as exc:
             raise ParseError(f"record {n}: {exc}") from exc
+        ids.add(rec["id"])
         if "chain" in rec:
             chains[rec["id"]] = list(rec["chain"])
     return questions, chains

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from fractions import Fraction
 from json.encoder import encode_basestring_ascii
 
@@ -369,138 +369,107 @@ def annotate_per_step(completer: Completer, question: Question,
 
 SCHEMA_VERSION = 1
 
-# A schema-v1 file holds exactly what ``json.dumps(doc, indent=2)`` writes
-# for the tree's nested-dict form (node list with full prefixes and
-# rollouts, edge list, optional budget). The writer below emits those bytes
-# without building that form: a step renders the same wherever it sits at
-# a given depth, so each distinct step is rendered once per depth and
-# reused, and a file is written node by node.
 
-_NL = tuple("\n" + "  " * depth for depth in range(8))
+def tree_doc(tree: Tree, budget: SearchBudget = None) -> dict:
+    """The schema-v1 document of ``tree`` (and its budget, when given), the
+    inverse of ``tree_from_dict``. Each step sequence stays the tuple of its
+    ``Step``s; a file spells a step as ``{"text", "token_len"}``."""
+    ids = {key: i for i, key in enumerate(tree.nodes)}
+    doc = {
+        "schema_version": SCHEMA_VERSION,
+        "question": asdict(tree.question),
+        "avg_solution_tokens": tree.avg_solution_tokens,
+        "threshold": tree.threshold,
+        "nodes": [{
+            "id": i,
+            "prefix_steps": node.state.prefix_steps,
+            "visit_count": node.stats.visit_count,
+            # both null for a node without MC
+            "mc_num": getattr(node.mc, "numerator", None),
+            "mc_den": getattr(node.mc, "denominator", None),
+            "rollouts": [{
+                "steps": r.steps,
+                "final_answer": r.final_answer,
+                "is_correct": r.is_correct,
+                "token_len": r.token_len,
+            } for r in node.stats.rollouts],
+        } for i, node in enumerate(tree.nodes.values())],
+        "edges": [{
+            "parent": ids[key],
+            "child": ids[edge.child.state.key()],
+            "action_steps": edge.action_steps,
+        } for key, node in tree.nodes.items() for edge in node.children],
+    }
+    if budget is not None:
+        doc["budget"] = asdict(budget)
+    return doc
 
 
-def _scalar(value) -> str:
-    """``value`` spelled as ``json.dumps`` spells a scalar."""
-    if isinstance(value, str):
-        return encode_basestring_ascii(value)
-    if value is None:
-        return "null"
-    if value is True:
-        return "true"
-    if value is False:
-        return "false"
-    if isinstance(value, int):
-        return int.__repr__(value)
-    if isinstance(value, float):
-        return json.dumps(value)
-    raise TypeError(f"not a JSON scalar: {value!r}")
+# How ``json.dumps`` spells a value of each scalar type.
+_SCALARS = {
+    str: encode_basestring_ascii,
+    int: int.__repr__,
+    float: json.dumps,  # NaN and infinities as json spells them
+    bool: {True: "true", False: "false"}.__getitem__,
+    type(None): lambda _: "null",
+}
 
 
-def _object(pairs, depth) -> str:
-    """A JSON object of (key, rendered value) pairs, opened at ``depth``."""
-    inner = _NL[depth + 1]
-    body = ("," + inner).join(f'"{key}": {value}' for key, value in pairs)
-    return "{" + inner + body + _NL[depth] + "}"
-
-
-def _array(items, depth) -> str:
-    """A JSON array of rendered items, opened at ``depth``."""
-    if not items:
+def _render(value, depth, steps) -> str:
+    """``value`` spelled as ``json.dumps(value, indent=2)`` spells it at
+    nesting ``depth``. A tuple is a sequence of ``Step``s, each spelled once
+    per depth through ``steps``, a dict of depth -> ``_StepFragments``."""
+    spell = _SCALARS.get(type(value))
+    if spell is not None:
+        return spell(value)
+    outer = "\n" + "  " * depth
+    inner = outer + "  "
+    if isinstance(value, dict):
+        if not value:
+            return "{}"
+        items = [f"{encode_basestring_ascii(key)}: "
+                 f"{_render(item, depth + 1, steps)}"
+                 for key, item in value.items()]
+        return f"{{{inner}{(',' + inner).join(items)}{outer}}}"
+    if not isinstance(value, (list, tuple)):
+        raise TypeError(f"not a JSON value: {value!r}")
+    if not value:
         return "[]"
-    inner = _NL[depth + 1]
-    return "[" + inner + ("," + inner).join(items) + _NL[depth] + "]"
+    if isinstance(value, tuple):
+        memo = steps.get(depth + 1)
+        if memo is None:
+            memo = steps[depth + 1] = _StepFragments(depth + 1)
+        items = [memo[s] for s in value]
+    else:
+        items = [_render(item, depth + 1, steps) for item in value]
+    return f"[{inner}{(',' + inner).join(items)}{outer}]"
 
 
 class _StepFragments(dict):
-    """Step -> its rendered object at one depth, filled on first use."""
+    """Step -> its ``{"text", "token_len"}`` object rendered at one depth,
+    filled on first use."""
 
     def __init__(self, depth):
         super().__init__()
         self.depth = depth
 
     def __missing__(self, step):
-        text = self[step] = _object(
-            (("text", _scalar(step.text)),
-             ("token_len", _scalar(step.token_len))),
-            self.depth,
-        )
+        text = self[step] = _render(
+            {"text": step.text, "token_len": step.token_len}, self.depth, None)
         return text
 
 
-def _node_json(node_id, node, steps4, steps6) -> str:
-    mc = node.mc
-    rollouts = [
-        _object((
-            ("steps", _array([steps6[s] for s in r.steps], 5)),
-            ("final_answer", _scalar(r.final_answer)),
-            ("is_correct", _scalar(r.is_correct)),
-            ("token_len", _scalar(r.token_len)),
-        ), 4)
-        for r in node.stats.rollouts
-    ]
-    return _object((
-        ("id", _scalar(node_id)),
-        ("prefix_steps",
-         _array([steps4[s] for s in node.state.prefix_steps], 3)),
-        ("visit_count", _scalar(node.stats.visit_count)),
-        ("mc_num", _scalar(mc.numerator if mc is not None else None)),
-        ("mc_den", _scalar(mc.denominator if mc is not None else None)),
-        ("rollouts", _array(rollouts, 3)),
-    ), 2)
-
-
-def _tree_chunks(tree: Tree, budget: SearchBudget = None):
-    """Yield the schema-v1 text of ``tree`` in pieces, one per node."""
-    ids = {key: i for i, key in enumerate(tree.nodes)}
-    # Steps sit at depth 4 in prefixes and edge actions, at 6 in rollouts.
-    steps4 = _StepFragments(4)
-    steps6 = _StepFragments(6)
-    question = _object((
-        ("id", _scalar(tree.question.id)),
-        ("statement", _scalar(tree.question.statement)),
-        ("golden_answer", _scalar(tree.question.golden_answer)),
-    ), 1)
-    nl = _NL[1]
-    yield (
-        "{" + nl + f'"schema_version": {_scalar(SCHEMA_VERSION)},'
-        + nl + f'"question": {question},'
-        + nl + f'"avg_solution_tokens": {_scalar(tree.avg_solution_tokens)},'
-        + nl + f'"threshold": {_scalar(tree.threshold)},'
-        + nl + '"nodes": ['
-    )
-    # A tree always holds its root, so the node list is never empty.
-    for i, node in enumerate(tree.nodes.values()):
-        yield ("," if i else "") + _NL[2] + _node_json(i, node, steps4, steps6)
-    edges = [
-        _object((
-            ("parent", _scalar(ids[key])),
-            ("child", _scalar(ids[edge.child.state.key()])),
-            ("action_steps",
-             _array([steps4[s] for s in edge.action_steps], 3)),
-        ), 2)
-        for key, node in tree.nodes.items()
-        for edge in node.children
-    ]
-    yield nl + "]," + nl + '"edges": ' + _array(edges, 1)
-    if budget is not None:
-        yield "," + nl + '"budget": ' + _object((
-            ("searches_done", _scalar(budget.searches_done)),
-            ("policy_calls", _scalar(budget.policy_calls)),
-        ), 1)
-    yield _NL[0] + "}"
-
-
 def dump_tree(tree: Tree, budget: SearchBudget = None) -> str:
-    """The schema-v1 JSON text of ``tree`` (and its budget, when given)."""
-    return "".join(_tree_chunks(tree, budget))
+    """The schema-v1 text of ``tree``: ``json.dumps(tree_doc(tree, budget),
+    indent=2)``, each ``Step`` in it spelled as ``{"text", "token_len"}``."""
+    return _render(tree_doc(tree, budget), 0, {})
 
 
 def save_tree(tree: Tree, path, budget: SearchBudget = None):
     """Write ``tree`` to ``path`` through a temporary file, so ``path``
     holds either its previous content or the whole new tree."""
     with open_replacing(path) as fh:
-        for chunk in _tree_chunks(tree, budget):
-            fh.write(chunk)
+        fh.write(dump_tree(tree, budget))
         fh.write("\n")
 
 

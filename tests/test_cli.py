@@ -282,19 +282,21 @@ class TestExitCodes:
         assert main(["--help"]) == 0
         assert capsys.readouterr().out.startswith("usage: omegaprm")
 
-    @pytest.mark.parametrize("cmd", ["eval", "bench"])
+    # Each command's upstream stages run on the simulator first.
+    UPSTREAM = {"filter": (), "generate": ("filter",), "bench": (),
+                "eval": ("filter", "generate", "export", "train")}
+
+    @pytest.mark.parametrize("cmd", sorted(UPSTREAM))
     def test_completer_outage_is_1(self, tmp_path, capsys, fake_server, cmd):
         write_corpus(tmp_path / "corpus.jsonl", n_questions=2)
         config, doc = write_config(tmp_path)
-        if cmd == "eval":
-            for stage in ("filter", "generate", "export", "train"):
-                assert run(stage, config) == 0
+        for stage in self.UPSTREAM[cmd]:
+            assert run(stage, config) == 0
         fake_server.fail_times = 10 ** 6
         doc["completer"] = {"kind": "remote", "remote": {
             "endpoint": fake_server.url, "max_retries": 1}}
         config.write_text(json.dumps(doc))
-        before = sorted(p.name for p in (tmp_path / "out").glob("*")) \
-            if cmd == "eval" else []
+        before = sorted(p.name for p in (tmp_path / "out").glob("*"))
         capsys.readouterr()
         assert run(cmd, config) == 1
         err = capsys.readouterr().err
@@ -367,6 +369,7 @@ class TestExitCodes:
         "not_object": lambda data: data + b"[1, 2]\n",
         "empty_answer": lambda data: data + (
             b'{"id": "q9", "statement": "s", "golden_answer": ""}\n'),
+        "duplicate_id": lambda data: data + data.splitlines(True)[0],
     }
 
     @pytest.mark.parametrize("cmd", ["filter", "bench"])

@@ -189,6 +189,15 @@ class TestJsonlIO:
         with pytest.raises(ParseError):
             import_corpus_jsonl(path)
 
+    @pytest.mark.parametrize("second_id", ['"a"', '["a"]'])
+    def test_duplicate_or_unhashable_id_rejected(self, tmp_path, second_id):
+        path = tmp_path / "dup.jsonl"
+        path.write_text(
+            '{"id": "a", "statement": "s", "golden_answer": "1"}\n'
+            f'{{"id": {second_id}, "statement": "t", "golden_answer": "2"}}\n')
+        with pytest.raises(ParseError, match="record 2"):
+            import_corpus_jsonl(path)
+
     def test_blank_lines_ignored(self, tmp_path):
         path = tmp_path / "gaps.jsonl"
         path.write_text('\n{"id": "a", "statement": "s", "golden_answer": "1"}\n\n')
