@@ -27,6 +27,7 @@ from .mcts import (
 from .policy import (
     CompleterRequest,
     RemoteCompleter,
+    RemoteSettings,
     SimPolicySpec,
     SimulatedCompleter,
     answers_equivalent,
@@ -56,6 +57,7 @@ __all__ = [
     "save_tree",
     "CompleterRequest",
     "RemoteCompleter",
+    "RemoteSettings",
     "SimPolicySpec",
     "SimulatedCompleter",
     "answers_equivalent",

@@ -14,7 +14,6 @@ import sys
 import threading
 from dataclasses import dataclass, field, fields, replace
 from functools import partial
-from typing import Optional
 
 from .core import EngineConfig
 from .dataset import (
@@ -37,10 +36,11 @@ from .errors import (
     ParseError,
     UpstreamError,
 )
-from .evaluate import accuracy_curve, efficiency_benchmark
+from .evaluate import EvalSettings, accuracy_curve, efficiency_benchmark
 from .mcts import build_tree, load_tree, save_tree
 from .policy import (
     RemoteCompleter,
+    RemoteSettings,
     SimPolicySpec,
     SimulatedCompleter,
     stable_int,
@@ -53,25 +53,8 @@ AUTH_TOKEN_ENV = "OMEGAPRM_AUTH_TOKEN"
 # an integer, and true is not a number.
 _JSON_TYPES = {"int": int, "float": (int, float), "str": str, "dict": dict,
                "Optional[int]": (int, type(None)),
+               "Optional[str]": (str, type(None)),
                "Optional[list]": (list, type(None))}
-# The RemoteCompleter arguments that ``completer.remote`` may set; their
-# defaults are RemoteCompleter's.
-_REMOTE_KEYS = {"endpoint": "str", "timeout": "float", "max_retries": "int",
-                "batch_size": "int", "temperature": "float",
-                "max_tokens": "int"}
-
-
-@dataclass
-class EvalSettings:
-    """The ``eval`` section; ``pool_size`` defaults to max(k_max, 64)."""
-
-    k_max: int = 16
-    n_resamples: int = 100
-    pool_size: Optional[int] = None
-
-    def __post_init__(self):
-        if self.pool_size is None:
-            self.pool_size = max(self.k_max, 64)
 
 
 @dataclass
@@ -80,12 +63,17 @@ class BenchSettings:
 
     budget: int = 20000
 
+    def __post_init__(self):
+        if self.budget < 1:
+            raise ValueError("budget must be >= 1")
+
 
 @dataclass
 class RunConfig:
     """A run's settings. The config's top-level keys are the fields from
     ``corpus`` to ``filter_k``; each section is the dataclass that consumes
-    it, whose fields are its keys and their defaults."""
+    it, whose fields are its keys and their defaults. Each section checks
+    its own values; this class checks the rest."""
 
     corpus: str = "corpus.jsonl"
     output: str = "out"
@@ -96,11 +84,21 @@ class RunConfig:
     completer_kind: str = "sim"
     # Its seed is unused: make_completer derives one per stage.
     sim: SimPolicySpec = field(default_factory=SimPolicySpec)
-    remote: dict = field(default_factory=dict)
+    remote: RemoteSettings = field(default_factory=RemoteSettings)
     objective: str = "soft"
     train: TrainSettings = field(default_factory=TrainSettings)
     eval: EvalSettings = field(default_factory=EvalSettings)
     bench: BenchSettings = field(default_factory=BenchSettings)
+
+    def __post_init__(self):
+        if self.parallelism < 1 or self.filter_k < 2:
+            raise ValueError("need parallelism >= 1 and filter_k >= 2")
+        if self.objective not in ("soft", "hard", "pairwise"):
+            raise ValueError("train.objective must be soft, hard or pairwise")
+        if self.completer_kind not in ("sim", "remote"):
+            raise ValueError("completer.kind must be 'sim' or 'remote'")
+        if self.completer_kind == "remote" and self.remote.endpoint is None:
+            raise ValueError("completer.remote.endpoint is required")
 
     @classmethod
     def from_file(cls, path, **flags):
@@ -127,54 +125,16 @@ class RunConfig:
         objective = train.pop("objective", "soft")
         return _section(
             cls, top, "config", objective=objective,
-            engine=_section(EngineConfig, section["engine"],
-                            "engine").validate(),
+            engine=_section(EngineConfig, section["engine"], "engine"),
             completer_kind=kind or completer.get("kind", "sim"),
             sim=_section(SimPolicySpec, completer.get("sim", {}),
                          "completer.sim", seed=0),
-            remote=_checked(completer.get("remote", {}), _REMOTE_KEYS,
+            remote=_section(RemoteSettings, completer.get("remote", {}),
                             "completer.remote"),
             train=_section(TrainSettings, train, "train"),
             eval=_section(EvalSettings, section["eval"], "eval"),
             bench=_section(BenchSettings, section["bench"], "bench"),
-        ).check()
-
-    def check(self):
-        """This config, once the values that no section bounds itself are
-        in range."""
-        if self.parallelism < 1 or self.filter_k < 2:
-            raise ConfigError("need parallelism >= 1 and filter_k >= 2")
-        if self.objective not in ("soft", "hard", "pairwise"):
-            raise ConfigError("train.objective must be soft, hard or pairwise")
-        if self.train.epochs < 1 or self.train.learning_rate <= 0:
-            raise ConfigError("need train.epochs >= 1, learning_rate > 0")
-        ev = self.eval
-        if not 1 <= ev.k_max <= ev.pool_size or ev.n_resamples < 1:
-            raise ConfigError("need 1 <= eval.k_max <= eval.pool_size and "
-                              "eval.n_resamples >= 1")
-        if self.bench.budget < 1:
-            raise ConfigError("bench.budget must be >= 1")
-        pool = self.sim.wrong_answer_pool or []
-        weights = self.sim.wrong_answer_weights
-        if not all(isinstance(answer, str) for answer in pool):
-            raise ConfigError(
-                "completer.sim.wrong_answer_pool must hold strings")
-        if weights is not None and not (
-                len(weights) == len(pool)
-                and all(isinstance(w, (int, float)) and 0 <= w < math.inf
-                        for w in weights)
-                and sum(weights) > 0):
-            raise ConfigError("completer.sim.wrong_answer_weights needs one "
-                              "weight >= 0 per wrong answer, not all 0")
-        if self.completer_kind not in ("sim", "remote"):
-            raise ConfigError("completer.kind must be 'sim' or 'remote'")
-        if self.completer_kind == "remote":
-            if "endpoint" not in self.remote:
-                raise ConfigError("completer.remote.endpoint is required")
-            if self.remote.get("timeout", 1) <= 0:  # every request would fail
-                raise ConfigError("completer.remote.timeout must be > 0")
-            RemoteCompleter({}, **self.remote)  # rejects values out of range
-        return self
+        )
 
 
 def _object(doc, where):
@@ -218,9 +178,8 @@ def make_completer(cfg: RunConfig, questions, chains, scope: str = ""):
     if cfg.completer_kind == "sim":
         spec = replace(cfg.sim, seed=stable_int(cfg.seed, scope))
         return SimulatedCompleter(questions_by_id, chains, spec)
-    return RemoteCompleter(questions_by_id,
-                           auth_token=os.environ.get(AUTH_TOKEN_ENV),
-                           **cfg.remote)
+    return RemoteCompleter(questions_by_id, cfg.remote,
+                           auth_token=os.environ.get(AUTH_TOKEN_ENV))
 
 
 def _read(reader, path, what="upstream artifact", error=UpstreamError):
@@ -404,9 +363,7 @@ def cmd_eval(cfg: RunConfig) -> int:
     model = _read(
         load_model, os.path.join(cfg.output, "prm_model.json"))
     completer = make_completer(cfg, questions, chains, scope="eval")
-    reports = accuracy_curve(questions, completer, model, cfg.eval.k_max,
-                             cfg.eval.n_resamples, cfg.seed,
-                             cfg.eval.pool_size)
+    reports = accuracy_curve(questions, completer, model, cfg.eval, cfg.seed)
     majority, weighted = reports["majority"], reports["prm_weighted"]
     if questions and len(majority.config["skipped"]) == len(questions):
         raise CompleterUnavailable(

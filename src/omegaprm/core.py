@@ -13,16 +13,17 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Optional
 
-from .errors import ConfigError, InvalidAction
+from .errors import InvalidAction
 
 
 @contextmanager
 def open_replacing(path, newline=None):
     """A text file to write whose content replaces ``path`` when the block
-    ends without error: it is written as ``<path>.tmp`` and renamed over
-    ``path``, so ``path`` holds either its previous content or the whole
-    new one, whenever the process dies."""
-    tmp = f"{path}.tmp"
+    ends without error: it is written as ``<path>.<pid>.tmp`` and renamed
+    over ``path``, so ``path`` holds either its previous content or the
+    whole new one, whenever the process dies. Each process writes its own
+    temporary file, so two writers of one path never share one."""
+    tmp = f"{path}.{os.getpid()}.tmp"
     with open(tmp, "w", encoding="utf-8", newline=newline) as fh:
         yield fh
     os.replace(tmp, path)
@@ -201,19 +202,18 @@ class EngineConfig:
     search_limit: int = 100
     step_split_target: int = 16
 
-    def validate(self):
+    def __post_init__(self):
         if not (0 < self.alpha <= 1):
-            raise ConfigError("alpha must be in (0, 1]")
+            raise ValueError("alpha must be in (0, 1]")
         if not (0 < self.beta <= 1):
-            raise ConfigError("beta must be in (0, 1]")
+            raise ValueError("beta must be in (0, 1]")
         if self.len_scale_L <= 0:
-            raise ConfigError("len_scale_L must be positive")
+            raise ValueError("len_scale_L must be positive")
         if self.c_puct < 0:
-            raise ConfigError("c_puct must be nonnegative")
+            raise ValueError("c_puct must be nonnegative")
         if self.k_rollouts < 1:
-            raise ConfigError("k_rollouts must be a positive integer")
+            raise ValueError("k_rollouts must be a positive integer")
         if self.search_limit < 1:
-            raise ConfigError("search_limit must be a positive integer")
+            raise ValueError("search_limit must be a positive integer")
         if self.step_split_target < 1:
-            raise ConfigError("step_split_target must be a positive integer")
-        return self
+            raise ValueError("step_split_target must be a positive integer")

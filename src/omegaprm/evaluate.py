@@ -20,6 +20,22 @@ from .prm import ToyPrmModel, score_solution
 
 
 @dataclass
+class EvalSettings:
+    """The ``eval`` section; ``pool_size`` defaults to max(k_max, 64)."""
+
+    k_max: int = 16
+    n_resamples: int = 100
+    pool_size: Optional[int] = None
+
+    def __post_init__(self):
+        if self.pool_size is None:
+            self.pool_size = max(self.k_max, 64)
+        if not 1 <= self.k_max <= self.pool_size or self.n_resamples < 1:
+            raise ValueError("need 1 <= k_max <= pool_size and "
+                             "n_resamples >= 1")
+
+
+@dataclass
 class CandidateSolution:
     final_answer: str
     aggregate_score: Optional[float] = None
@@ -143,28 +159,25 @@ def _k_schedule(k_max: int):
     return ks
 
 
-def accuracy_curve(questions, completer, model, k_max: int,
-                   n_resamples: int = 100, seed: int = 0,
-                   pool_size: Optional[int] = None) -> dict:
+def accuracy_curve(questions, completer, model, settings: EvalSettings,
+                   seed: int = 0) -> dict:
     """Majority and PRM-weighted voting accuracy against the number of
     sampled solutions, as ``{"majority": EvalReport, "prm_weighted":
     EvalReport}``.
 
-    After a ``completer.reset()``, each method samples one fixed pool per
-    question, scored by ``model`` for the weighted one. A question whose
-    pool fails for either method is skipped by both and listed in both
-    reports' ``skipped``. Per k, accuracy is averaged over seeded random
-    subsets of size k, each drawn once and voted by both methods; subsets
-    keep pool order so the vote tie-break is stable, and k = pool size has
-    zero resampling freedom.
+    After a ``completer.reset()``, each method samples one fixed pool of
+    ``settings.pool_size`` solutions per question, scored by ``model`` for
+    the weighted one. A question whose pool fails for either method is
+    skipped by both and listed in both reports' ``skipped``. Per k,
+    accuracy is averaged over seeded random subsets of size k, each drawn
+    once and voted by both methods; subsets keep pool order so the vote
+    tie-break is stable, and k = pool size has zero resampling freedom.
 
     Every subset is voted exactly as ``weighted_vote`` votes it in pool
     order, but on answer ids, an equivalence table and golden-answer
     matches computed once per pool.
     """
-    pool_size = pool_size or k_max
-    if k_max > pool_size:
-        raise ValueError("k_max must not exceed the candidate pool size")
+    k_max, pool_size = settings.k_max, settings.pool_size
     scorers = {"majority": None, "prm_weighted": model}
     # Per method and question index: the pool's answer ids, equivalence
     # table, votes and golden matches. Only the pool being reduced is held.
@@ -194,7 +207,7 @@ def accuracy_curve(questions, completer, model, k_max: int,
     for k in ks:
         for runs in accs.values():
             runs.append([])
-        for _ in range(1 if k == pool_size else n_resamples):
+        for _ in range(1 if k == pool_size else settings.n_resamples):
             hits = {method: [] for method in scorers}
             for i in usable:
                 order = (range(pool_size) if k == pool_size
@@ -217,7 +230,7 @@ def accuracy_curve(questions, completer, model, k_max: int,
             ks=ks,
             accuracy_mean=means,
             accuracy_std=stds,
-            n_resamples=n_resamples,
+            n_resamples=settings.n_resamples,
             # The last subset vote at the largest k.
             per_question=[{"question_id": questions[i].id, "correct": bool(ok)}
                           for i, ok in zip(usable, hits[method])],
@@ -236,8 +249,6 @@ def efficiency_benchmark(questions, completer, cfg: EngineConfig,
     step prefix (one example per annotated step). The search arm builds
     trees and counts the single-step edges they yield.
     """
-    cfg.validate()
-
     # Arm A: brute-force per-step Monte Carlo annotation.
     completer.reset()
     brute_budget = SearchBudget()

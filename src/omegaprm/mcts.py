@@ -182,7 +182,6 @@ class OmegaPRMEngine:
 
     def __init__(self, question: Question, completer: Completer,
                  cfg: EngineConfig, max_policy_calls=None):
-        cfg.validate()
         self.question = question
         self.completer = completer
         self.cfg = cfg

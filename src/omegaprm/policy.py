@@ -22,7 +22,7 @@ from typing import Optional
 from urllib.parse import urlsplit
 
 from .core import Question, State, make_rollout, make_step
-from .errors import CompleterUnavailable, ConfigError
+from .errors import CompleterUnavailable
 
 PROMPT_TEMPLATE = "Question: {statement}\nSolution so far: {prefix}\n"
 
@@ -136,6 +136,17 @@ class SimPolicySpec:
             raise ValueError("per_step_error_prob must be in [0, 1]")
         if not (0 <= self.recovery_prob <= 1):
             raise ValueError("recovery_prob must be in [0, 1]")
+        pool = self.wrong_answer_pool or []
+        weights = self.wrong_answer_weights
+        if not all(isinstance(answer, str) for answer in pool):
+            raise ValueError("wrong_answer_pool must hold strings")
+        if weights is not None and not (
+                len(weights) == len(pool)
+                and all(isinstance(w, (int, float)) and 0 <= w < math.inf
+                        for w in weights)
+                and sum(weights) > 0):
+            raise ValueError("wrong_answer_weights needs one weight >= 0 "
+                             "per wrong answer, not all 0")
 
 
 class SimulatedCompleter(Completer):
@@ -240,14 +251,51 @@ def _dropped(sock) -> bool:
     return bool(poller.poll(0))
 
 
+@dataclass
+class RemoteSettings:
+    """Settings of the remote completer. ``endpoint`` must be an http:// or
+    https:// URL with a host; a ``RemoteCompleter`` needs one."""
+
+    endpoint: Optional[str] = None
+    timeout: float = 30.0
+    max_retries: int = 3
+    batch_size: int = 8
+    temperature: float = 1.0
+    max_tokens: int = 1024
+
+    def __post_init__(self):
+        if self.timeout <= 0:  # every request would fail
+            raise ValueError("timeout must be > 0")
+        if self.max_retries < 1:
+            raise ValueError("max_retries must be a positive integer")
+        if self.batch_size < 1:
+            raise ValueError("batch_size must be a positive integer")
+        if self.temperature < 0:
+            raise ValueError("temperature must be nonnegative")
+        if self.max_tokens < 1:
+            raise ValueError("max_tokens must be a positive integer")
+        if self.endpoint is None:
+            return
+        try:
+            url = urlsplit(self.endpoint)
+            url.port  # raises ValueError for a port that is not a number
+        except ValueError as exc:
+            raise ValueError(f"bad endpoint {self.endpoint!r}: {exc}") from None
+        if url.scheme not in ("http", "https") or not url.hostname:
+            raise ValueError(
+                f"endpoint must be an http:// or https:// URL with a host, "
+                f"got {self.endpoint!r}"
+            )
+
+
 class RemoteCompleter(Completer):
-    """HTTP client for a completion server.
+    """HTTP client for a completion server at ``settings.endpoint``.
 
     Wire protocol: POST {"prompt", "n", "temperature", "max_tokens"},
     response {"completions": [text, ...]}; every payload carries the
-    completer's ``temperature`` and ``max_tokens``. Large requests are
-    split into batches transparently. Malformed completions are kept as
-    incorrect rollouts with an empty final answer.
+    settings' ``temperature`` and ``max_tokens``. Large requests are
+    split into batches of ``batch_size`` transparently. Malformed
+    completions are kept as incorrect rollouts with an empty final answer.
     Connection errors, timeouts, 429 and 5xx replies and unparsable bodies
     are retried with exponential backoff; any other non-2xx status fails at
     once.
@@ -257,40 +305,19 @@ class RemoteCompleter(Completer):
     which is not a retry. Proxy environment variables are not consulted.
     """
 
-    def __init__(self, questions, endpoint, *, auth_token=None, timeout=30.0,
-                 max_retries=3, batch_size=8, retry_backoff=0.5,
-                 temperature=1.0, max_tokens=1024):
-        if temperature < 0:
-            raise ConfigError("temperature must be nonnegative")
-        if max_tokens < 1:
-            raise ConfigError("max_tokens must be a positive integer")
-        if batch_size < 1:
-            raise ConfigError("batch_size must be a positive integer")
-        if max_retries < 1:
-            raise ConfigError("max_retries must be a positive integer")
-        try:
-            url = urlsplit(endpoint)
-            port = url.port
-        except ValueError as exc:
-            raise ConfigError(f"bad endpoint {endpoint!r}: {exc}") from None
-        if url.scheme not in ("http", "https") or not url.hostname:
-            raise ConfigError(
-                f"endpoint must be an http:// or https:// URL with a host, "
-                f"got {endpoint!r}"
-            )
+    def __init__(self, questions, settings: RemoteSettings, *,
+                 auth_token=None, retry_backoff=0.5):
+        url = urlsplit(settings.endpoint)
         connection = HTTPSConnection if url.scheme == "https" else HTTPConnection
-        self._connect = lambda: connection(url.hostname, port, timeout=timeout)
+        self._connect = lambda: connection(url.hostname, url.port,
+                                           timeout=settings.timeout)
         self._path = (url.path or "/") + (f"?{url.query}" if url.query else "")
         self._local = threading.local()
         self._steps = {}
         self.questions = dict(questions)
-        self.endpoint = endpoint
+        self.settings = settings
         self.auth_token = auth_token
-        self.max_retries = max_retries
-        self.batch_size = batch_size
         self.retry_backoff = retry_backoff
-        self.temperature = temperature
-        self.max_tokens = max_tokens
 
     def _headers(self):
         headers = {"Content-Type": "application/json"}
@@ -312,7 +339,7 @@ class RemoteCompleter(Completer):
         body = json.dumps(payload, allow_nan=False).encode()
         headers = self._headers()
         last_error = None
-        for attempt in range(self.max_retries):
+        for attempt in range(self.settings.max_retries):
             conn = self._connection()
             try:
                 conn.request("POST", self._path, body, headers)
@@ -329,7 +356,7 @@ class RemoteCompleter(Completer):
             except (OSError, HTTPException, ValueError) as exc:
                 conn.close()
                 last_error = str(exc)
-            if attempt + 1 < self.max_retries:
+            if attempt + 1 < self.settings.max_retries:
                 time.sleep(self.retry_backoff * (2 ** attempt))
         raise CompleterUnavailable(f"completer unreachable: {last_error}")
 
@@ -353,12 +380,12 @@ class RemoteCompleter(Completer):
         completions = []
         remaining = request.n_samples
         while remaining > 0:
-            n = min(remaining, self.batch_size)
+            n = min(remaining, self.settings.batch_size)
             data = self._post({
                 "prompt": prompt,
                 "n": n,
-                "temperature": self.temperature,
-                "max_tokens": self.max_tokens,
+                "temperature": self.settings.temperature,
+                "max_tokens": self.settings.max_tokens,
             })
             batch = data.get("completions", []) if isinstance(data, dict) else []
             completions.extend(batch[:n])

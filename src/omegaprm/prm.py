@@ -108,6 +108,10 @@ class TrainSettings:
     learning_rate: float = 2.0
     epochs: int = 300
 
+    def __post_init__(self):
+        if self.epochs < 1 or self.learning_rate <= 0:
+            raise ValueError("need epochs >= 1 and learning_rate > 0")
+
 
 @dataclass
 class ToyPrmModel:
@@ -115,16 +119,9 @@ class ToyPrmModel:
     objective: str = "soft"
     settings: TrainSettings = field(default_factory=TrainSettings)
 
-    def predict_features(self, X: np.ndarray) -> np.ndarray:
-        return _sigmoid(X @ self.weights)
-
-    def score(self, prefix_text: str, step_text: str) -> float:
-        """Deterministic step score in (0, 1)."""
-        return self._score_row(featurize(prefix_text, step_text))
-
     def _score_row(self, phi: np.ndarray) -> float:
         # One row at a time: a batched X @ w may round differently.
-        return float(self.predict_features(phi[None, :])[0])
+        return float(_sigmoid(phi[None, :] @ self.weights)[0])
 
 
 def aggregate_solution_score(step_scores, mode: str = "product") -> float:
@@ -144,9 +141,10 @@ def score_solution(model: ToyPrmModel, question_statement: str, step_texts,
                    mode: str = "product", cache=None) -> float:
     """Score each step given the question plus preceding steps, then aggregate.
 
-    Step i is scored exactly as ``model.score(prefix, step_i)`` with
-    ``prefix`` the statement and steps before i joined by spaces. The
-    prefix's token set grows step by step instead of being re-split.
+    Step i is scored exactly as ``model._score_row(featurize(prefix,
+    step_i))``, with ``prefix`` the statement and the steps before i joined
+    by spaces. The prefix's token set grows step by step instead of being
+    re-split.
     ``cache`` is a dict from step text to its step-only features and its
     scores per overlap value; pass one dict to all solutions of a pool so
     each distinct step is featurized once, and drop it with the pool. A
@@ -214,16 +212,6 @@ def train_toy_prm(examples=None, objective: str = "soft", settings=None,
         raise ValueError(f"unknown objective: {objective!r}")
     model = ToyPrmModel(weights=w, objective=objective, settings=settings)
     return model, curve
-
-
-def step_accuracy(model: ToyPrmModel, examples) -> float:
-    """Fraction of examples whose thresholded score matches the hard label."""
-    if not examples:
-        raise EmptyDataset("accuracy requires a nonempty dataset")
-    X = np.stack([featurize(ex.prefix, ex.step) for ex in examples])
-    pred = model.predict_features(X) > 0.5
-    labels = np.array([ex.hard_label for ex in examples], dtype=bool)
-    return float(np.mean(pred == labels))
 
 
 # -- checkpoints -----------------------------------------------------------

@@ -16,7 +16,11 @@ from omegaprm.dataset import (
     tree_to_examples,
     tree_to_pairs,
 )
-from omegaprm.evaluate import accuracy_curve, efficiency_benchmark
+from omegaprm.evaluate import (
+    EvalSettings,
+    accuracy_curve,
+    efficiency_benchmark,
+)
 from omegaprm.mcts import (
     OmegaPRMEngine,
     SearchBudget,
@@ -31,9 +35,9 @@ from omegaprm.policy import SimPolicySpec, SimulatedCompleter
 from omegaprm.prm import (
     pairwise_objective,
     pointwise_objective,
-    step_accuracy,
     train_toy_prm,
 )
+from test_prm import step_accuracy
 
 
 def report(criterion, ok, detail=""):
@@ -319,8 +323,8 @@ def lift_run():
 
     _, _, eval_completers = lift_corpus("eval")
     eval_comp = DispatchCompleter(eval_completers)
-    reports = accuracy_curve(questions, eval_comp, model, k_max=16,
-                             n_resamples=100, seed=0, pool_size=64)
+    reports = accuracy_curve(questions, eval_comp, model, EvalSettings(
+        k_max=16, n_resamples=100, pool_size=64), seed=0)
     return {
         "examples": examples,
         "majority_at_16": reports["majority"].accuracy_mean[-1],
@@ -403,8 +407,8 @@ def _artifact_bundle(seed):
     examples = tree_to_examples(tree)
     pairs = tree_to_pairs(tree)
     model, curve = train_toy_prm(examples, objective="soft")
-    reports = accuracy_curve([q], comp, model, k_max=4, n_resamples=10,
-                             seed=seed, pool_size=8)
+    reports = accuracy_curve([q], comp, model, EvalSettings(
+        k_max=4, n_resamples=10, pool_size=8), seed=seed)
     comp.reset()
     bench = efficiency_benchmark([q], comp, EngineConfig(), budget=500)
     return {

@@ -2,28 +2,37 @@
 resumability, and rerun determinism."""
 import importlib.util
 import json
+import math
 import os
 import pickle
 import re
 import subprocess
 import sys
 import threading
+from dataclasses import fields
 from functools import partial
 from pathlib import Path
 
 import pytest
 
+from omegaprm import cli
 from omegaprm.cli import (
+    _JSON_TYPES,
+    BenchSettings,
     RunConfig,
     _filter_one,
     _generate_one,
     _map_questions,
+    _section,
     _worker_start,
     main,
 )
-from omegaprm.core import Question
+from omegaprm.core import EngineConfig, Question
 from omegaprm.dataset import export_corpus_jsonl, import_corpus_jsonl
 from omegaprm.errors import ConfigError
+from omegaprm.evaluate import EvalSettings
+from omegaprm.policy import RemoteSettings, SimPolicySpec
+from omegaprm.prm import TrainSettings
 
 
 def _load_module(path):
@@ -46,6 +55,9 @@ LOADER_DEFAULTS = {
     "completer.sim.recovery_prob": 0.0,
     "completer.sim.wrong_answer_pool": None,
     "completer.sim.wrong_answer_weights": None,
+    "completer.remote.endpoint": None, "completer.remote.timeout": 30.0,
+    "completer.remote.max_retries": 3, "completer.remote.batch_size": 8,
+    "completer.remote.temperature": 1.0, "completer.remote.max_tokens": 1024,
     "train.learning_rate": 2.0, "train.epochs": 300,
     "eval.k_max": 16, "eval.n_resamples": 100, "bench.budget": 20000,
 }
@@ -124,10 +136,61 @@ class TestRunConfig:
         {"completer": {"sim": {"wrong_answer_weights": [1]}}},
         {"completer": {"kind": "remote", "remote": {
             "endpoint": "http://127.0.0.1:9/complete", "timeout": 0}}},
+        # Remote values are checked whatever the kind, as sim values are.
+        {"completer": {"remote": {"batch_size": 0}}},
+        {"completer": {"remote": {"endpoint": "ftp://127.0.0.1/x"}}},
     ])
     def test_invalid_configs_rejected(self, doc):
         with pytest.raises(ConfigError):
             RunConfig.from_dict(doc)
+
+    @pytest.mark.parametrize("cls,values", [
+        (SimPolicySpec, {"per_step_error_prob": 1.5}),
+        (SimPolicySpec, {"recovery_prob": -0.1}),
+        (SimPolicySpec, {"wrong_answer_pool": [1]}),
+        (SimPolicySpec, {"wrong_answer_weights": [1]}),
+        (SimPolicySpec, {"wrong_answer_pool": ["1"],
+                         "wrong_answer_weights": [0]}),
+        (SimPolicySpec, {"wrong_answer_pool": ["1"],
+                         "wrong_answer_weights": [math.inf]}),
+        (RemoteSettings, {"timeout": 0}),
+        (RemoteSettings, {"temperature": -1.0}),
+        (RemoteSettings, {"max_tokens": 0}),
+        (TrainSettings, {"epochs": 0}),
+        (TrainSettings, {"learning_rate": 0}),
+        (EvalSettings, {"k_max": 0}),
+        (EvalSettings, {"n_resamples": 0}),
+        (BenchSettings, {"budget": 0}),
+        (RunConfig, {"parallelism": 0}),
+        (RunConfig, {"filter_k": 1}),
+        (RunConfig, {"objective": "listwise"}),
+        (RunConfig, {"completer_kind": "oracle"}),
+        (RunConfig, {"completer_kind": "remote"}),
+    ], ids=lambda v: v.__name__ if isinstance(v, type) else "-".join(v))
+    def test_section_rejects_out_of_range_value_when_built(self, cls, values):
+        # Also checked at construction: the engine's ranges (test_core.py),
+        # the remote endpoint, batch size and retries (test_policy.py), and
+        # k_max above pool_size (test_eval.py).
+        with pytest.raises(ValueError):
+            cls(**values)
+
+    def test_every_section_field_has_a_json_type(self, monkeypatch):
+        # _checked looks each annotation up in _JSON_TYPES; a missing one
+        # would end a config that sets the key in a KeyError traceback.
+        built = []
+
+        def section(cls, doc, where, **given):
+            built.append(cls)
+            for f in fields(cls):
+                if f.name not in given:
+                    assert f.type in _JSON_TYPES, f"{where}.{f.name}"
+            return _section(cls, doc, where, **given)
+
+        monkeypatch.setattr(cli, "_section", section)
+        RunConfig.from_dict({})
+        assert set(built) == {RunConfig, EngineConfig, SimPolicySpec,
+                              RemoteSettings, TrainSettings, EvalSettings,
+                              BenchSettings}
 
     def test_from_file(self, tmp_path):
         path = tmp_path / "cfg.json"
@@ -162,7 +225,7 @@ class TestRunConfig:
             "train.objective": cfg.objective,
             **_dotted(vars(cfg.engine), "engine"),
             **_dotted(vars(cfg.sim), "completer.sim"),
-            **_dotted(cfg.remote, "completer.remote"),
+            **_dotted(vars(cfg.remote), "completer.remote"),
             **_dotted(vars(cfg.train), "train"),
             **_dotted(vars(cfg.eval), "eval"),
             **_dotted(vars(cfg.bench), "bench"),
@@ -673,7 +736,8 @@ class TestPipeline:
         ("remote", 2, False),
     ])
     def test_map_questions_keeps_order(self, kind, parallelism, in_workers):
-        cfg = RunConfig(completer_kind=kind, parallelism=parallelism)
+        cfg = RunConfig(completer_kind=kind, parallelism=parallelism,
+                        remote=RemoteSettings("http://127.0.0.1:9/complete"))
         questions = [Question(f"q{i}", "s", "1") for i in range(5)]
         results = _map_questions(cfg, _question_and_pid, questions)
         assert [qid for qid, _ in results] == [q.id for q in questions]

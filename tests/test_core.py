@@ -1,3 +1,6 @@
+import os
+import subprocess
+import sys
 from fractions import Fraction
 
 import pytest
@@ -10,9 +13,10 @@ from omegaprm.core import (
     State,
     make_rollout,
     make_step,
+    open_replacing,
     state_transition,
 )
-from omegaprm.errors import ConfigError, InvalidAction
+from omegaprm.errors import InvalidAction
 
 
 def steps(*texts):
@@ -132,9 +136,48 @@ class TestNodeStats:
                 assert stats.mc is None and not stats.has_mc()
 
 
+# Holds open_replacing(path) open until a line arrives on stdin.
+_HOLDING_WRITER = """
+import sys
+from omegaprm.core import open_replacing
+with open_replacing(sys.argv[1]) as fh:
+    fh.write("child")
+    print("open", flush=True)
+    sys.stdin.readline()
+"""
+
+
+class TestOpenReplacing:
+    def test_writers_in_two_processes_do_not_collide(self, tmp_path):
+        # One process writes and replaces the path while another holds it
+        # open, as an orphaned worker and a rerun can. Each must publish its
+        # own whole file.
+        path = tmp_path / "artifact.json"
+        src = os.path.join(os.path.dirname(os.path.dirname(
+            os.path.abspath(__file__))), "src")
+        child = subprocess.Popen(
+            [sys.executable, "-c", _HOLDING_WRITER, str(path)],
+            stdin=subprocess.PIPE, stdout=subprocess.PIPE, text=True,
+            env=dict(os.environ, PYTHONPATH=src))
+        try:
+            assert child.stdout.readline() == "open\n"
+            with open_replacing(path) as fh:
+                fh.write("parent")
+            assert path.read_text() == "parent"
+            child.stdin.write("go\n")
+            child.stdin.close()
+            assert child.wait(timeout=30) == 0
+        finally:
+            child.kill()
+            child.wait()
+            child.stdout.close()
+        assert path.read_text() == "child"
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["artifact.json"]
+
+
 class TestEngineConfig:
     def test_defaults_match_reference_settings(self):
-        cfg = EngineConfig().validate()
+        cfg = EngineConfig()
         assert cfg.alpha == 0.5
         assert cfg.beta == 0.9
         assert cfg.len_scale_L == 500
@@ -149,6 +192,5 @@ class TestEngineConfig:
         ("step_split_target", 0),
     ])
     def test_bounds_enforced(self, field, value):
-        cfg = EngineConfig(**{field: value})
-        with pytest.raises(ConfigError):
-            cfg.validate()
+        with pytest.raises(ValueError):
+            EngineConfig(**{field: value})

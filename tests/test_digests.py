@@ -1,5 +1,6 @@
-"""Pinned artifact digests: the tiny simulated benchmark workloads must give
-byte-identical artifacts at every parallelism.
+"""Pinned artifact digests: the tiny benchmark workloads must give
+byte-identical artifacts at every parallelism, and the tiny remote one
+through the benchmark's stub server.
 
 The workloads and their pinned SHA-256 digests come from ``perfbench/``
 (``workloads.py`` and ``digests.json``, seed 0); each artifact is hashed as
@@ -9,7 +10,11 @@ import hashlib
 import importlib.util
 import json
 import os
+import selectors
 import shutil
+import signal
+import subprocess
+import sys
 
 import pytest
 
@@ -57,6 +62,54 @@ def test_tiny_workload_matches_pinned_digests(tmp_path, workload, parallelism):
     for stage in STAGES:
         assert main([stage, "--config", config]) == 0, stage
     pinned = PINNED[workload]["tiny"]["0"]
+    got = {name: digest(os.path.join(tmp_path, "out", name))
+           for name in pinned}
+    assert got == pinned
+
+
+def _start_stub(directory, seed):
+    """The stub server of the tiny remote workload, once it prints
+    ``READY <port>``, and its endpoint."""
+    spec = workloads.WORKLOADS["remote"]
+    proc = subprocess.Popen(
+        [sys.executable, os.path.join(PERFBENCH, "stub.py"),
+         "--corpus", os.path.join(directory, "stub_corpus.jsonl"),
+         "--seed", str(seed),
+         "--per-step-error-prob", str(spec["sim"]["per_step_error_prob"]),
+         "--refusal-window", str(spec["tiny"]["refusal_window"])],
+        stdout=subprocess.PIPE, stderr=subprocess.DEVNULL, text=True)
+    with selectors.DefaultSelector() as sel:
+        sel.register(proc.stdout, selectors.EVENT_READ)
+        line = proc.stdout.readline() if sel.select(timeout=30) else ""
+    if not line.startswith("READY "):
+        _stop(proc)
+        pytest.fail(f"stub server did not start: {line!r}")
+    return proc, f"http://127.0.0.1:{int(line.split()[1])}/complete"
+
+
+def _stop(proc):
+    """SIGTERM, then SIGKILL if the process has not exited within 10 s."""
+    if proc.poll() is None:
+        proc.send_signal(signal.SIGTERM)
+        try:
+            proc.wait(timeout=10)
+        except subprocess.TimeoutExpired:
+            proc.kill()
+            proc.wait()
+    proc.stdout.close()
+
+
+def test_tiny_remote_workload_matches_pinned_digests(tmp_path):
+    workloads.write_corpus("remote", "tiny", 0, str(tmp_path))
+    proc, endpoint = _start_stub(str(tmp_path), 0)
+    try:
+        config = workloads.write_config("remote", 0, str(tmp_path),
+                                        endpoint=endpoint, parallelism=2)
+        for stage in STAGES:
+            assert main([stage, "--config", config]) == 0, stage
+    finally:
+        _stop(proc)
+    pinned = PINNED["remote"]["tiny"]["0"]
     got = {name: digest(os.path.join(tmp_path, "out", name))
            for name in pinned}
     assert got == pinned

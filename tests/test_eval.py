@@ -8,6 +8,7 @@ from omegaprm.core import EngineConfig, Question, make_rollout, make_step
 from omegaprm.errors import CompleterUnavailable
 from omegaprm.evaluate import (
     CandidateSolution,
+    EvalSettings,
     _answer_table,
     _k_schedule,
     _vote,
@@ -177,8 +178,7 @@ class TestPooledVote:
         questions = [Question(f"q{i}", f"question {i}", golden)
                      for i, golden in enumerate(["1", "1000", "1.0000000015", "a"])]
         reports = accuracy_curve(questions, _TrickyCompleter(3, replays),
-                                 model, k_max=12, n_resamples=30, seed=4,
-                                 pool_size=12)
+                                 model, EvalSettings(12, 30, 12), seed=4)
         completer = _TrickyCompleter(3, replays)
         for method, scorer in (("majority", None), ("prm_weighted", model)):
             completer.reset()
@@ -271,8 +271,8 @@ class _FailingCompleter(Completer):
 class TestAccuracyCurve:
     def test_noiseless_policy_is_always_right(self, model):
         questions, comp = sim_world(error_prob=0.0)
-        reports = accuracy_curve(questions, comp, model, k_max=8,
-                                 n_resamples=5)
+        reports = accuracy_curve(questions, comp, model,
+                                 EvalSettings(8, n_resamples=5, pool_size=8))
         assert list(reports) == ["majority", "prm_weighted"]
         for method, report in reports.items():
             assert report.method == method
@@ -282,28 +282,26 @@ class TestAccuracyCurve:
 
     def test_zero_variance_at_full_pool(self, model):
         questions, comp = sim_world(error_prob=0.4, seed=5)
-        reports = accuracy_curve(questions, comp, model, k_max=8,
-                                 n_resamples=20)
+        reports = accuracy_curve(questions, comp, model,
+                                 EvalSettings(8, n_resamples=20, pool_size=8))
         assert all(r.accuracy_std[-1] == 0.0 for r in reports.values())
 
     def test_k_schedule_includes_non_power_max(self, model):
         questions, comp = sim_world()
-        reports = accuracy_curve(questions, comp, model, k_max=6,
-                                 pool_size=6)
+        reports = accuracy_curve(questions, comp, model,
+                                 EvalSettings(6, pool_size=6))
         assert all(r.ks == [1, 2, 4, 6] for r in reports.values())
 
     def test_k_max_cannot_exceed_pool(self, model):
-        questions, comp = sim_world()
         with pytest.raises(ValueError):
-            accuracy_curve(questions, comp, model, k_max=8, pool_size=4)
+            EvalSettings(8, pool_size=4)
 
     def test_deterministic_given_seeds(self, model):
         # accuracy_curve resets the completer itself.
         questions, comp = sim_world(error_prob=0.4, seed=5)
-        r1 = accuracy_curve(questions, comp, model, k_max=8, seed=3,
-                            n_resamples=10)
-        r2 = accuracy_curve(questions, comp, model, k_max=8, seed=3,
-                            n_resamples=10)
+        settings = EvalSettings(8, n_resamples=10, pool_size=8)
+        r1 = accuracy_curve(questions, comp, model, settings, seed=3)
+        r2 = accuracy_curve(questions, comp, model, settings, seed=3)
         assert {m: r.to_dict() for m, r in r1.items()} == \
             {m: r.to_dict() for m, r in r2.items()}
 
@@ -312,12 +310,12 @@ class TestAccuracyCurve:
         # The subset draws depend on the number of usable questions only,
         # so both curves equal those of the corpus without the question.
         questions, comp = sim_world(error_prob=0.4, seed=5)
+        settings = EvalSettings(8, n_resamples=10, pool_size=8)
         reports = accuracy_curve(questions, _FailingCompleter(comp, "q1",
                                                               resets),
-                                 model, k_max=8, seed=3, n_resamples=10)
+                                 model, settings, seed=3)
         rest = [q for q in questions if q.id != "q1"]
-        expected = accuracy_curve(rest, comp, model, k_max=8, seed=3,
-                                  n_resamples=10)
+        expected = accuracy_curve(rest, comp, model, settings, seed=3)
         for method, report in reports.items():
             assert report.config["skipped"] == ["q1"]
             assert [r["question_id"] for r in report.per_question] == \
@@ -327,7 +325,8 @@ class TestAccuracyCurve:
 
     def test_csv_export(self, tmp_path, model):
         questions, comp = sim_world()
-        report = accuracy_curve(questions, comp, model, k_max=4)["majority"]
+        report = accuracy_curve(questions, comp, model,
+                                EvalSettings(4, pool_size=4))["majority"]
         path = tmp_path / "curve.csv"
         report.write_csv(path)
         lines = path.read_text().splitlines()

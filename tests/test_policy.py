@@ -8,10 +8,11 @@ from hypothesis import example, given, settings, strategies as st
 
 from omegaprm import policy
 from omegaprm.core import Question, State, make_rollout, make_step
-from omegaprm.errors import CompleterUnavailable, ConfigError
+from omegaprm.errors import CompleterUnavailable
 from omegaprm.policy import (
     CompleterRequest,
     RemoteCompleter,
+    RemoteSettings,
     SimPolicySpec,
     SimulatedCompleter,
     answers_equivalent,
@@ -259,9 +260,10 @@ class TestSimulatorMatchesReference:
 class TestRemoteCompleter:
     QUESTION = Question("q1", "What is 2+2?", "4")
 
-    def make(self, endpoint, **kwargs):
-        kwargs.setdefault("retry_backoff", 0.0)
-        return RemoteCompleter({"q1": self.QUESTION}, endpoint, **kwargs)
+    def make(self, endpoint, auth_token=None, **settings):
+        return RemoteCompleter({"q1": self.QUESTION},
+                               RemoteSettings(endpoint, **settings),
+                               auth_token=auth_token, retry_backoff=0.0)
 
     def test_basic_request(self, fake_server):
         comp = self.make(fake_server.url)
@@ -352,14 +354,14 @@ class TestRemoteCompleter:
         "127.0.0.1",
     ])
     def test_malformed_endpoint_is_config_error(self, endpoint):
-        with pytest.raises(ConfigError):
+        with pytest.raises(ValueError):
             self.make(endpoint)
 
     @pytest.mark.parametrize("key", ["batch_size", "max_retries"])
     def test_nonpositive_batch_size_or_retries_is_config_error(self, key):
         # batch_size 0 would post n=0 forever; max_retries 0 would fail
         # every request without one attempt.
-        with pytest.raises(ConfigError, match=key):
+        with pytest.raises(ValueError, match=key):
             self.make("http://127.0.0.1:9/complete", **{key: 0})
 
 
@@ -371,9 +373,10 @@ class TestRemoteTransport:
         "q2": Question("q2", "What is 3+3?", "6"),
     }
 
-    def make(self, endpoint, **kwargs):
-        kwargs.setdefault("retry_backoff", 0.0)
-        return RemoteCompleter(self.QUESTIONS, endpoint, **kwargs)
+    def make(self, endpoint, **settings):
+        return RemoteCompleter(self.QUESTIONS,
+                               RemoteSettings(endpoint, **settings),
+                               retry_backoff=0.0)
 
     @staticmethod
     def answer_prompt(body):

@@ -9,13 +9,13 @@ from omegaprm.dataset import PreferencePair, TrainingExample
 from omegaprm.errors import EmptyDataset, EmptySolution, ParseError
 from omegaprm.prm import (
     N_FEATURES,
+    _sigmoid,
     aggregate_solution_score,
     featurize,
     load_model,
     save_model,
     score_solution,
     ToyPrmModel,
-    step_accuracy,
     train_toy_prm,
 )
 
@@ -25,6 +25,20 @@ def example(step, mc, prefix="", qid="q1"):
         question_id=qid, question="stmt", prefix=prefix,
         step=step, mc=mc, hard_label=int(mc > 0),
     )
+
+
+def score(model, prefix, step):
+    """The score of one (prefix, step) pair: the reference that
+    ``score_solution`` reproduces step by step."""
+    return model._score_row(featurize(prefix, step))
+
+
+def step_accuracy(model, examples):
+    """Fraction of examples whose thresholded score matches the hard label."""
+    X = np.stack([featurize(ex.prefix, ex.step) for ex in examples])
+    pred = _sigmoid(X @ model.weights) > 0.5
+    labels = np.array([ex.hard_label for ex in examples], dtype=bool)
+    return float(np.mean(pred == labels))
 
 
 def separable_examples(n=80, seed=0):
@@ -87,11 +101,11 @@ class TestTraining:
         soft_model, _ = train_toy_prm(soft, objective="soft")
         positives = [ex for ex in base if ex.hard_label]
         hard_mean = np.mean([
-            hard_model.score(ex.prefix, ex.step)
+            score(hard_model, ex.prefix, ex.step)
             for ex in positives
         ])
         soft_mean = np.mean([
-            soft_model.score(ex.prefix, ex.step)
+            score(soft_model, ex.prefix, ex.step)
             for ex in positives
         ])
         assert soft_mean < hard_mean
@@ -109,8 +123,8 @@ class TestTraining:
         model, curve = train_toy_prm(objective="pairwise", pairs=pairs)
         assert curve[-1] < curve[0]
         better = sum(
-            model.score(p.prefix, p.step_a)
-            > model.score(p.prefix, p.step_b)
+            score(model, p.prefix, p.step_a)
+            > score(model, p.prefix, p.step_b)
             for p in pairs
         )
         assert better / len(pairs) >= 0.95
@@ -154,12 +168,12 @@ def model():
 class TestScoring:
 
     def test_scores_in_open_interval(self, model):
-        s = model.score("prefix", "any step at all")
+        s = score(model, "prefix", "any step at all")
         assert 0.0 < s < 1.0
 
     def test_deterministic(self, model):
         args = ("prefix text", "a candidate step")
-        assert model.score(*args) == model.score(*args)
+        assert score(model, *args) == score(model, *args)
 
     def test_aggregation_product(self):
         assert aggregate_solution_score([0.5, 0.5, 0.8]) == pytest.approx(0.2)
@@ -175,8 +189,8 @@ class TestScoring:
         steps = ["add 1 to both sides", "err999 err998 err997"]
         total = score_solution(model, "stmt", steps)
         worst = min(
-            model.score("stmt", steps[0]),
-            model.score("stmt " + steps[0], steps[1]),
+            score(model, "stmt", steps[0]),
+            score(model, "stmt " + steps[0], steps[1]),
         )
         assert total <= worst
 
@@ -201,7 +215,7 @@ class TestScoring:
         prefix = statement
         scores = []
         for step in steps:
-            scores.append(model.score(prefix, step))
+            scores.append(score(model, prefix, step))
             prefix = f"{prefix} {step}"
         return scores
 
@@ -239,7 +253,7 @@ class TestCheckpoints:
         loaded = load_model(path)
         assert np.array_equal(loaded.weights, model.weights)
         assert loaded.objective == "soft"
-        assert loaded.score("p", "s") == model.score("p", "s")
+        assert score(loaded, "p", "s") == score(model, "p", "s")
 
     def test_version_mismatch_rejected(self, tmp_path):
         import json
