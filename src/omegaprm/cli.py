@@ -32,7 +32,6 @@ from .dataset import (
 from .errors import (
     CompleterUnavailable,
     ConfigError,
-    EmptyDataset,
     ParseError,
     UpstreamError,
 )
@@ -173,9 +172,13 @@ def _section(cls, doc, where, **given):
 def make_completer(cfg: RunConfig, questions, chains, scope: str = ""):
     """Build the configured completer. For the simulated policy the seed is
     derived from (run seed, scope) so each pipeline stage gets an
-    independent, reproducible stream."""
+    independent, reproducible stream, and every question needs a chain."""
     questions_by_id = {q.id: q for q in questions}
     if cfg.completer_kind == "sim":
+        chainless = next((q.id for q in questions if q.id not in chains), None)
+        if chainless is not None:
+            raise ConfigError(f"question {chainless!r} has no chain, which "
+                              f"the simulated completer needs")
         spec = replace(cfg.sim, seed=stable_int(cfg.seed, scope))
         return SimulatedCompleter(questions_by_id, chains, spec)
     return RemoteCompleter(questions_by_id, cfg.remote,
@@ -339,17 +342,15 @@ def cmd_export(cfg: RunConfig) -> int:
 def cmd_train(cfg: RunConfig) -> int:
     # Each objective reads only the file it trains on.
     if cfg.objective == "pairwise":
-        path = os.path.join(cfg.output, "pairs.jsonl")
-        data = {"pairs": _read(import_pairs_jsonl, path)}
+        key, reader = "pairs", import_pairs_jsonl
     else:
-        path = os.path.join(cfg.output, "examples.jsonl")
-        data = {"examples": _read(import_examples_jsonl, path)}
-    try:
-        model, curve = train_toy_prm(
-            objective=cfg.objective, settings=cfg.train, **data)
-    except EmptyDataset as exc:
-        raise UpstreamError(f"empty upstream artifact: {path}: {exc}") \
-            from None
+        key, reader = "examples", import_examples_jsonl
+    path = os.path.join(cfg.output, f"{key}.jsonl")
+    records = _read(reader, path)
+    if not records:
+        raise UpstreamError(f"empty upstream artifact: {path}")
+    model, curve = train_toy_prm(
+        objective=cfg.objective, settings=cfg.train, **{key: records})
     save_model(model, os.path.join(cfg.output, "prm_model.json"))
     write_json({"objective": cfg.objective, "loss_curve": curve},
                os.path.join(cfg.output, "train_curve.json"))

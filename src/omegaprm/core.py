@@ -13,8 +13,6 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Optional
 
-from .errors import InvalidAction
-
 
 @contextmanager
 def open_replacing(path, newline=None):
@@ -36,6 +34,9 @@ class Question:
     golden_answer: str
 
     def __post_init__(self):
+        for name in ("id", "statement", "golden_answer"):
+            if not isinstance(getattr(self, name), str):
+                raise ValueError(f"{name} must be a string")
         if not self.id:
             raise ValueError("question id must be nonempty")
         if not self.golden_answer:
@@ -114,7 +115,7 @@ def state_transition(state: State, action_steps) -> State:
     """Concatenate an action (one or more steps) onto a state's prefix."""
     action_steps = tuple(action_steps)
     if not action_steps:
-        raise InvalidAction("state transition requires a nonempty action")
+        raise ValueError("state transition requires a nonempty action")
     child = State(
         question_id=state.question_id,
         prefix_steps=state.prefix_steps + action_steps,

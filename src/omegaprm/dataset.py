@@ -11,7 +11,7 @@ import json
 from dataclasses import dataclass, fields
 
 from .core import Question, State, open_replacing
-from .errors import CompleterUnavailable, InvalidProbability, ParseError
+from .errors import CompleterUnavailable, ParseError
 from .mcts import Tree, monte_carlo_estimate
 
 
@@ -99,7 +99,7 @@ def tree_to_examples(tree: Tree):
 def normalize_pair(p: float, q: float):
     """Bernoulli preference normalization: ((1+p-q)/2, (1+q-p)/2)."""
     if not (0 <= p <= 1) or not (0 <= q <= 1):
-        raise InvalidProbability("pair probabilities must lie in [0, 1]")
+        raise ValueError("pair probabilities must lie in [0, 1]")
     pref_x = (1.0 + p - q) / 2.0
     return pref_x, 1.0 - pref_x
 
@@ -154,15 +154,12 @@ def _read_jsonl(path, required_fields):
                 try:
                     rec = json.loads(line)
                 except json.JSONDecodeError as exc:
-                    raise ParseError(f"line {lineno}: {exc}", line=lineno) from exc
+                    raise ParseError(f"line {lineno}: {exc}") from exc
                 if not isinstance(rec, dict):
-                    raise ParseError(f"line {lineno}: not a JSON object",
-                                     line=lineno)
+                    raise ParseError(f"line {lineno}: not a JSON object")
                 missing = [f for f in required_fields if f not in rec]
                 if missing:
-                    raise ParseError(
-                        f"line {lineno}: missing fields {missing}", line=lineno
-                    )
+                    raise ParseError(f"line {lineno}: missing fields {missing}")
                 records.append(rec)
     except UnicodeDecodeError as exc:
         # Decoding runs ahead of the lines, so no line number is known.
@@ -212,7 +209,8 @@ def export_corpus_jsonl(questions, path, chains=None):
 
 def import_corpus_jsonl(path):
     """Read questions (and, when present, simulator ground chains). Each
-    question id must be unique."""
+    question id must be unique, and a chain is a list of step strings of at
+    least one token each."""
     questions = []
     chains = {}
     ids = set()
@@ -224,11 +222,15 @@ def import_corpus_jsonl(path):
                 statement=rec["statement"],
                 golden_answer=rec["golden_answer"],
             ))
-            if rec["id"] in ids:  # TypeError: an id that cannot be a key
+            if rec["id"] in ids:
                 raise ValueError(f"duplicate id {rec['id']!r}")
-        except (ValueError, TypeError) as exc:
+            chain = rec.get("chain", [])
+            if not isinstance(chain, list) or not all(
+                    isinstance(step, str) and step.split() for step in chain):
+                raise ValueError("chain must be a list of nonempty step strings")
+        except ValueError as exc:
             raise ParseError(f"record {n}: {exc}") from exc
         ids.add(rec["id"])
         if "chain" in rec:
-            chains[rec["id"]] = list(rec["chain"])
+            chains[rec["id"]] = rec["chain"]
     return questions, chains

@@ -24,11 +24,7 @@ from .core import (
     open_replacing,
     state_transition,
 )
-from .errors import (
-    InvalidSearchTarget,
-    ParseError,
-    PoolExhausted,
-)
+from .errors import ParseError
 from .policy import Completer, CompleterRequest
 
 
@@ -64,7 +60,9 @@ class RolloutPool:
     """Wrong-answer rollouts attached to states with 0 < MC < 1.
 
     Duplicate (state, rollout text) pairs are rejected so repeated sampling
-    of an identical completion cannot trigger redundant searches.
+    of an identical completion cannot trigger redundant searches, and so
+    is a rollout without steps (a short or empty remote completion), which
+    has nothing to bisect.
     """
 
     def __init__(self):
@@ -75,7 +73,7 @@ class RolloutPool:
         return len(self.entries)
 
     def add(self, node: TreeNode, rollout: Rollout) -> bool:
-        if rollout.is_correct:
+        if rollout.is_correct or not rollout.steps:
             return False
         mc = node.mc
         if mc is None or not (0 < mc < 1):
@@ -100,11 +98,9 @@ class RolloutPool:
 
     def select(self, cfg: EngineConfig) -> PoolEntry:
         """Pop the entry maximizing Q(s, r) + U(s); the earliest added entry
-        wins ties."""
-        if not self.entries:
-            raise PoolExhausted("no rollout candidates available")
+        wins ties. An empty pool raises IndexError, as ``list.pop`` does."""
         total = self.total_visits()
-        best_idx = None
+        best_idx = 0
         best_score = -math.inf
         for idx, entry in enumerate(self.entries):
             q = rollout_value(entry.node.mc, entry.rollout.token_len, cfg)
@@ -166,8 +162,6 @@ def monte_carlo_estimate(completer: Completer, state: State, k: int,
     MC is the exact fraction of rollouts whose final answer matched the
     golden answer.
     """
-    if k < 1:
-        raise ValueError("k must be >= 1")
     rollouts = completer.sample_rollouts(
         CompleterRequest(state=state, n_samples=k)
     )
@@ -245,11 +239,11 @@ class OmegaPRMEngine:
         the tree, since their statistics are valid.
         """
         if rollout.is_correct:
-            raise InvalidSearchTarget("rollout has a correct final answer")
+            raise ValueError("rollout has a correct final answer")
         if node.mc is None or node.mc <= 0:
-            raise InvalidSearchTarget("search target state must have MC > 0")
+            raise ValueError("search target state must have MC > 0")
         if not rollout.steps:
-            raise InvalidSearchTarget("rollout has no steps to search")
+            raise ValueError("rollout has no steps to search")
 
         steps = rollout.steps
         cum = [0]
@@ -313,10 +307,9 @@ class OmegaPRMEngine:
         ``CompleterUnavailable`` propagates and does not count against the
         search limit; its probed statistics are kept.
         """
-        try:
-            entry = self.pool.select(self.cfg)
-        except PoolExhausted:
+        if not self.pool:
             return False
+        entry = self.pool.select(self.cfg)
         result = self.locate_first_error(entry.node, entry.rollout)
         entry.node.stats.visit_count += 1
         self.budget.searches_done += 1

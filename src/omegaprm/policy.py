@@ -307,6 +307,8 @@ class RemoteCompleter(Completer):
 
     def __init__(self, questions, settings: RemoteSettings, *,
                  auth_token=None, retry_backoff=0.5):
+        if settings.endpoint is None:
+            raise ValueError("a remote completer needs an endpoint")
         url = urlsplit(settings.endpoint)
         connection = HTTPSConnection if url.scheme == "https" else HTTPConnection
         self._connect = lambda: connection(url.hostname, url.port,

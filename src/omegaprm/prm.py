@@ -16,7 +16,7 @@ from dataclasses import dataclass, field, asdict
 import numpy as np
 
 from .dataset import write_json
-from .errors import EmptyDataset, EmptySolution, ParseError
+from .errors import ParseError
 
 SCORE_EPS = 1e-7
 FEATURE_VERSION = 1
@@ -128,7 +128,7 @@ def aggregate_solution_score(step_scores, mode: str = "product") -> float:
     """Solution score: product of step scores (or the minimum)."""
     scores = list(step_scores)
     if not scores:
-        raise EmptySolution("cannot aggregate an empty list of step scores")
+        raise ValueError("cannot aggregate an empty list of step scores")
     if mode == "min":
         return min(scores)
     out = 1.0
@@ -196,14 +196,14 @@ def train_toy_prm(examples=None, objective: str = "soft", settings=None,
     settings = settings or TrainSettings()
     if objective in ("soft", "hard"):
         if not examples:
-            raise EmptyDataset("pointwise training requires examples")
+            raise ValueError("pointwise training requires examples")
         X = np.stack([featurize(ex.prefix, ex.step) for ex in examples])
         label = "mc" if objective == "soft" else "hard_label"
         targets = np.array([getattr(ex, label) for ex in examples], dtype=float)
         w, curve = _descend(pointwise_objective, (X,), targets, settings)
     elif objective == "pairwise":
         if not pairs:
-            raise EmptyDataset("pairwise training requires preference pairs")
+            raise ValueError("pairwise training requires preference pairs")
         Xa = np.stack([featurize(p.prefix, p.step_a) for p in pairs])
         Xb = np.stack([featurize(p.prefix, p.step_b) for p in pairs])
         prefs = np.array([p.pref_a for p in pairs], dtype=float)

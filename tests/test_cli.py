@@ -15,7 +15,7 @@ from pathlib import Path
 
 import pytest
 
-from omegaprm import cli
+from omegaprm import cli, errors
 from omegaprm.cli import (
     _JSON_TYPES,
     BenchSettings,
@@ -29,7 +29,7 @@ from omegaprm.cli import (
 )
 from omegaprm.core import EngineConfig, Question
 from omegaprm.dataset import export_corpus_jsonl, import_corpus_jsonl
-from omegaprm.errors import ConfigError
+from omegaprm.errors import CompleterUnavailable, ConfigError, UpstreamError
 from omegaprm.evaluate import EvalSettings
 from omegaprm.policy import RemoteSettings, SimPolicySpec
 from omegaprm.prm import TrainSettings
@@ -433,6 +433,19 @@ class TestExitCodes:
         "empty_answer": lambda data: data + (
             b'{"id": "q9", "statement": "s", "golden_answer": ""}\n'),
         "duplicate_id": lambda data: data + data.splitlines(True)[0],
+        "int_answer": lambda data: data + (
+            b'{"id": "q9", "statement": "s", "golden_answer": 4}\n'),
+        "int_statement": lambda data: data + (
+            b'{"id": "q9", "statement": 7, "golden_answer": "4"}\n'),
+        "chain_not_list": lambda data: data + (
+            b'{"id": "q9", "statement": "s", "golden_answer": "4", '
+            b'"chain": "a b"}\n'),
+        "step_not_string": lambda data: data + (
+            b'{"id": "q9", "statement": "s", "golden_answer": "4", '
+            b'"chain": [1, 2]}\n'),
+        "blank_step": lambda data: data + (
+            b'{"id": "q9", "statement": "s", "golden_answer": "4", '
+            b'"chain": ["a", " "]}\n'),
     }
 
     @pytest.mark.parametrize("cmd", ["filter", "bench"])
@@ -445,6 +458,45 @@ class TestExitCodes:
         assert run(cmd, config) == 2
         err = capsys.readouterr().err
         assert err.count("\n") == 1 and "malformed corpus" in err
+
+    @pytest.mark.parametrize("cmd", ["filter", "bench"])
+    def test_chainless_corpus_under_sim_is_2(self, tmp_path, capsys, cmd):
+        corpus = tmp_path / "corpus.jsonl"
+        write_corpus(corpus, n_questions=2)
+        corpus.write_text(corpus.read_text() + json.dumps(
+            {"id": "q9", "statement": "s", "golden_answer": "4"}) + "\n")
+        config, doc = write_config(tmp_path)
+        doc["parallelism"] = 2
+        config.write_text(json.dumps(doc))
+        assert run(cmd, config) == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "Traceback" not in err
+        assert "'q9' has no chain" in err
+        assert not (tmp_path / "out" / "kept.jsonl").exists()
+
+    def test_short_remote_reply_generate_is_0(self, tmp_path, capsys,
+                                              fake_server_11):
+        # Every reply holds n - 1 completions, so each request yields one
+        # wrong rollout without steps, the one a search would pick first.
+        def respond(body):
+            golden = 100 + int(body["prompt"].split("number ")[1].split()[0])
+            return ([f"step one the answer is {golden}"] * (body["n"] - 2)
+                    + ["step one step two the answer is 7"])
+
+        fake_server_11.respond = respond
+        write_corpus(tmp_path / "corpus.jsonl", n_questions=1)
+        config, doc = write_config(tmp_path)
+        doc["completer"] = {"kind": "remote",
+                            "remote": {"endpoint": fake_server_11.url}}
+        config.write_text(json.dumps(doc))
+        assert run("filter", config) == 0
+        capsys.readouterr()
+        assert run("generate", config) == 0
+        captured = capsys.readouterr()
+        assert captured.err == "" and captured.out.startswith("built 1,")
+        summary = json.loads(
+            (tmp_path / "out" / "generate_summary.json").read_text())
+        assert summary["total_searches"] > 0
 
     @pytest.mark.parametrize("cmd,artifact,objective", [
         ("generate", "kept.jsonl", "soft"),
@@ -533,6 +585,33 @@ class TestExitCodes:
         assert run("eval", config) == 3
         err = capsys.readouterr().err
         assert err.count("\n") == 1 and "prm_model.json" in err
+
+
+class TestErrorModel:
+    """The package raises its own types only for failures a command turns
+    into an exit code; a bad argument is a ValueError."""
+
+    EXIT_CODES = {CompleterUnavailable: 1, ConfigError: 2, UpstreamError: 3}
+
+    def test_errors_module_defines_only_mapped_types(self):
+        defined = {name for name, obj in vars(errors).items()
+                   if isinstance(obj, type) and issubclass(obj, Exception)
+                   and obj.__module__ == errors.__name__}
+        # ParseError reaches main only as a ConfigError or an UpstreamError.
+        assert defined == {"OmegaPRMError", "ParseError",
+                           *(cls.__name__ for cls in self.EXIT_CODES)}
+
+    @pytest.mark.parametrize("exc_type", list(EXIT_CODES))
+    def test_main_returns_each_exit_code(self, monkeypatch, capsys,
+                                         exc_type):
+        def command(cfg):
+            raise exc_type("boom")
+
+        monkeypatch.setitem(cli.COMMANDS, "export", command)
+        assert main(["export"]) == self.EXIT_CODES[exc_type]
+        captured = capsys.readouterr()
+        assert captured.err.count("\n") == 1 and "boom" in captured.err
+        assert captured.out == ""
 
 
 @pytest.fixture

@@ -16,7 +16,6 @@ from omegaprm.core import (
     open_replacing,
     state_transition,
 )
-from omegaprm.errors import InvalidAction
 
 
 def steps(*texts):
@@ -67,7 +66,7 @@ class TestStateTransition:
             state_transition(root, a + b)
 
     def test_empty_action_rejected(self):
-        with pytest.raises(InvalidAction):
+        with pytest.raises(ValueError, match="nonempty action"):
             state_transition(State("q1"), [])
 
     def test_key_is_token_sequence(self):

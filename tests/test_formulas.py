@@ -10,7 +10,6 @@ from hypothesis import given, strategies as st
 
 from omegaprm.core import EngineConfig
 from omegaprm.dataset import normalize_pair
-from omegaprm.errors import InvalidProbability
 from omegaprm.mcts import exploration_bonus, rollout_value
 from omegaprm.prm import pairwise_objective, pointwise_objective
 
@@ -102,9 +101,9 @@ class TestNormalizePair:
         assert relclose(pa, 0.75) and relclose(pb, 0.25)
 
     def test_out_of_range_rejected(self):
-        with pytest.raises(InvalidProbability):
+        with pytest.raises(ValueError, match=r"\[0, 1\]"):
             normalize_pair(1.2, 0.5)
-        with pytest.raises(InvalidProbability):
+        with pytest.raises(ValueError, match=r"\[0, 1\]"):
             normalize_pair(0.5, -0.1)
 
     @given(st.floats(0, 1), st.floats(0, 1))

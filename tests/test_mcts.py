@@ -18,12 +18,7 @@ from omegaprm.core import (
     make_step,
     state_transition,
 )
-from omegaprm.errors import (
-    CompleterUnavailable,
-    InvalidSearchTarget,
-    ParseError,
-    PoolExhausted,
-)
+from omegaprm.errors import CompleterUnavailable, ParseError
 from omegaprm.mcts import (
     _render,
     OmegaPRMEngine,
@@ -94,6 +89,13 @@ class TestRolloutPool:
         assert not pool.add(node_with_mc(["p"], [False, False]), self.WRONG)
         assert pool.add(node_with_mc(["p"], [True, False]), self.WRONG)
 
+    def test_rejects_stepless_rollouts(self):
+        # A short or empty remote completion: nothing to bisect.
+        pool = RolloutPool()
+        node = node_with_mc(["p"], [True, False])
+        assert not pool.add(node, make_rollout([], "", False))
+        assert len(pool) == 0
+
     def test_deduplicates_identical_candidates(self):
         pool = RolloutPool()
         node = node_with_mc(["p"], [True, False])
@@ -132,7 +134,7 @@ class TestRolloutPool:
         assert pool.select(cfg).node is fresh
 
     def test_empty_pool_raises(self):
-        with pytest.raises(PoolExhausted):
+        with pytest.raises(IndexError):
             RolloutPool().select(EngineConfig())
 
 
@@ -262,11 +264,11 @@ class TestLocateFirstError:
         engine = OmegaPRMEngine(q, comp, cfg)
         engine.seed_root()
         good = make_rollout(steps(*chain), "10", True)
-        with pytest.raises(InvalidSearchTarget):
+        with pytest.raises(ValueError, match="correct final answer"):
             engine.locate_first_error(engine.tree.root, good)
         dead = TreeNode(state=State("q1", steps("zz")))
         dead.stats.add_rollouts([make_rollout(steps("x"), "0", False)])
-        with pytest.raises(InvalidSearchTarget):
+        with pytest.raises(ValueError, match="MC > 0"):
             engine.locate_first_error(dead, wrong_rollout_at(chain, 2))
 
 
@@ -287,6 +289,12 @@ class TestMaintenance:
         for key, count in others_before.items():
             node = engine.tree.nodes[key]
             assert node.stats.visit_count == count
+
+    def test_run_search_on_empty_pool_returns_false(self):
+        q, chain, comp, cfg = make_setup()
+        engine = OmegaPRMEngine(q, comp, cfg)
+        assert not engine.run_search()
+        assert engine.budget.searches_done == 0
 
     def test_search_counter_and_labels(self):
         q, chain, comp, cfg = make_setup(error_prob=0.25, seed=5)
@@ -335,6 +343,22 @@ class TestBuild:
             assert not entry.rollout.is_correct
             assert entry.node.mc is not None
             assert 0 < entry.node.mc < 1
+
+    def test_stepless_wrong_rollouts_are_never_searched(self):
+        # The last rollout of every call comes back without steps, as a
+        # remote completer pads a short reply. Its length is 0, so it
+        # would win every selection if it entered the pool.
+        q, chain, sim, cfg = make_setup(error_prob=0.1, seed=1)
+
+        class ShortReplies:
+            def sample_rollouts(self, request):
+                rollouts = sim.sample_rollouts(request)
+                return rollouts[:-1] + [make_rollout([], "", False)]
+
+        engine = OmegaPRMEngine(q, ShortReplies(), cfg)
+        tree, budget = engine.build()
+        assert budget.searches_done > 0
+        assert all(entry.rollout.steps for entry in engine.pool.entries)
 
     def test_max_policy_calls_is_hard_cap(self):
         q, chain, comp, cfg = make_setup(error_prob=0.3, seed=4)

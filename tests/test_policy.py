@@ -357,6 +357,10 @@ class TestRemoteCompleter:
         with pytest.raises(ValueError):
             self.make(endpoint)
 
+    def test_endpoint_required(self):
+        with pytest.raises(ValueError, match="endpoint"):
+            RemoteCompleter({"q1": self.QUESTION}, RemoteSettings())
+
     @pytest.mark.parametrize("key", ["batch_size", "max_retries"])
     def test_nonpositive_batch_size_or_retries_is_config_error(self, key):
         # batch_size 0 would post n=0 forever; max_retries 0 would fail

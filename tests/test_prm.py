@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from omegaprm.dataset import PreferencePair, TrainingExample
-from omegaprm.errors import EmptyDataset, EmptySolution, ParseError
+from omegaprm.errors import ParseError
 from omegaprm.prm import (
     N_FEATURES,
     _sigmoid,
@@ -149,9 +149,9 @@ class TestTraining:
         assert c1 == c2
 
     def test_empty_dataset_rejected(self):
-        with pytest.raises(EmptyDataset):
+        with pytest.raises(ValueError, match="requires examples"):
             train_toy_prm([], objective="soft")
-        with pytest.raises(EmptyDataset):
+        with pytest.raises(ValueError, match="requires preference pairs"):
             train_toy_prm(objective="pairwise", pairs=[])
 
     def test_unknown_objective_rejected(self):
@@ -182,7 +182,7 @@ class TestScoring:
         assert aggregate_solution_score([0.9, 0.3, 0.7], mode="min") == 0.3
 
     def test_aggregation_empty_rejected(self):
-        with pytest.raises(EmptySolution):
+        with pytest.raises(ValueError, match="empty list"):
             aggregate_solution_score([])
 
     def test_solution_score_bounded_by_worst_step(self, model):
