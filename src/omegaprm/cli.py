@@ -262,15 +262,15 @@ def cmd_filter(cfg: RunConfig) -> int:
 
 def _stored_tree(path, question):
     """The (tree, budget) that an earlier generate run saved at ``path`` for
-    ``question``, or None when the file is missing, unreadable, of another
-    schema or question, or has no budget; such a tree is built again."""
+    ``question`` (same id, statement and answer), or None when the file is
+    missing, unreadable, of another schema or question, or budgetless."""
     if not os.path.exists(path):
         return None
     try:
         tree, budget = load_tree(path)
     except ParseError:
         return None
-    if tree.question.id != question.id or budget is None:
+    if tree.question != question or budget is None:
         return None
     return tree, budget
 
@@ -322,17 +322,22 @@ def cmd_generate(cfg: RunConfig) -> int:
 
 
 def cmd_export(cfg: RunConfig) -> int:
+    """Export the tree of each kept question, in file name order, skipping
+    a tree that is missing or of another question; ignore other trees."""
+    questions, _ = _read(
+        import_corpus_jsonl, os.path.join(cfg.output, "kept.jsonl"))
     trees_dir = os.path.join(cfg.output, "trees")
-    names = sorted(n for n in os.listdir(trees_dir) if n.endswith(".json")) \
-        if os.path.isdir(trees_dir) else []
-    if not names:
-        raise UpstreamError(f"missing upstream artifact: {trees_dir}/*.json")
-    examples = []
-    pairs = []
-    for name in names:
-        tree, _ = _read(load_tree, os.path.join(trees_dir, name))
+    examples, pairs, exported = [], [], 0
+    for question in sorted(questions, key=lambda q: f"{q.id}.json"):
+        path = os.path.join(trees_dir, f"{question.id}.json")
+        tree = _read(load_tree, path)[0] if os.path.exists(path) else None
+        if tree is None or tree.question != question:
+            continue
+        exported += 1
         examples.extend(tree_to_examples(tree))
         pairs.extend(tree_to_pairs(tree))
+    if not exported:
+        raise UpstreamError(f"missing upstream artifact: {trees_dir}/*.json")
     export_examples_jsonl(examples, os.path.join(cfg.output, "examples.jsonl"))
     export_pairs_jsonl(pairs, os.path.join(cfg.output, "pairs.jsonl"))
     print(f"exported {len(examples)} examples, {len(pairs)} pairs")

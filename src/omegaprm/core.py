@@ -162,9 +162,6 @@ class NodeStats:
             return self._mc
         return self.forced_mc
 
-    def has_mc(self) -> bool:
-        return bool(self._rollouts) or self.forced_mc is not None
-
 
 @dataclass
 class Edge:

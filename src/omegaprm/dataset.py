@@ -8,6 +8,7 @@ preference examples via the Bernoulli normalization (1 + p - q) / 2.
 from __future__ import annotations
 
 import json
+import os
 from dataclasses import dataclass, fields
 
 from .core import Question, State, open_replacing
@@ -46,7 +47,7 @@ class FilterRecord:
     reason: str  # "", "too_hard", "too_easy", or "unresolved"
 
 
-def filter_questions(corpus, completer, k_filter: int = 32, budget=None):
+def filter_questions(corpus, completer, k_filter: int = 32):
     """Drop questions that are too hard (0 correct of k_filter root
     rollouts) or too easy (all correct). Returns (kept, report)."""
     if k_filter < 2:
@@ -56,14 +57,14 @@ def filter_questions(corpus, completer, k_filter: int = 32, budget=None):
     for question in corpus:
         root = State(question_id=question.id)
         try:
-            mc, _ = monte_carlo_estimate(completer, root, k_filter, budget)
+            _, rollouts = monte_carlo_estimate(completer, root, k_filter)
         except CompleterUnavailable:
             report.append(FilterRecord(question.id, False, -1, "unresolved"))
             continue
-        correct = mc.numerator * k_filter // mc.denominator
-        if mc == 0:
+        correct = sum(1 for r in rollouts if r.is_correct)
+        if correct == 0:
             report.append(FilterRecord(question.id, False, correct, "too_hard"))
-        elif mc == 1:
+        elif correct == k_filter:
             report.append(FilterRecord(question.id, False, correct, "too_easy"))
         else:
             kept.append(question)
@@ -209,8 +210,8 @@ def export_corpus_jsonl(questions, path, chains=None):
 
 def import_corpus_jsonl(path):
     """Read questions (and, when present, simulator ground chains). Each
-    question id must be unique, and a chain is a list of step strings of at
-    least one token each."""
+    id must be unique and a plain file name, as it names the question's
+    tree; a chain is a list of step strings of at least one token each."""
     questions = []
     chains = {}
     ids = set()
@@ -224,6 +225,9 @@ def import_corpus_jsonl(path):
             ))
             if rec["id"] in ids:
                 raise ValueError(f"duplicate id {rec['id']!r}")
+            if rec["id"] in (".", "..") or (
+                    {"/", os.sep, os.altsep, "\0"} & set(rec["id"])):
+                raise ValueError(f"id {rec['id']!r} is not a plain file name")
             chain = rec.get("chain", [])
             if not isinstance(chain, list) or not all(
                     isinstance(step, str) and step.split() for step in chain):

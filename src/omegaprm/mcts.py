@@ -254,13 +254,13 @@ class OmegaPRMEngine:
         trajectory = []
         spent_before = self.budget.policy_calls
         prev_node, prev_pos = node, 0
-        staged_error = {}
+        error_rollouts = ()
 
         while hi - lo > 1 and (cum[hi] - cum[lo]) >= self.tree.threshold:
             m = self._split_point(cum, lo, hi)
             prefix_state = state_transition(node.state, steps[:m])
             existing = self.tree.nodes.get(prefix_state.key())
-            if existing is not None and existing.stats.has_mc():
+            if existing is not None and existing.mc is not None:
                 mc, new_rollouts = existing.mc, []
             else:
                 mc, new_rollouts = self._sample(
@@ -278,16 +278,16 @@ class OmegaPRMEngine:
                 prev_node, prev_pos = probe_node, m
                 lo = m
             else:
-                staged_error[m] = new_rollouts
+                error_rollouts = new_rollouts
                 hi = m
 
         error_state = state_transition(node.state, steps[:hi])
         error_node = self.tree.ensure_child(
             prev_node, steps[prev_pos:hi], error_state
         )
-        if hi in staged_error and staged_error[hi]:
-            error_node.stats.add_rollouts(staged_error[hi])
-        elif not error_node.stats.has_mc():
+        if error_rollouts:
+            error_node.stats.add_rollouts(error_rollouts)
+        elif error_node.mc is None:
             # Terminal wrong end, never probed: its answer is wrong, MC = 0.
             error_node.stats.forced_mc = Fraction(0)
         trajectory.append(error_node)

@@ -446,6 +446,13 @@ class TestExitCodes:
         "blank_step": lambda data: data + (
             b'{"id": "q9", "statement": "s", "golden_answer": "4", '
             b'"chain": ["a", " "]}\n'),
+        # An id names its tree file, so it must be a plain file name.
+        "id_with_slash": lambda data: data + (
+            b'{"id": "a/b", "statement": "s", "golden_answer": "4"}\n'),
+        "id_dotdot": lambda data: data + (
+            b'{"id": "..", "statement": "s", "golden_answer": "4"}\n'),
+        "id_with_nul": lambda data: data + (
+            b'{"id": "a\\u0000b", "statement": "s", "golden_answer": "4"}\n'),
     }
 
     @pytest.mark.parametrize("cmd", ["filter", "bench"])
@@ -697,6 +704,67 @@ class TestPipeline:
         assert run("export", config) == 0
         assert (out / "examples.jsonl").read_bytes() == fresh_examples
         assert (out / "pairs.jsonl").read_bytes() == fresh_pairs
+
+    def test_changed_question_is_rebuilt(self, pipeline):
+        tmp_path, config, doc = pipeline
+        out = tmp_path / "out"
+        for cmd in ("filter", "generate"):
+            assert run(cmd, config) == 0
+        kept = (out / "kept.jsonl").read_text().splitlines()
+        victim = json.loads(kept[0])
+        victim["golden_answer"] += "1"
+        kept[0] = json.dumps(victim)
+        (out / "kept.jsonl").write_text("\n".join(kept) + "\n")
+        assert run("generate", config) == 0
+        summary = json.loads((out / "generate_summary.json").read_text())
+        statuses = {q["question_id"]: q["status"] for q in summary["questions"]}
+        assert statuses.pop(victim["id"]) == "built"
+        assert set(statuses.values()) == {"resumed"}
+        tree = json.loads((out / "trees" / f"{victim['id']}.json").read_text())
+        assert tree["question"]["golden_answer"] == victim["golden_answer"]
+
+    def test_export_reads_only_kept_trees(self, pipeline):
+        tmp_path, config, doc = pipeline
+        out = tmp_path / "out"
+        for cmd in ("filter", "generate", "export"):
+            assert run(cmd, config) == 0
+        fresh = {name: (out / name).read_bytes()
+                 for name in ("examples.jsonl", "pairs.jsonl")}
+        kept = (out / "kept.jsonl").read_text().splitlines()
+        stray = json.loads(kept[-1])["id"]
+        (out / "kept.jsonl").write_text("\n".join(kept[:-1]) + "\n")
+        assert run("export", config) == 0
+        exported = {json.loads(line)["question_id"] for line in
+                    (out / "examples.jsonl").read_text().splitlines()}
+        assert exported and stray not in exported
+        # A kept question whose tree holds another question is skipped.
+        trees = sorted((out / "trees").glob("*.json"))
+        trees[0].write_bytes(trees[1].read_bytes())
+        assert run("export", config) == 0
+        exported = {json.loads(line)["question_id"] for line in
+                    (out / "examples.jsonl").read_text().splitlines()}
+        assert exported and trees[0].stem not in exported
+        # With every tree back, export writes the same bytes as before.
+        (out / "kept.jsonl").write_text("\n".join(kept) + "\n")
+        assert run("generate", config) == 0
+        assert run("export", config) == 0
+        for name, data in fresh.items():
+            assert (out / name).read_bytes() == data, name
+
+    def test_export_with_only_stray_trees_is_3(self, pipeline, capsys):
+        tmp_path, config, doc = pipeline
+        out = tmp_path / "out"
+        for cmd in ("filter", "generate"):
+            assert run(cmd, config) == 0
+        kept = (out / "kept.jsonl").read_text().splitlines()
+        (out / "kept.jsonl").write_text(kept[0] + "\n")
+        (out / "trees" / f"{json.loads(kept[0])['id']}.json").unlink()
+        capsys.readouterr()
+        assert run("export", config) == 3
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "missing upstream artifact" in err
+        (out / "kept.jsonl").unlink()
+        assert run("export", config) == 3
 
     @pytest.mark.parametrize("remote,sent", [
         ({}, (1.0, 1024)),

@@ -118,7 +118,6 @@ class TestNodeStats:
 
     def test_mc_none_without_rollouts(self):
         assert NodeStats().mc is None
-        assert not NodeStats().has_mc()
 
     @given(st.lists(st.lists(st.booleans(), max_size=5), max_size=6))
     def test_running_mc_equals_recount_after_each_addition(self, batches):
@@ -132,7 +131,7 @@ class TestNodeStats:
                 correct = sum(1 for r in rollouts if r.is_correct)
                 assert stats.mc == Fraction(correct, len(rollouts))
             else:
-                assert stats.mc is None and not stats.has_mc()
+                assert stats.mc is None
 
 
 # Holds open_replacing(path) open until a line arrives on stdin.

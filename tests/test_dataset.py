@@ -17,7 +17,7 @@ from omegaprm.dataset import (
     tree_to_pairs,
 )
 from omegaprm.errors import CompleterUnavailable, ParseError
-from omegaprm.mcts import SearchBudget, Tree
+from omegaprm.mcts import Tree
 
 
 class _FixedCompleter:
@@ -69,12 +69,6 @@ class TestFilterQuestions:
         assert kept == []
         assert report[0].reason == "unresolved"
         assert not report[0].kept
-
-    def test_budget_accounting(self):
-        comp = _FixedCompleter({"easy": 32, "hard": 0, "good": 11})
-        budget = SearchBudget()
-        filter_questions(self.CORPUS, comp, k_filter=32, budget=budget)
-        assert budget.policy_calls == 3 * 32
 
     def test_k_filter_lower_bound(self):
         with pytest.raises(ValueError):
