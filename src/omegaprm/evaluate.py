@@ -6,6 +6,8 @@ import random
 from dataclasses import asdict, dataclass, field
 from typing import Optional
 
+import numpy as np
+
 from .core import EngineConfig, Question, State, open_replacing
 from .dataset import tree_to_examples
 from .errors import CompleterUnavailable
@@ -129,6 +131,65 @@ def weighted_vote(candidates, weighted: bool) -> str:
     return distinct[_vote(range(len(candidates)), answer_ids, eq, votes)]
 
 
+class _Pool:
+    """One sampled pool's vote tables, computed once: answer ids, the
+    equivalence table, votes and golden-answer matches per distinct answer.
+
+    When the table is an equivalence relation, ``_vote`` joins exactly the
+    classes of the greedy partition of the distinct answers, and ``vote``
+    votes every row of subsets at once in numpy; otherwise it replays
+    ``_vote`` row by row.
+    """
+
+    def __init__(self, candidates, weighted: bool, golden_answer: str):
+        distinct, self.answer_ids, self.eq = _answer_table(
+            [cand.final_answer for cand in candidates])
+        self.votes = _votes(candidates, weighted)
+        self.golden = np.array(
+            [answers_equivalent(a, golden_answer) for a in distinct],
+            dtype=bool)
+        reps = []  # per class: its first distinct answer
+        classes = []  # per distinct answer: its class
+        for a in range(len(distinct)):
+            for c, rep in enumerate(reps):
+                if self.eq[rep][a]:
+                    classes.append(c)
+                    break
+            else:
+                classes.append(len(reps))
+                reps.append(a)
+        classes = np.array(classes, dtype=np.intp)
+        self.n_classes = len(reps)
+        self.weights = np.array(self.votes, dtype=float)
+        # argmax and _vote's ">" order NaN differently, so NaN votes replay.
+        self.vectorized = bool(
+            (np.array(self.eq, dtype=bool)
+             == (classes[:, None] == classes[None, :])).all()
+            and not np.isnan(self.weights).any())
+        self.ids = np.array(self.answer_ids, dtype=np.intp)
+        self.classes = classes[self.ids]  # per candidate
+
+    def vote(self, subsets):
+        """The winning answer id of the vote over each row of ``subsets``,
+        an R×k array of pool indices in pool order."""
+        if not self.vectorized:
+            return [_vote(row, self.answer_ids, self.eq, self.votes)
+                    for row in subsets.tolist()]
+        n_rows = len(subsets)
+        ids = self.classes[subsets]
+        # bincount adds the weights one at a time in subset order, so each
+        # class score is bit-equal to _vote's running sum.
+        scores = np.bincount(
+            (ids + self.n_classes * np.arange(n_rows)[:, None]).ravel(),
+            weights=self.weights[subsets].ravel(),
+            minlength=n_rows * self.n_classes,
+        ).reshape(n_rows, self.n_classes)
+        # The first position holding a top-scoring class is the first
+        # member of the class _vote picks: the top class opened first.
+        first = np.take_along_axis(scores, ids, axis=1).argmax(axis=1)
+        return self.ids[subsets[np.arange(n_rows), first]]
+
+
 def sample_candidates(question: Question, completer, pool_size: int,
                       model: Optional[ToyPrmModel] = None):
     """Sample a fixed pool of full solutions from the question root."""
@@ -174,13 +235,14 @@ def accuracy_curve(questions, completer, model, settings: EvalSettings,
     tie-break is stable, and k = pool size has zero resampling freedom.
 
     Every subset is voted exactly as ``weighted_vote`` votes it in pool
-    order, but on answer ids, an equivalence table and golden-answer
-    matches computed once per pool.
+    order, on tables computed once per pool. A pool whose answer
+    equivalence is transitive is voted per (question, k) in numpy, all
+    resamples at once; other pools replay the greedy ``_vote`` per subset.
     """
     k_max, pool_size = settings.k_max, settings.pool_size
     scorers = {"majority": None, "prm_weighted": model}
-    # Per method and question index: the pool's answer ids, equivalence
-    # table, votes and golden matches. Only the pool being reduced is held.
+    # Per method and question index: the pool's vote tables. Only the pool
+    # being reduced is held.
     tables = {method: {} for method in scorers}
     failed = set()
     for method, scorer in scorers.items():
@@ -193,32 +255,31 @@ def accuracy_curve(questions, completer, model, settings: EvalSettings,
             except CompleterUnavailable:
                 failed.add(i)
                 continue
-            distinct, answer_ids, eq = _answer_table(
-                [cand.final_answer for cand in pool])
-            golden = [answers_equivalent(a, question.golden_answer)
-                      for a in distinct]
-            tables[method][i] = (answer_ids, eq,
-                                 _votes(pool, scorer is not None), golden)
+            tables[method][i] = _Pool(pool, scorer is not None,
+                                      question.golden_answer)
     usable = [i for i in range(len(questions)) if i not in failed]
 
     rng = random.Random(seed)
     ks = _k_schedule(k_max)
     accs = {method: [] for method in scorers}  # per k: one per resample
     for k in ks:
-        for runs in accs.values():
-            runs.append([])
-        for _ in range(1 if k == pool_size else settings.n_resamples):
-            hits = {method: [] for method in scorers}
-            for i in usable:
-                order = (range(pool_size) if k == pool_size
-                         else sorted(rng.sample(range(pool_size), k)))
-                for method, table in tables.items():
-                    answer_ids, eq, votes, golden = table[i]
-                    hits[method].append(
-                        golden[_vote(order, answer_ids, eq, votes)])
-            for method, row in hits.items():
-                accs[method][-1].append(
-                    sum(row) / len(usable) if usable else 0.0)
+        n_runs = 1 if k == pool_size else settings.n_resamples
+        # subsets[r, q]: resample r's subset for usable question q, drawn
+        # in resample then question order, in the narrowest index dtype.
+        subsets = np.empty((n_runs, len(usable), k),
+                           dtype=np.min_scalar_type(pool_size))
+        for r in range(n_runs):
+            for q in range(len(usable)):
+                subsets[r, q] = (range(pool_size) if k == pool_size
+                                 else sorted(rng.sample(range(pool_size), k)))
+        hits = {}
+        for method, table in tables.items():
+            hits[method] = np.zeros((n_runs, len(usable)), dtype=bool)
+            for q, i in enumerate(usable):
+                pool = table[i]
+                hits[method][:, q] = pool.golden[pool.vote(subsets[:, q])]
+            accs[method].append([int(n) / len(usable) if usable else 0.0
+                                 for n in hits[method].sum(axis=1)])
     skipped = [questions[i].id for i in sorted(failed)]
     reports = {}
     for method, per_k in accs.items():
@@ -233,7 +294,7 @@ def accuracy_curve(questions, completer, model, settings: EvalSettings,
             n_resamples=settings.n_resamples,
             # The last subset vote at the largest k.
             per_question=[{"question_id": questions[i].id, "correct": bool(ok)}
-                          for i, ok in zip(usable, hits[method])],
+                          for i, ok in zip(usable, hits[method][-1])],
             config={"k_max": k_max, "pool_size": pool_size, "seed": seed,
                     "skipped": list(skipped)},
         )

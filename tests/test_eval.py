@@ -1,6 +1,7 @@
 """Voting, accuracy curves, and the annotation-efficiency benchmark."""
 import random
 
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
@@ -9,6 +10,7 @@ from omegaprm.errors import CompleterUnavailable
 from omegaprm.evaluate import (
     CandidateSolution,
     EvalSettings,
+    _Pool,
     _answer_table,
     _k_schedule,
     _vote,
@@ -110,12 +112,16 @@ TRICKY_ANSWERS = ["1", "1.0000000005", "1.0000000015", "1,000", "1000", "",
                   "A", "a"]
 
 
-def tricky_pools(n_pools, seed):
+# An equivalence relation: "1,000" ~ "1000", "A" ~ "a", and "" ~ only "".
+TRANSITIVE_ANSWERS = ["1,000", "1000", "A", "a", ""]
+
+
+def tricky_pools(n_pools, seed, answers=TRICKY_ANSWERS):
     rng = random.Random(seed)
     for _ in range(n_pools):
         n = rng.randint(1, 24)
         # Scores on a grid of binary fractions, so class sums tie exactly.
-        yield [cand(rng.choice(TRICKY_ANSWERS), rng.choice([0.25, 0.5, 1.0]))
+        yield [cand(rng.choice(answers), rng.choice([0.25, 0.5, 1.0]))
                for _ in range(n)]
 
 
@@ -125,9 +131,10 @@ class _TrickyCompleter(Completer):
     without, ``reset`` is a no-op and every pool is new, as a remote
     completer's are."""
 
-    def __init__(self, seed, replays=False):
+    def __init__(self, seed, replays=False, answers=TRICKY_ANSWERS):
         self.seed = seed
         self.replays = replays
+        self.answers = answers
         self.rng = random.Random(seed)
 
     def reset(self):
@@ -140,7 +147,7 @@ class _TrickyCompleter(Completer):
             make_rollout(
                 [make_step(f"add {rng.randrange(4)} to both sides"),
                  make_step(rng.choice(["err1 err2 err3", "so it is done"]))],
-                rng.choice(TRICKY_ANSWERS), False,
+                rng.choice(self.answers), False,
             )
             for _ in range(request.n_samples)
         ]
@@ -170,39 +177,75 @@ class TestPooledVote:
                 assert distinct[_vote(order, answer_ids, eq, votes)] == expected
                 assert weighted_vote(subset, weighted) == expected
 
+    @pytest.mark.parametrize("weighted", [True, False])
+    def test_vectorized_vote_matches_vote(self, weighted):
+        # Every row of every k, all resamples at once, against _vote.
+        rng = random.Random(5)
+        for pool in tricky_pools(60, seed=9, answers=TRANSITIVE_ANSWERS):
+            table = _Pool(pool, weighted, "1000")
+            assert table.vectorized
+            for k in range(1, len(pool) + 1):
+                subsets = np.array([sorted(rng.sample(range(len(pool)), k))
+                                    for _ in range(20)])
+                assert table.vote(subsets).tolist() == [
+                    _vote(row, table.answer_ids, table.eq, table.votes)
+                    for row in subsets.tolist()]
+
+    def test_transitivity_check(self):
+        chain = [cand(a, 0.5) for a in ["1", "1.0000000005", "1.0000000015"]]
+        assert not _Pool(chain, True, "1").vectorized
+        assert not _Pool(chain[::-1], False, "1").vectorized
+        assert _Pool(chain[::2], True, "1").vectorized
+        for pool in tricky_pools(50, seed=2, answers=TRANSITIVE_ANSWERS):
+            assert _Pool(pool, True, "a").vectorized
+        # "" is equivalent to nothing but equal to itself: a class of its own.
+        table = _Pool([cand(""), cand("A"), cand(""), cand("a")], False, "")
+        assert table.classes.tolist() == [0, 1, 0, 1]
+        # A NaN vote (a model file may hold NaN weights) replays _vote too.
+        assert not _Pool([cand("A", float("nan")), cand("B", 0.5)], True,
+                         "A").vectorized
+
     @pytest.mark.parametrize("replays", [True, False])
     def test_curve_matches_reference_curve(self, model, replays):
-        # One call gives both curves; each must equal its method's curve
-        # written out directly, over its own pools and its own
-        # random.Random(seed), which draws the same subsets.
-        questions = [Question(f"q{i}", f"question {i}", golden)
-                     for i, golden in enumerate(["1", "1000", "1.0000000015", "a"])]
-        reports = accuracy_curve(questions, _TrickyCompleter(3, replays),
-                                 model, EvalSettings(12, 30, 12), seed=4)
-        completer = _TrickyCompleter(3, replays)
-        for method, scorer in (("majority", None), ("prm_weighted", model)):
-            completer.reset()
-            pools = [sample_candidates(q, completer, 12, scorer)
-                     for q in questions]
-            rng = random.Random(4)
-            means = []
-            for k in _k_schedule(12):
-                accs = []
-                for _ in range(1 if k == 12 else 30):
-                    correct = []
-                    for q, pool in zip(questions, pools):
-                        idxs = (sorted(rng.sample(range(12), k)) if k < 12
-                                else range(12))
-                        answer = reference_vote([pool[i] for i in idxs],
-                                                scorer is not None)
-                        correct.append(answers_equivalent(answer,
-                                                          q.golden_answer))
-                    accs.append(sum(correct) / len(questions))
-                means.append(sum(accs) / len(accs))
-            report = reports[method]
-            assert report.method == method
-            assert report.accuracy_mean == means
-            assert [r["correct"] for r in report.per_question] == correct
+        # Most TRICKY_ANSWERS pools replay _vote; every TRANSITIVE_ANSWERS
+        # pool is voted in numpy.
+        for answers in (TRICKY_ANSWERS, TRANSITIVE_ANSWERS):
+            check_reference_curve(
+                model, lambda: _TrickyCompleter(3, replays, answers))
+
+
+def check_reference_curve(model, make_completer):
+    """One call gives both curves; each must equal its method's curve
+    written out directly, over its own pools and its own
+    random.Random(seed), which draws the same subsets."""
+    questions = [Question(f"q{i}", f"question {i}", golden)
+                 for i, golden in enumerate(["1", "1000", "1.0000000015", "a"])]
+    reports = accuracy_curve(questions, make_completer(), model,
+                             EvalSettings(12, 30, 12), seed=4)
+    completer = make_completer()
+    for method, scorer in (("majority", None), ("prm_weighted", model)):
+        completer.reset()
+        pools = [sample_candidates(q, completer, 12, scorer)
+                 for q in questions]
+        rng = random.Random(4)
+        means = []
+        for k in _k_schedule(12):
+            accs = []
+            for _ in range(1 if k == 12 else 30):
+                correct = []
+                for q, pool in zip(questions, pools):
+                    idxs = (sorted(rng.sample(range(12), k)) if k < 12
+                            else range(12))
+                    answer = reference_vote([pool[i] for i in idxs],
+                                            scorer is not None)
+                    correct.append(answers_equivalent(answer,
+                                                      q.golden_answer))
+                accs.append(sum(correct) / len(questions))
+            means.append(sum(accs) / len(accs))
+        report = reports[method]
+        assert report.method == method
+        assert report.accuracy_mean == means
+        assert [r["correct"] for r in report.per_question] == correct
 
 
 def sim_world(n_questions=4, error_prob=0.0, seed=0, **spec_kwargs):
@@ -268,6 +311,11 @@ class _FailingCompleter(Completer):
         return self.inner.sample_rollouts(request)
 
 
+class _DownCompleter(Completer):
+    def sample_rollouts(self, request):
+        raise CompleterUnavailable("down")
+
+
 class TestAccuracyCurve:
     def test_noiseless_policy_is_always_right(self, model):
         questions, comp = sim_world(error_prob=0.0)
@@ -322,6 +370,26 @@ class TestAccuracyCurve:
                 ["q0", "q2", "q3"]
             assert report.accuracy_mean == expected[method].accuracy_mean
             assert report.per_question == expected[method].per_question
+
+    def test_report_holds_python_types(self, model):
+        questions, comp = sim_world(error_prob=0.4, seed=5)
+        reports = accuracy_curve(questions, comp, model,
+                                 EvalSettings(8, n_resamples=5, pool_size=8))
+        for report in reports.values():
+            assert all(type(a) is float for a in report.accuracy_mean)
+            assert all(type(a) is float for a in report.accuracy_std)
+            assert all(type(r["correct"]) is bool for r in report.per_question)
+
+    def test_every_pool_failed(self, model):
+        questions, _ = sim_world()
+        reports = accuracy_curve(questions, _DownCompleter(), model,
+                                 EvalSettings(8, n_resamples=5, pool_size=8))
+        for report in reports.values():
+            assert report.accuracy_mean == [0.0] * 4
+            assert report.accuracy_std == [0.0] * 4
+            assert all(type(a) is float for a in report.accuracy_mean)
+            assert report.per_question == []
+            assert report.config["skipped"] == ["q0", "q1", "q2", "q3"]
 
     def test_csv_export(self, tmp_path, model):
         questions, comp = sim_world()
