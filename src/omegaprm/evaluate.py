@@ -17,7 +17,7 @@ from .mcts import (
     annotate_per_step,
     monte_carlo_estimate,
 )
-from .policy import CompleterRequest, answers_equivalent
+from .policy import CompleterRequest, answer_key, answers_equivalent
 from .prm import ToyPrmModel, score_solution
 
 
@@ -64,130 +64,61 @@ class EvalReport:
                 writer.writerow([k, mean, std])
 
 
-def _answer_table(answers):
-    """Distinct answer strings in first-appearance order, the index of each
-    answer among them, and the equivalence table over the distinct strings
-    (``eq[a][b]`` is ``answers_equivalent(a, b) or a == b``)."""
-    index = {}
-    answer_ids = [index.setdefault(a, len(index)) for a in answers]
-    distinct = list(index)
-    eq = [[a == b or answers_equivalent(a, b) for b in distinct]
-          for a in distinct]
-    return distinct, answer_ids, eq
+class _Pool:
+    """One sampled pool's vote tables, computed once. Each candidate's class
+    numbers its ``answer_key`` in order of first appearance; per class, the
+    first answer and whether it matches the golden answer (an empty golden
+    answer matches none); per candidate, its vote: its aggregate score when
+    ``weighted``, else 1."""
 
+    def __init__(self, candidates, weighted: bool, golden_answer: str = ""):
+        votes = [cand.aggregate_score if weighted else 1.0
+                 for cand in candidates]
+        if None in votes:
+            raise ValueError("weighted voting requires aggregate scores")
+        index = {}
+        self.answers = []  # per class: its first answer
+        classes = []  # per candidate: its class
+        for cand in candidates:
+            c = index.setdefault(answer_key(cand.final_answer), len(index))
+            if c == len(self.answers):
+                self.answers.append(cand.final_answer)
+            classes.append(c)
+        self.classes = np.array(classes, dtype=np.intp)
+        self.weights = np.array(votes, dtype=float)
+        self.golden = np.array(
+            [answers_equivalent(a, golden_answer) for a in self.answers],
+            dtype=bool)
 
-def _votes(candidates, weighted: bool):
-    if not weighted:
-        return [1.0] * len(candidates)
-    votes = [cand.aggregate_score for cand in candidates]
-    if any(v is None for v in votes):
-        raise ValueError("weighted voting requires aggregate scores")
-    return votes
-
-
-def _vote(order, answer_ids, eq, votes) -> int:
-    """The greedy class vote over the candidates at indices ``order``.
-
-    Each candidate joins the first class whose representative (the answer
-    of its first member) is equivalent to its answer, or opens a new
-    class. Class scores are summed in ``order``; the highest score wins and
-    a tie goes to the class opened first. Returns the winning
-    representative's answer id. The loop is replayed as is, not grouped by
-    answer id: numeric equivalence is not transitive, so which answers
-    share a class depends on the representatives' order.
-    """
-    reps = []
-    scores = []
-    for i in order:
-        answer = answer_ids[i]
-        for c, rep in enumerate(reps):
-            if eq[rep][answer]:
-                scores[c] += votes[i]
-                break
-        else:
-            reps.append(answer)
-            scores.append(votes[i])
-    best = 0
-    for c in range(1, len(scores)):
-        if scores[c] > scores[best]:
-            best = c
-    return reps[best]
+    def vote(self, subsets):
+        """The winning class of the vote over each row of ``subsets``, an
+        R×k array of pool indices in pool order. A class scores the sum of
+        its members' votes, added in row order; the top score wins, and a
+        tie goes to the class whose first member comes first in the row."""
+        n_rows, n_classes = len(subsets), len(self.answers)
+        ids = self.classes[subsets]
+        scores = np.bincount(
+            (ids + n_classes * np.arange(n_rows)[:, None]).ravel(),
+            weights=self.weights[subsets].ravel(),
+            minlength=n_rows * n_classes,
+        ).reshape(n_rows, n_classes)
+        # The first position holding a top-scoring class.
+        first = np.take_along_axis(scores, ids, axis=1).argmax(axis=1)
+        return ids[np.arange(n_rows), first]
 
 
 def weighted_vote(candidates, weighted: bool) -> str:
-    """Group candidates into answer-equivalence classes and return the
-    representative answer of the highest-scoring class.
+    """The answer of the winning class of ``_Pool.vote`` over all of
+    ``candidates`` in list order: its first member's answer.
 
-    Class score is the sum of aggregate scores (weighted) or the count
-    (unweighted). Candidates are taken in list order: a class's
-    representative is its first member's answer, scores are summed in list
-    order, and ties go to the class whose first member appeared earliest.
+    Candidates with equivalent answers (equal ``answer_key``) form a class,
+    scored by the sum of aggregate scores (weighted) or the count
+    (unweighted); ties go to the class whose first member came earliest.
     """
     if not candidates:
         raise ValueError("weighted_vote requires at least one candidate")
-    votes = _votes(candidates, weighted)
-    distinct, answer_ids, eq = _answer_table(
-        [cand.final_answer for cand in candidates])
-    return distinct[_vote(range(len(candidates)), answer_ids, eq, votes)]
-
-
-class _Pool:
-    """One sampled pool's vote tables, computed once: answer ids, the
-    equivalence table, votes and golden-answer matches per distinct answer.
-
-    When the table is an equivalence relation, ``_vote`` joins exactly the
-    classes of the greedy partition of the distinct answers, and ``vote``
-    votes every row of subsets at once in numpy; otherwise it replays
-    ``_vote`` row by row.
-    """
-
-    def __init__(self, candidates, weighted: bool, golden_answer: str):
-        distinct, self.answer_ids, self.eq = _answer_table(
-            [cand.final_answer for cand in candidates])
-        self.votes = _votes(candidates, weighted)
-        self.golden = np.array(
-            [answers_equivalent(a, golden_answer) for a in distinct],
-            dtype=bool)
-        reps = []  # per class: its first distinct answer
-        classes = []  # per distinct answer: its class
-        for a in range(len(distinct)):
-            for c, rep in enumerate(reps):
-                if self.eq[rep][a]:
-                    classes.append(c)
-                    break
-            else:
-                classes.append(len(reps))
-                reps.append(a)
-        classes = np.array(classes, dtype=np.intp)
-        self.n_classes = len(reps)
-        self.weights = np.array(self.votes, dtype=float)
-        # argmax and _vote's ">" order NaN differently, so NaN votes replay.
-        self.vectorized = bool(
-            (np.array(self.eq, dtype=bool)
-             == (classes[:, None] == classes[None, :])).all()
-            and not np.isnan(self.weights).any())
-        self.ids = np.array(self.answer_ids, dtype=np.intp)
-        self.classes = classes[self.ids]  # per candidate
-
-    def vote(self, subsets):
-        """The winning answer id of the vote over each row of ``subsets``,
-        an R×k array of pool indices in pool order."""
-        if not self.vectorized:
-            return [_vote(row, self.answer_ids, self.eq, self.votes)
-                    for row in subsets.tolist()]
-        n_rows = len(subsets)
-        ids = self.classes[subsets]
-        # bincount adds the weights one at a time in subset order, so each
-        # class score is bit-equal to _vote's running sum.
-        scores = np.bincount(
-            (ids + self.n_classes * np.arange(n_rows)[:, None]).ravel(),
-            weights=self.weights[subsets].ravel(),
-            minlength=n_rows * self.n_classes,
-        ).reshape(n_rows, self.n_classes)
-        # The first position holding a top-scoring class is the first
-        # member of the class _vote picks: the top class opened first.
-        first = np.take_along_axis(scores, ids, axis=1).argmax(axis=1)
-        return self.ids[subsets[np.arange(n_rows), first]]
+    pool = _Pool(candidates, weighted)
+    return pool.answers[pool.vote(np.arange(len(candidates))[None])[0]]
 
 
 def sample_candidates(question: Question, completer, pool_size: int,
@@ -234,10 +165,10 @@ def accuracy_curve(questions, completer, model, settings: EvalSettings,
     once and voted by both methods; subsets keep pool order so the vote
     tie-break is stable, and k = pool size has zero resampling freedom.
 
-    Every subset is voted exactly as ``weighted_vote`` votes it in pool
-    order, on tables computed once per pool. A pool whose answer
-    equivalence is transitive is voted per (question, k) in numpy, all
-    resamples at once; other pools replay the greedy ``_vote`` per subset.
+    Every subset is voted as ``weighted_vote`` votes it in pool order: on
+    answer classes computed once per pool, per (question, k) in numpy, all
+    resamples at once. A voted class counts as correct when its first
+    answer in the pool matches the golden answer; every member's would.
     """
     k_max, pool_size = settings.k_max, settings.pool_size
     scorers = {"majority": None, "prm_weighted": model}

@@ -8,6 +8,7 @@ completer speaks a small JSON-over-HTTP protocol.
 from __future__ import annotations
 
 import bisect
+import functools
 import hashlib
 import json
 import math
@@ -67,15 +68,22 @@ def _parse_number(ans: str) -> Optional[float]:
     return None if math.isnan(value) else value
 
 
+@functools.lru_cache(maxsize=1 << 12)  # pools repeat a few answers
+def answer_key(ans: str):
+    """The canonical form of an answer: None when it is empty, else the
+    number its normalized form parses as, else that form case-folded."""
+    if not ans:
+        return None
+    norm = _normalize_answer(ans)
+    value = _parse_number(norm)
+    return norm.casefold() if value is None else value
+
+
 def answers_equivalent(a: str, b: str) -> bool:
-    """Normalized comparison; numeric when both sides parse as numbers."""
-    if not a or not b:
-        return False
-    na, nb = _normalize_answer(a), _normalize_answer(b)
-    va, vb = _parse_number(na), _parse_number(nb)
-    if va is not None and vb is not None:
-        return math.isclose(va, vb, rel_tol=1e-9, abs_tol=0.0) or va == vb
-    return na.casefold() == nb.casefold()
+    """Whether two nonempty answers have the same ``answer_key``: numbers
+    compare by value, anything else as normalized case-folded text."""
+    key = answer_key(a)
+    return key is not None and key == answer_key(b)
 
 
 def stable_int(*parts) -> int:

@@ -230,7 +230,8 @@ def save_model(model: ToyPrmModel, path):
 def load_model(path) -> ToyPrmModel:
     """Read the checkpoint at ``path``. Raises ``ParseError`` when it is not
     a whole checkpoint of this feature map (malformed, truncated, another
-    feature version or bucket count, or weights of another length)."""
+    feature version or bucket count, or weights of another length or not
+    all finite)."""
     try:
         with open(path, encoding="utf-8") as fh:
             doc = json.load(fh)
@@ -244,6 +245,8 @@ def load_model(path) -> ToyPrmModel:
         if weights.shape != (N_FEATURES,):
             raise ValueError(f"weights of shape {weights.shape}, "
                              f"expected ({N_FEATURES},)")
+        if not np.isfinite(weights).all():  # json reads NaN and Infinity
+            raise ValueError("a weight is not finite")
         return ToyPrmModel(
             weights=weights,
             objective=doc["objective"],

@@ -578,6 +578,10 @@ class TestExitCodes:
         "not_json": lambda text: "weights: [0.5]\n",
         "other_version": lambda text: text.replace(
             '"feature_version": 1', '"feature_version": 2'),
+        # json reads NaN, and a NaN weight makes every score NaN.
+        "non_finite_weight": lambda text: json.dumps(dict(
+            json.loads(text),
+            weights=[math.nan, *json.loads(text)["weights"][1:]])),
     }
 
     @pytest.mark.parametrize("damage", sorted(MODEL_DAMAGE))

@@ -11,10 +11,7 @@ from omegaprm.evaluate import (
     CandidateSolution,
     EvalSettings,
     _Pool,
-    _answer_table,
     _k_schedule,
-    _vote,
-    _votes,
     accuracy_curve,
     efficiency_benchmark,
     sample_candidates,
@@ -24,6 +21,7 @@ from omegaprm.policy import (
     Completer,
     SimPolicySpec,
     SimulatedCompleter,
+    answer_key,
     answers_equivalent,
 )
 from omegaprm.prm import train_toy_prm
@@ -105,23 +103,20 @@ def reference_vote(candidates, weighted):
     return best[0]
 
 
-# "1" ~ "1.0000000005" ~ "1.0000000015" but "1" !~ "1.0000000015": numeric
-# equivalence is not transitive. "1,000" and "1000" are distinct strings in
-# one class; "" is equivalent to nothing but equal to itself.
+# "1", "1.0000000005" and "1.0000000015" lie within 1e-9 of each other but
+# are three classes: numbers match only when equal. "1,000" and "1000", and
+# "A" and "a", are distinct strings in one class; "" is equivalent to
+# nothing but equal to itself.
 TRICKY_ANSWERS = ["1", "1.0000000005", "1.0000000015", "1,000", "1000", "",
                   "A", "a"]
 
 
-# An equivalence relation: "1,000" ~ "1000", "A" ~ "a", and "" ~ only "".
-TRANSITIVE_ANSWERS = ["1,000", "1000", "A", "a", ""]
-
-
-def tricky_pools(n_pools, seed, answers=TRICKY_ANSWERS):
+def tricky_pools(n_pools, seed):
     rng = random.Random(seed)
     for _ in range(n_pools):
         n = rng.randint(1, 24)
         # Scores on a grid of binary fractions, so class sums tie exactly.
-        yield [cand(rng.choice(answers), rng.choice([0.25, 0.5, 1.0]))
+        yield [cand(rng.choice(TRICKY_ANSWERS), rng.choice([0.25, 0.5, 1.0]))
                for _ in range(n)]
 
 
@@ -131,10 +126,9 @@ class _TrickyCompleter(Completer):
     without, ``reset`` is a no-op and every pool is new, as a remote
     completer's are."""
 
-    def __init__(self, seed, replays=False, answers=TRICKY_ANSWERS):
+    def __init__(self, seed, replays=False):
         self.seed = seed
         self.replays = replays
-        self.answers = answers
         self.rng = random.Random(seed)
 
     def reset(self):
@@ -147,71 +141,48 @@ class _TrickyCompleter(Completer):
             make_rollout(
                 [make_step(f"add {rng.randrange(4)} to both sides"),
                  make_step(rng.choice(["err1 err2 err3", "so it is done"]))],
-                rng.choice(self.answers), False,
+                rng.choice(TRICKY_ANSWERS), False,
             )
             for _ in range(request.n_samples)
         ]
 
 
 class TestPooledVote:
-    def test_representative_order_decides_membership(self):
-        chain = [cand("1", 0.4), cand("1.0000000015", 0.5),
-                 cand("1.0000000005", 0.3)]
-        # "1.0000000005" joins "1", not "1.0000000015": 0.7 beats 0.5.
-        assert weighted_vote(chain, weighted=True) == "1"
-        # With the middle value first it absorbs both ends.
-        assert weighted_vote(chain[::-1], weighted=False) == "1.0000000005"
-
     @pytest.mark.parametrize("weighted", [True, False])
     def test_matches_reference_on_random_subsets(self, weighted):
         rng = random.Random(11)
         for pool in tricky_pools(200, seed=7):
-            distinct, answer_ids, eq = _answer_table(
-                [c.final_answer for c in pool])
-            votes = _votes(pool, weighted)
             for _ in range(10):
                 k = rng.randint(1, len(pool))
-                order = sorted(rng.sample(range(len(pool)), k))
-                subset = [pool[i] for i in order]
-                expected = reference_vote(subset, weighted)
-                assert distinct[_vote(order, answer_ids, eq, votes)] == expected
-                assert weighted_vote(subset, weighted) == expected
+                subset = [pool[i]
+                          for i in sorted(rng.sample(range(len(pool)), k))]
+                assert weighted_vote(subset, weighted) == \
+                    reference_vote(subset, weighted)
 
     @pytest.mark.parametrize("weighted", [True, False])
     def test_vectorized_vote_matches_vote(self, weighted):
-        # Every row of every k, all resamples at once, against _vote.
+        # Every row of every k, all resamples at once, against the reference.
+        # A class's first answer in the pool can differ from its first answer
+        # in the subset, so the two are compared by answer key.
         rng = random.Random(5)
-        for pool in tricky_pools(60, seed=9, answers=TRANSITIVE_ANSWERS):
+        for pool in tricky_pools(60, seed=9):
             table = _Pool(pool, weighted, "1000")
-            assert table.vectorized
             for k in range(1, len(pool) + 1):
                 subsets = np.array([sorted(rng.sample(range(len(pool)), k))
                                     for _ in range(20)])
-                assert table.vote(subsets).tolist() == [
-                    _vote(row, table.answer_ids, table.eq, table.votes)
-                    for row in subsets.tolist()]
-
-    def test_transitivity_check(self):
-        chain = [cand(a, 0.5) for a in ["1", "1.0000000005", "1.0000000015"]]
-        assert not _Pool(chain, True, "1").vectorized
-        assert not _Pool(chain[::-1], False, "1").vectorized
-        assert _Pool(chain[::2], True, "1").vectorized
-        for pool in tricky_pools(50, seed=2, answers=TRANSITIVE_ANSWERS):
-            assert _Pool(pool, True, "a").vectorized
+                for row, c in zip(subsets.tolist(), table.vote(subsets)):
+                    expected = reference_vote([pool[i] for i in row], weighted)
+                    assert answer_key(table.answers[c]) == answer_key(expected)
+                    assert table.golden[c] == answers_equivalent(expected,
+                                                                 "1000")
         # "" is equivalent to nothing but equal to itself: a class of its own.
         table = _Pool([cand(""), cand("A"), cand(""), cand("a")], False, "")
         assert table.classes.tolist() == [0, 1, 0, 1]
-        # A NaN vote (a model file may hold NaN weights) replays _vote too.
-        assert not _Pool([cand("A", float("nan")), cand("B", 0.5)], True,
-                         "A").vectorized
+        assert not table.golden.any()
 
     @pytest.mark.parametrize("replays", [True, False])
     def test_curve_matches_reference_curve(self, model, replays):
-        # Most TRICKY_ANSWERS pools replay _vote; every TRANSITIVE_ANSWERS
-        # pool is voted in numpy.
-        for answers in (TRICKY_ANSWERS, TRANSITIVE_ANSWERS):
-            check_reference_curve(
-                model, lambda: _TrickyCompleter(3, replays, answers))
+        check_reference_curve(model, lambda: _TrickyCompleter(3, replays))
 
 
 def check_reference_curve(model, make_completer):

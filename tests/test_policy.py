@@ -15,6 +15,7 @@ from omegaprm.policy import (
     RemoteSettings,
     SimPolicySpec,
     SimulatedCompleter,
+    answer_key,
     answers_equivalent,
     extract_final_answer,
     render_prompt,
@@ -66,6 +67,28 @@ class TestAnswersEquivalent:
     @given(st.text(min_size=1, max_size=20), st.text(min_size=1, max_size=20))
     def test_symmetric(self, a, b):
         assert answers_equivalent(a, b) == answers_equivalent(b, a)
+
+    # Numeric spellings that share a value or lie within 1e-9 of each
+    # other, case variants, the empty answer, and arbitrary text.
+    ANSWERS = st.one_of(
+        st.sampled_from(["1/2", "0.5", ".5", "0.50", "2/4", "1,000", "1000.",
+                         "1000", "1e3", "1E3", "1", "1.0000000005",
+                         "1.0000000015", "NaN", "nan", "inf", "INF", "Yes",
+                         "yes", "", " ", "."]),
+        st.text(max_size=8),
+    )
+
+    @given(ANSWERS, ANSWERS, ANSWERS)
+    @example("1", "1.0000000005", "1.0000000015")
+    def test_transitive(self, a, b, c):
+        if answers_equivalent(a, b) and answers_equivalent(b, c):
+            assert answers_equivalent(a, c)
+
+    def test_close_values_are_not_equal(self):
+        # Equal values match; values within 1e-9 that differ do not.
+        assert answers_equivalent("1/2", "0.5")
+        assert not answers_equivalent("0.3333333333", "1/3")
+        assert answer_key("") is None
 
 
 class TestRenderPrompt:
