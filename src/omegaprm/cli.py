@@ -12,7 +12,7 @@ import math
 import os
 import sys
 import threading
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import asdict, dataclass, field, fields, replace
 from functools import partial
 
 from .core import EngineConfig
@@ -237,19 +237,18 @@ def _worker_start():
 # -- commands --------------------------------------------------------------
 
 def _filter_one(cfg: RunConfig, chains, question):
-    """(kept?, filter record) of one question."""
+    """The filter record of one question."""
     completer = make_completer(cfg, [question], chains,
                                scope=f"filter/{question.id}")
-    kept, report = filter_questions([question], completer, cfg.filter_k)
-    return bool(kept), report[0]
+    _, report = filter_questions([question], completer, cfg.filter_k)
+    return report[0]
 
 
 def cmd_filter(cfg: RunConfig) -> int:
     questions, chains = _read(import_corpus_jsonl, cfg.corpus, "corpus",
                               ConfigError)
-    results = _map_questions(cfg, partial(_filter_one, cfg, chains), questions)
-    kept = [q for q, (ok, _) in zip(questions, results) if ok]
-    report = [rec for _, rec in results]
+    report = _map_questions(cfg, partial(_filter_one, cfg, chains), questions)
+    kept = [q for q, rec in zip(questions, report) if rec.kept]
     if questions and all(rec.reason == "unresolved" for rec in report):
         raise CompleterUnavailable(
             f"no root sampled for any of the {len(questions)} questions")
@@ -263,16 +262,15 @@ def cmd_filter(cfg: RunConfig) -> int:
 def _stored_tree(path, question):
     """The (tree, budget) that an earlier generate run saved at ``path`` for
     ``question`` (same id, statement and answer), or None when the file is
-    missing, unreadable, of another schema or question, or budgetless."""
+    missing, not a readable tree (a budgetless one included), or of another
+    question."""
     if not os.path.exists(path):
         return None
     try:
         tree, budget = load_tree(path)
     except ParseError:
         return None
-    if tree.question != question or budget is None:
-        return None
-    return tree, budget
+    return (tree, budget) if tree.question == question else None
 
 
 def _generate_one(cfg: RunConfig, chains, trees_dir, question):
@@ -374,7 +372,7 @@ def cmd_eval(cfg: RunConfig) -> int:
     if questions and len(majority.config["skipped"]) == len(questions):
         raise CompleterUnavailable(
             f"no pool sampled for any of the {len(questions)} eval questions")
-    write_json({method: r.to_dict() for method, r in reports.items()},
+    write_json({method: asdict(r) for method, r in reports.items()},
                os.path.join(cfg.output, "eval_report.json"))
     majority.write_csv(os.path.join(cfg.output, "eval_majority.csv"))
     weighted.write_csv(os.path.join(cfg.output, "eval_weighted.csv"))

@@ -62,30 +62,22 @@ def make_step(text: str) -> Step:
 
 @dataclass(frozen=True)
 class Rollout:
-    """A sampled completion: ordered steps plus the extracted final answer."""
+    """A sampled completion: ordered steps plus the extracted final answer.
+    ``steps`` is kept as a tuple, and ``token_len`` is derived from it."""
 
     steps: tuple
     final_answer: str
     is_correct: bool
-    token_len: int
+    token_len: int = field(init=False)
 
     def __post_init__(self):
-        if self.token_len != sum(s.token_len for s in self.steps):
-            raise ValueError("token_len must equal the sum of step lengths")
+        steps = tuple(self.steps)
+        object.__setattr__(self, "steps", steps)
+        object.__setattr__(self, "token_len", sum(s.token_len for s in steps))
 
     @property
     def text(self) -> str:
         return " ".join(s.text for s in self.steps)
-
-
-def make_rollout(steps, final_answer, is_correct) -> Rollout:
-    steps = tuple(steps)
-    return Rollout(
-        steps=steps,
-        final_answer=final_answer,
-        is_correct=is_correct,
-        token_len=sum(s.token_len for s in steps),
-    )
 
 
 @dataclass(frozen=True)

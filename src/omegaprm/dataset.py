@@ -7,13 +7,15 @@ preference examples via the Bernoulli normalization (1 + p - q) / 2.
 """
 from __future__ import annotations
 
+import itertools
 import json
 import os
 from dataclasses import dataclass, fields
 
 from .core import Question, State, open_replacing
 from .errors import CompleterUnavailable, ParseError
-from .mcts import Tree, monte_carlo_estimate
+from .mcts import Tree
+from .policy import CompleterRequest
 
 
 # The record classes are the JSONL records: their fields are the keys, in
@@ -57,7 +59,8 @@ def filter_questions(corpus, completer, k_filter: int = 32):
     for question in corpus:
         root = State(question_id=question.id)
         try:
-            _, rollouts = monte_carlo_estimate(completer, root, k_filter)
+            rollouts = completer.sample_rollouts(
+                CompleterRequest(state=root, n_samples=k_filter))
         except CompleterUnavailable:
             report.append(FilterRecord(question.id, False, -1, "unresolved"))
             continue
@@ -73,27 +76,29 @@ def filter_questions(corpus, completer, k_filter: int = 32):
 
 
 def _single_step_edges(tree: Tree):
-    for parent, edge in tree.iter_edges():
-        if edge.child.mc is None:
-            continue
-        if edge.action_token_len < tree.threshold:
-            yield parent, edge
+    """Each node of ``tree``, in tree order, with its single-step edges to a
+    child that has an MC, in edge order."""
+    for node in tree.nodes.values():
+        yield node, [edge for edge in node.children
+                     if edge.child.mc is not None
+                     and edge.action_token_len < tree.threshold]
 
 
 def tree_to_examples(tree: Tree):
     """One pointwise example per single-step edge; multi-step edges are
     skipped rather than re-split (their interior MC was never computed)."""
     examples = []
-    for parent, edge in _single_step_edges(tree):
-        mc = edge.child.mc
-        examples.append(TrainingExample(
-            question_id=tree.question.id,
-            question=tree.question.statement,
-            prefix=parent.state.prefix_text,
-            step=edge.action_text,
-            mc=float(mc),
-            hard_label=int(mc > 0),
-        ))
+    for parent, edges in _single_step_edges(tree):
+        for edge in edges:
+            mc = edge.child.mc
+            examples.append(TrainingExample(
+                question_id=tree.question.id,
+                question=tree.question.statement,
+                prefix=parent.state.prefix_text,
+                step=edge.action_text,
+                mc=float(mc),
+                hard_label=int(mc > 0),
+            ))
     return examples
 
 
@@ -107,23 +112,18 @@ def normalize_pair(p: float, q: float):
 
 def tree_to_pairs(tree: Tree):
     """All unordered pairs of sibling single-step actions."""
-    by_parent = {}
-    for parent, edge in _single_step_edges(tree):
-        by_parent.setdefault(parent.state.key(), (parent, []))[1].append(edge)
     pairs = []
-    for parent, edges in by_parent.values():
-        for i in range(len(edges)):
-            for j in range(i + 1, len(edges)):
-                a, b = edges[i], edges[j]
-                pref_a, _ = normalize_pair(float(a.child.mc), float(b.child.mc))
-                pairs.append(PreferencePair(
-                    question_id=tree.question.id,
-                    question=tree.question.statement,
-                    prefix=parent.state.prefix_text,
-                    step_a=a.action_text,
-                    step_b=b.action_text,
-                    pref_a=pref_a,
-                ))
+    for parent, edges in _single_step_edges(tree):
+        for a, b in itertools.combinations(edges, 2):
+            pref_a, _ = normalize_pair(float(a.child.mc), float(b.child.mc))
+            pairs.append(PreferencePair(
+                question_id=tree.question.id,
+                question=tree.question.statement,
+                prefix=parent.state.prefix_text,
+                step_a=a.action_text,
+                step_b=b.action_text,
+                pref_a=pref_a,
+            ))
     return pairs
 
 

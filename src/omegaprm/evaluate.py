@@ -3,7 +3,7 @@ from __future__ import annotations
 
 import csv
 import random
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
@@ -52,9 +52,6 @@ class EvalReport:
     n_resamples: int
     per_question: list  # per-question accuracy at the largest k
     config: dict = field(default_factory=dict)
-
-    def to_dict(self):
-        return asdict(self)
 
     def write_csv(self, path):
         with open_replacing(path, newline="") as fh:
@@ -133,8 +130,8 @@ def sample_candidates(question: Question, completer, pool_size: int,
     for r in rollouts:
         score = None
         if model is not None and r.steps:
-            score = score_solution(model, question.statement,
-                                   [s.text for s in r.steps], cache=step_cache)
+            score = score_solution(model, [s.text for s in r.steps],
+                                   cache=step_cache)
         elif model is not None:
             score = 0.0  # empty completion: no evidence of correctness
         candidates.append(CandidateSolution(r.final_answer, score))

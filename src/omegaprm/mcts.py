@@ -137,11 +137,6 @@ class Tree:
         self.nodes[key] = child
         return child
 
-    def iter_edges(self):
-        for node in self.nodes.values():
-            for edge in node.children:
-                yield node, edge
-
 
 @dataclass
 class SearchResult:
@@ -156,8 +151,9 @@ class BudgetExhausted(Exception):
 
 
 def monte_carlo_estimate(completer: Completer, state: State, k: int,
-                         budget: SearchBudget = None):
-    """Sample k rollouts from ``state`` and return (MC, rollouts).
+                         budget: SearchBudget):
+    """Sample k rollouts from ``state``, count them in ``budget``, and
+    return (MC, rollouts).
 
     MC is the exact fraction of rollouts whose final answer matched the
     golden answer.
@@ -165,8 +161,7 @@ def monte_carlo_estimate(completer: Completer, state: State, k: int,
     rollouts = completer.sample_rollouts(
         CompleterRequest(state=state, n_samples=k)
     )
-    if budget is not None:
-        budget.policy_calls += k
+    budget.policy_calls += k
     correct = sum(1 for r in rollouts if r.is_correct)
     return Fraction(correct, k), rollouts
 
@@ -337,7 +332,7 @@ def build_tree(question: Question, completer: Completer, cfg: EngineConfig):
 # -- brute-force baseline (per-step annotation) ----------------------------
 
 def annotate_per_step(completer: Completer, question: Question,
-                      rollout: Rollout, k: int, budget: SearchBudget = None,
+                      rollout: Rollout, k: int, budget: SearchBudget,
                       max_steps=None):
     """Math-Shepherd-style annotation: MC for every step prefix in order.
 
@@ -362,12 +357,12 @@ def annotate_per_step(completer: Completer, question: Question,
 SCHEMA_VERSION = 1
 
 
-def tree_doc(tree: Tree, budget: SearchBudget = None) -> dict:
-    """The schema-v1 document of ``tree`` (and its budget, when given), the
-    inverse of ``tree_from_dict``. Each step sequence stays the tuple of its
+def tree_doc(tree: Tree, budget: SearchBudget) -> dict:
+    """The schema-v1 document of ``tree`` and its budget, the inverse of
+    ``tree_from_dict``. Each step sequence stays the tuple of its
     ``Step``s; a file spells a step as ``{"text", "token_len"}``."""
     ids = {key: i for i, key in enumerate(tree.nodes)}
-    doc = {
+    return {
         "schema_version": SCHEMA_VERSION,
         "question": asdict(tree.question),
         "avg_solution_tokens": tree.avg_solution_tokens,
@@ -391,10 +386,8 @@ def tree_doc(tree: Tree, budget: SearchBudget = None) -> dict:
             "child": ids[edge.child.state.key()],
             "action_steps": edge.action_steps,
         } for key, node in tree.nodes.items() for edge in node.children],
+        "budget": asdict(budget),
     }
-    if budget is not None:
-        doc["budget"] = asdict(budget)
-    return doc
 
 
 # How ``json.dumps`` spells a value of each scalar type.
@@ -451,13 +444,13 @@ class _StepFragments(dict):
         return text
 
 
-def dump_tree(tree: Tree, budget: SearchBudget = None) -> str:
+def dump_tree(tree: Tree, budget: SearchBudget) -> str:
     """The schema-v1 text of ``tree``: ``json.dumps(tree_doc(tree, budget),
     indent=2)``, each ``Step`` in it spelled as ``{"text", "token_len"}``."""
     return _render(tree_doc(tree, budget), 0, {})
 
 
-def save_tree(tree: Tree, path, budget: SearchBudget = None):
+def save_tree(tree: Tree, path, budget: SearchBudget):
     """Write ``tree`` to ``path`` through a temporary file, so ``path``
     holds either its previous content or the whole new tree."""
     with open_replacing(path) as fh:
@@ -466,17 +459,20 @@ def save_tree(tree: Tree, path, budget: SearchBudget = None):
 
 
 def _rollout_from_dict(d, step):
-    return Rollout(
+    rollout = Rollout(
         steps=tuple(step(s) for s in d["steps"]),
         final_answer=d["final_answer"],
         is_correct=d["is_correct"],
-        token_len=d["token_len"],
     )
+    if rollout.token_len != d["token_len"]:
+        raise ValueError(f"rollout token_len {d['token_len']!r}, but its "
+                         f"steps sum to {rollout.token_len}")
+    return rollout
 
 
 def tree_from_dict(doc):
-    """Rebuild a tree (and its budget, or None) from the parsed JSON of a
-    schema-v1 file. Raises ``ValueError`` for another schema version."""
+    """Rebuild a tree and its budget from the parsed JSON of a schema-v1
+    file. Raises ``ValueError`` for another schema version."""
     if doc["schema_version"] != SCHEMA_VERSION:
         raise ValueError(
             f"schema_version {doc['schema_version']!r}, "
@@ -521,15 +517,13 @@ def tree_from_dict(doc):
             action_steps=tuple(step(s) for s in ed["action_steps"]),
             child=by_id[ed["child"]],
         ))
-    budget = None
-    if "budget" in doc:
-        budget = SearchBudget(**doc["budget"])
-    return tree, budget
+    return tree, SearchBudget(**doc["budget"])
 
 
 def load_tree(path):
     """Read the tree file at ``path``. Raises ``ParseError`` when the file
-    is not a whole schema-v1 tree (truncated, malformed, other version)."""
+    is not a whole schema-v1 tree (truncated, malformed, other version,
+    without a budget)."""
     with open(path, encoding="utf-8") as fh:
         try:
             return tree_from_dict(json.load(fh))

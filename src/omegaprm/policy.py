@@ -22,7 +22,7 @@ from http.client import HTTPConnection, HTTPException, HTTPSConnection
 from typing import Optional
 from urllib.parse import urlsplit
 
-from .core import Question, State, make_rollout, make_step
+from .core import Question, Rollout, State, make_step
 from .errors import CompleterUnavailable
 
 PROMPT_TEMPLATE = "Question: {statement}\nSolution so far: {prefix}\n"
@@ -150,8 +150,8 @@ class SimPolicySpec:
             raise ValueError("wrong_answer_pool must hold strings")
         if weights is not None and not (
                 len(weights) == len(pool)
-                and all(isinstance(w, (int, float)) and 0 <= w < math.inf
-                        for w in weights)
+                and all(isinstance(w, (int, float)) and not isinstance(w, bool)
+                        and 0 <= w < math.inf for w in weights)
                 and sum(weights) > 0):
             raise ValueError("wrong_answer_weights needs one weight >= 0 "
                              "per wrong answer, not all 0")
@@ -242,7 +242,7 @@ class SimulatedCompleter(Completer):
             else:
                 first = error_steps[0] if error_steps else 0
                 final = f"wrong{first}"
-            rollouts.append(make_rollout(
+            rollouts.append(Rollout(
                 steps, final, answers_equivalent(final, question.golden_answer)
             ))
         return rollouts
@@ -303,7 +303,9 @@ class RemoteCompleter(Completer):
     response {"completions": [text, ...]}; every payload carries the
     settings' ``temperature`` and ``max_tokens``. Large requests are
     split into batches of ``batch_size`` transparently. Malformed
-    completions are kept as incorrect rollouts with an empty final answer.
+    completions, and the unfilled slots of a reply that is short or whose
+    ``completions`` is not a list, are kept as incorrect rollouts with an
+    empty final answer.
     Connection errors, timeouts, 429 and 5xx replies and unparsable bodies
     are retried with exponential backoff; any other non-2xx status fails at
     once.
@@ -372,13 +374,13 @@ class RemoteCompleter(Completer):
 
     def _to_rollout(self, completion, question):
         if not isinstance(completion, str) or not completion.strip():
-            return make_rollout([], "", False)
+            return Rollout((), "", False)
         # One step per whitespace token: any consecutive token span is a
         # valid step, so binary search may cut anywhere. Each distinct token
         # has one shared ``Step``.
         steps = self._steps
         answer = extract_final_answer(completion)
-        return make_rollout(
+        return Rollout(
             [steps.get(tok) or steps.setdefault(tok, make_step(tok))
              for tok in completion.split()],
             answer, answers_equivalent(answer, question.golden_answer),
@@ -397,9 +399,10 @@ class RemoteCompleter(Completer):
                 "temperature": self.settings.temperature,
                 "max_tokens": self.settings.max_tokens,
             })
-            batch = data.get("completions", []) if isinstance(data, dict) else []
-            completions.extend(batch[:n])
-            # A short reply still consumes its slot; pad with failures.
-            completions.extend([None] * (n - len(batch[:n])))
+            batch = data.get("completions") if isinstance(data, dict) else None
+            batch = batch[:n] if isinstance(batch, list) else []
+            # A short reply, or one without a list of completions, still
+            # consumes its slots; pad with failures.
+            completions.extend(batch + [None] * (n - len(batch)))
             remaining -= n
         return [self._to_rollout(c, question) for c in completions]

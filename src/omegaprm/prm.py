@@ -137,21 +137,21 @@ def aggregate_solution_score(step_scores, mode: str = "product") -> float:
     return out
 
 
-def score_solution(model: ToyPrmModel, question_statement: str, step_texts,
-                   mode: str = "product", cache=None) -> float:
-    """Score each step given the question plus preceding steps, then aggregate.
+def score_solution(model: ToyPrmModel, step_texts, mode: str = "product",
+                   cache=None) -> float:
+    """Score each step given the steps before it, then aggregate.
 
     Step i is scored exactly as ``model._score_row(featurize(prefix,
-    step_i))``, with ``prefix`` the statement and the steps before i joined
-    by spaces. The prefix's token set grows step by step instead of being
-    re-split.
+    step_i))``, with ``prefix`` the steps before i joined by spaces: the
+    (prefix, step) row that training fits for a tree edge. The prefix's
+    token set grows step by step instead of being re-split.
     ``cache`` is a dict from step text to its step-only features and its
     scores per overlap value; pass one dict to all solutions of a pool so
     each distinct step is featurized once, and drop it with the pool. A
     cache holds scores, so it serves one model only.
     """
     cache = {} if cache is None else cache
-    prefix_tokens = set(question_statement.split())
+    prefix_tokens = set()
     scores = []
     for step in step_texts:
         entry = cache.get(step)

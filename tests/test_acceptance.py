@@ -7,11 +7,12 @@ import json
 import math
 import random
 import time
+from dataclasses import asdict
 
 import numpy as np
 import pytest
 
-from omegaprm.core import EngineConfig, Question, make_rollout, make_step
+from omegaprm.core import EngineConfig, Question, Rollout, make_step
 from omegaprm.dataset import (
     tree_to_examples,
     tree_to_pairs,
@@ -66,7 +67,7 @@ def wrong_rollout_at(chain, error_step):
             out.append(make_step(" ".join(
                 f"bad{i}x{j}" for j in range(len(ground.split()))
             )))
-    return make_rollout(out, f"wrong{error_step}", False)
+    return Rollout(out, f"wrong{error_step}", False)
 
 
 # -- criteria 1 & 2: oracle equivalence and complexity bound ---------------
@@ -253,10 +254,11 @@ def test_criterion_5_tree_invariants_over_seeded_builds():
                 correct = sum(r.is_correct for r in node.stats.rollouts)
                 if node.mc != Fraction(correct, len(node.stats.rollouts)):
                     failures.append((seed, "mc"))
-        for parent, edge in tree.iter_edges():
-            child_key = edge.child.state.key()
-            if child_key[: len(parent.state.key())] != parent.state.key():
-                failures.append((seed, "prefix"))
+        for parent in tree.nodes.values():
+            for edge in parent.children:
+                child_key = edge.child.state.key()
+                if child_key[: len(parent.state.key())] != parent.state.key():
+                    failures.append((seed, "prefix"))
         text = dump_tree(tree, budget)
         tree2, budget2 = tree_from_dict(json.loads(text))
         if dump_tree(tree2, budget2) != text:
@@ -418,7 +420,7 @@ def _artifact_bundle(seed):
                              for p in pairs]),
         "weights": json.dumps([float(w) for w in model.weights]),
         "curve": json.dumps(curve),
-        "eval": json.dumps({m: r.to_dict() for m, r in reports.items()}),
+        "eval": json.dumps({m: asdict(r) for m, r in reports.items()}),
         "bench": json.dumps(bench),
     }
 

@@ -153,6 +153,8 @@ class TestRunConfig:
                          "wrong_answer_weights": [0]}),
         (SimPolicySpec, {"wrong_answer_pool": ["1"],
                          "wrong_answer_weights": [math.inf]}),
+        (SimPolicySpec, {"wrong_answer_pool": ["1", "2"],
+                         "wrong_answer_weights": [True, 1]}),
         (RemoteSettings, {"timeout": 0}),
         (RemoteSettings, {"temperature": -1.0}),
         (RemoteSettings, {"max_tokens": 0}),
@@ -266,6 +268,17 @@ def write_config(tmp_path, out_name="out", seed=0):
     return path, doc
 
 
+def damaged_tree(doc, damage):
+    """The tree document ``doc`` without its budget ("budgetless"), or with
+    a stored rollout whose ``token_len`` disagrees with its steps."""
+    if damage == "budgetless":
+        del doc["budget"]
+    else:
+        rollout = next(r for nd in doc["nodes"] for r in nd["rollouts"])
+        rollout["token_len"] += 1
+    return doc
+
+
 def run(cmd, config):
     return main([cmd, "--config", str(config)])
 
@@ -299,6 +312,9 @@ class TestExitCodes:
         ("eval", "eval", {"n_resamples": 0}),
         ("eval", "eval", {"k_max": 100, "pool_size": 8}),
         ("filter", "seed", "7"),
+        # true is not a number, though Python's bool is an int.
+        ("filter", "completer", {"sim": {"wrong_answer_pool": ["1", "2"],
+                                         "wrong_answer_weights": [True, 1]}}),
     ]
 
     @pytest.mark.parametrize("cmd,key,value", REJECTED)
@@ -675,7 +691,8 @@ class TestPipeline:
         for p in trees:
             assert p.read_bytes() == stamps[p.name]
 
-    @pytest.mark.parametrize("damage", ["truncate", "schema", "question"])
+    @pytest.mark.parametrize("damage", [
+        "truncate", "schema", "question", "budgetless", "token_len"])
     def test_damaged_tree_is_rebuilt(self, pipeline, damage):
         tmp_path, config, doc = pipeline
         out = tmp_path / "out"
@@ -692,8 +709,11 @@ class TestPipeline:
         elif damage == "schema":
             victim.write_bytes(fresh[victim.name].replace(
                 b'"schema_version": 1', b'"schema_version": 2'))
-        else:
+        elif damage == "question":
             victim.write_bytes(fresh[trees[1].name])
+        else:
+            victim.write_text(json.dumps(damaged_tree(
+                json.loads(fresh[victim.name]), damage), indent=2))
         assert run("generate", config) == 0
         summary = json.loads((out / "generate_summary.json").read_text())
         statuses = {q["question_id"]: q["status"] for q in summary["questions"]}
@@ -754,6 +774,21 @@ class TestPipeline:
         assert run("export", config) == 0
         for name, data in fresh.items():
             assert (out / name).read_bytes() == data, name
+
+    @pytest.mark.parametrize("damage", ["budgetless", "token_len"])
+    def test_export_of_unreadable_tree_is_3(self, pipeline, capsys, damage):
+        tmp_path, config, doc = pipeline
+        out = tmp_path / "out"
+        for cmd in ("filter", "generate"):
+            assert run(cmd, config) == 0
+        victim = sorted((out / "trees").glob("*.json"))[0]
+        victim.write_text(json.dumps(
+            damaged_tree(json.loads(victim.read_text()), damage), indent=2))
+        capsys.readouterr()
+        assert run("export", config) == 3
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "not a readable tree" in err
+        assert victim.name in err
 
     def test_export_with_only_stray_trees_is_3(self, pipeline, capsys):
         tmp_path, config, doc = pipeline

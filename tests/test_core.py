@@ -10,8 +10,8 @@ from omegaprm.core import (
     EngineConfig,
     NodeStats,
     Question,
+    Rollout,
     State,
-    make_rollout,
     make_step,
     open_replacing,
     state_transition,
@@ -38,13 +38,9 @@ class TestTypes:
             make_step("")
 
     def test_rollout_token_len_is_sum_of_steps(self):
-        r = make_rollout(steps("a b", "c"), "1", True)
+        r = Rollout(list(steps("a b", "c")), "1", True)
         assert r.token_len == 3
-        with pytest.raises(ValueError):
-            from omegaprm.core import Rollout
-
-            Rollout(steps=steps("a b"), final_answer="1", is_correct=True,
-                    token_len=99)
+        assert r.steps == steps("a b", "c")  # kept as a tuple
 
 
 class TestStateTransition:
@@ -103,17 +99,17 @@ class TestNodeStats:
     def test_mc_is_exact_fraction_of_correct_rollouts(self):
         stats = NodeStats()
         stats.add_rollouts([
-            make_rollout(steps("a"), "1", True),
-            make_rollout(steps("b"), "2", False),
-            make_rollout(steps("c"), "1", True),
+            Rollout(steps("a"), "1", True),
+            Rollout(steps("b"), "2", False),
+            Rollout(steps("c"), "1", True),
         ])
         assert stats.mc == Fraction(2, 3)
 
     def test_mc_boundaries_are_exact(self):
         wrong, right = NodeStats(), NodeStats()
-        wrong.add_rollouts([make_rollout(steps("a"), "2", False)] * 8)
+        wrong.add_rollouts([Rollout(steps("a"), "2", False)] * 8)
         assert wrong.mc == 0
-        right.add_rollouts([make_rollout(steps("a"), "1", True)] * 8)
+        right.add_rollouts([Rollout(steps("a"), "1", True)] * 8)
         assert right.mc == 1
 
     def test_mc_none_without_rollouts(self):
@@ -124,7 +120,7 @@ class TestNodeStats:
         stats = NodeStats()
         for batch in batches:
             stats.add_rollouts(
-                make_rollout(steps("a"), "1" if ok else "2", ok)
+                Rollout(steps("a"), "1" if ok else "2", ok)
                 for ok in batch)
             rollouts = stats.rollouts
             if rollouts:

@@ -3,7 +3,7 @@ import json
 
 import pytest
 
-from omegaprm.core import Question, make_rollout, make_step, state_transition
+from omegaprm.core import Question, Rollout, make_step, state_transition
 from omegaprm.dataset import (
     export_corpus_jsonl,
     export_examples_jsonl,
@@ -33,7 +33,7 @@ class _FixedCompleter:
         out = []
         for i in range(request.n_samples):
             ok = i < n_correct
-            out.append(make_rollout(
+            out.append(Rollout(
                 (make_step("z"),), "9" if ok else "0", ok
             ))
         return out
@@ -87,7 +87,7 @@ def toy_tree():
         state = state_transition(parent.state, action)
         node = tree.ensure_child(parent, action, state)
         node.stats.add_rollouts(
-            make_rollout((make_step("z"),), "9" if i < n_correct else "0",
+            Rollout((make_step("z"),), "9" if i < n_correct else "0",
                          i < n_correct)
             for i in range(n_total)
         )

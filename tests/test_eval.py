@@ -1,11 +1,12 @@
 """Voting, accuracy curves, and the annotation-efficiency benchmark."""
 import random
+from dataclasses import asdict
 
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from omegaprm.core import EngineConfig, Question, make_rollout, make_step
+from omegaprm.core import EngineConfig, Question, Rollout, make_step
 from omegaprm.errors import CompleterUnavailable
 from omegaprm.evaluate import (
     CandidateSolution,
@@ -138,7 +139,7 @@ class _TrickyCompleter(Completer):
     def sample_rollouts(self, request):
         rng = self.rng
         return [
-            make_rollout(
+            Rollout(
                 [make_step(f"add {rng.randrange(4)} to both sides"),
                  make_step(rng.choice(["err1 err2 err3", "so it is done"]))],
                 rng.choice(TRICKY_ANSWERS), False,
@@ -234,9 +235,7 @@ def sim_world(n_questions=4, error_prob=0.0, seed=0, **spec_kwargs):
 
 class _EmptyCompleter:
     def sample_rollouts(self, request):
-        from omegaprm.core import make_rollout
-
-        return [make_rollout([], "", False)] * request.n_samples
+        return [Rollout((), "", False)] * request.n_samples
 
 
 class TestSampleCandidates:
@@ -321,8 +320,8 @@ class TestAccuracyCurve:
         settings = EvalSettings(8, n_resamples=10, pool_size=8)
         r1 = accuracy_curve(questions, comp, model, settings, seed=3)
         r2 = accuracy_curve(questions, comp, model, settings, seed=3)
-        assert {m: r.to_dict() for m, r in r1.items()} == \
-            {m: r.to_dict() for m, r in r2.items()}
+        assert {m: asdict(r) for m, r in r1.items()} == \
+            {m: asdict(r) for m, r in r2.items()}
 
     @pytest.mark.parametrize("resets", [0, 1], ids=["majority", "weighted"])
     def test_failed_pool_is_skipped_by_both(self, model, resets):

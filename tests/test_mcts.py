@@ -14,7 +14,6 @@ from omegaprm.core import (
     State,
     Step,
     TreeNode,
-    make_rollout,
     make_step,
     state_transition,
 )
@@ -63,24 +62,24 @@ def wrong_rollout_at(chain, error_step):
         else:
             toks = " ".join(f"bad{i}x{j}" for j in range(len(ground.split())))
             out.append(make_step(toks))
-    return make_rollout(out, f"wrong{error_step}", False)
+    return Rollout(out, f"wrong{error_step}", False)
 
 
 def node_with_mc(prefix, mc_rollouts):
     node = TreeNode(state=State("q1", steps(*prefix)))
     node.stats.add_rollouts(
-        make_rollout(steps("x"), "10" if ok else "0", ok) for ok in mc_rollouts
+        Rollout(steps("x"), "10" if ok else "0", ok) for ok in mc_rollouts
     )
     return node
 
 
 class TestRolloutPool:
-    WRONG = make_rollout(steps("a b c"), "0", False)
+    WRONG = Rollout(steps("a b c"), "0", False)
 
     def test_rejects_correct_rollouts(self):
         pool = RolloutPool()
         node = node_with_mc(["p"], [True, False])
-        assert not pool.add(node, make_rollout(steps("a"), "10", True))
+        assert not pool.add(node, Rollout(steps("a"), "10", True))
         assert len(pool) == 0
 
     def test_rejects_resolved_states(self):
@@ -93,7 +92,7 @@ class TestRolloutPool:
         # A short or empty remote completion: nothing to bisect.
         pool = RolloutPool()
         node = node_with_mc(["p"], [True, False])
-        assert not pool.add(node, make_rollout([], "", False))
+        assert not pool.add(node, Rollout([], "", False))
         assert len(pool) == 0
 
     def test_deduplicates_identical_candidates(self):
@@ -109,7 +108,7 @@ class TestRolloutPool:
         hi = node_with_mc(["hi"], [True, True, True, False])   # MC = 3/4
         lo = node_with_mc(["lo"], [True, False, False, False])  # MC = 1/4
         pool.add(lo, self.WRONG)
-        pool.add(hi, make_rollout(steps("d e f"), "0", False))
+        pool.add(hi, Rollout(steps("d e f"), "0", False))
         entry = pool.select(cfg)
         assert entry.node is hi
         assert len(pool) == 1
@@ -120,7 +119,7 @@ class TestRolloutPool:
         a = node_with_mc(["a"], [True, False])
         b = node_with_mc(["b"], [True, False])
         pool.add(a, self.WRONG)
-        pool.add(b, make_rollout(steps("a b c"), "0", False))
+        pool.add(b, Rollout(steps("a b c"), "0", False))
         assert pool.select(cfg).node is a
 
     def test_exploration_prefers_unvisited(self):
@@ -130,7 +129,7 @@ class TestRolloutPool:
         visited.stats.visit_count = 50
         fresh = node_with_mc(["b"], [True, False, False, False])
         pool.add(visited, self.WRONG)
-        pool.add(fresh, make_rollout(steps("d e f"), "0", False))
+        pool.add(fresh, Rollout(steps("d e f"), "0", False))
         assert pool.select(cfg).node is fresh
 
     def test_empty_pool_raises(self):
@@ -149,7 +148,7 @@ class TestMonteCarloEstimate:
     def test_rejects_nonpositive_k(self):
         q, chain, comp, cfg = make_setup()
         with pytest.raises(ValueError):
-            monte_carlo_estimate(comp, State("q1"), 0)
+            monte_carlo_estimate(comp, State("q1"), 0, SearchBudget())
 
     def test_completer_failure_propagates(self):
         class Dead:
@@ -157,7 +156,7 @@ class TestMonteCarloEstimate:
                 raise CompleterUnavailable("down")
 
         with pytest.raises(CompleterUnavailable):
-            monte_carlo_estimate(Dead(), State("q1"), 4)
+            monte_carlo_estimate(Dead(), State("q1"), 4, SearchBudget())
 
 
 class TestSplitPoint:
@@ -204,7 +203,8 @@ class TestLocateFirstError:
             engine.seed_root()
             rollout = wrong_rollout_at(chain, error_step)
             result = engine.locate_first_error(engine.tree.root, rollout)
-            oracle = annotate_per_step(comp, q, rollout, cfg.k_rollouts)
+            oracle = annotate_per_step(comp, q, rollout, cfg.k_rollouts,
+                                       SearchBudget())
             first = next(t for t, mc in oracle if mc == 0)
             assert result.first_error_index == first == error_step
 
@@ -263,11 +263,11 @@ class TestLocateFirstError:
         q, chain, comp, cfg = make_setup(n_steps=4)
         engine = OmegaPRMEngine(q, comp, cfg)
         engine.seed_root()
-        good = make_rollout(steps(*chain), "10", True)
+        good = Rollout(steps(*chain), "10", True)
         with pytest.raises(ValueError, match="correct final answer"):
             engine.locate_first_error(engine.tree.root, good)
         dead = TreeNode(state=State("q1", steps("zz")))
-        dead.stats.add_rollouts([make_rollout(steps("x"), "0", False)])
+        dead.stats.add_rollouts([Rollout(steps("x"), "0", False)])
         with pytest.raises(ValueError, match="MC > 0"):
             engine.locate_first_error(dead, wrong_rollout_at(chain, 2))
 
@@ -322,15 +322,16 @@ class TestBuild:
 
     def test_structural_invariants(self):
         engine, tree, budget = self.build(seed=2)
-        for parent, edge in tree.iter_edges():
-            child = edge.child
-            # Child prefix = parent prefix + action, token-for-token.
-            assert child.state.key()[: len(parent.state.key())] == \
-                parent.state.key()
-            action_tokens = tuple(
-                t for s in edge.action_steps for t in s.text.split()
-            )
-            assert child.state.key() == parent.state.key() + action_tokens
+        for parent in tree.nodes.values():
+            for edge in parent.children:
+                child = edge.child
+                # Child prefix = parent prefix + action, token-for-token.
+                assert child.state.key()[: len(parent.state.key())] == \
+                    parent.state.key()
+                action_tokens = tuple(
+                    t for s in edge.action_steps for t in s.text.split()
+                )
+                assert child.state.key() == parent.state.key() + action_tokens
         # MC of every node recomputes from its stored rollouts.
         for node in tree.nodes.values():
             if node.stats.rollouts:
@@ -353,7 +354,7 @@ class TestBuild:
         class ShortReplies:
             def sample_rollouts(self, request):
                 rollouts = sim.sample_rollouts(request)
-                return rollouts[:-1] + [make_rollout([], "", False)]
+                return rollouts[:-1] + [Rollout([], "", False)]
 
         engine = OmegaPRMEngine(q, ShortReplies(), cfg)
         tree, budget = engine.build()
@@ -387,8 +388,20 @@ class TestAnnotatePerStep:
     def test_max_steps_cap(self):
         q, chain, comp, cfg = make_setup(n_steps=8)
         labels = annotate_per_step(comp, q, wrong_rollout_at(chain, 5), 4,
-                                   max_steps=3)
+                                   SearchBudget(), max_steps=3)
         assert len(labels) == 3
+
+
+def _edited(text, edit):
+    """The tree text ``text`` with ``edit`` applied to its parsed document."""
+    doc = json.loads(text)
+    edit(doc)
+    return json.dumps(doc, indent=2)
+
+
+def _rollout_token_len_off_by_one(doc):
+    """A stored rollout's token_len no longer sums its steps."""
+    next(r for nd in doc["nodes"] for r in nd["rollouts"])["token_len"] += 1
 
 
 class TestSerialization:
@@ -422,12 +435,13 @@ class TestSerialization:
         )
         error_key = result.trajectory[-1].state.key()
         assert engine.tree.nodes[error_key].stats.forced_mc == 0
-        tree2, _ = tree_from_dict(json.loads(dump_tree(engine.tree)))
+        tree2, _ = tree_from_dict(
+            json.loads(dump_tree(engine.tree, engine.budget)))
         assert tree2.nodes[error_key].mc == 0
         assert not tree2.nodes[error_key].stats.rollouts
 
 
-def reference_tree_dict(tree, budget=None):
+def reference_tree_dict(tree, budget):
     """The nested-dict form of a tree; schema v1 is this dict as written by
     ``json.dumps(..., indent=2)``. The oracle for ``dump_tree``."""
     def step(s):
@@ -457,7 +471,7 @@ def reference_tree_dict(tree, budget=None):
                 "child": ids[edge.child.state.key()],
                 "action_steps": [step(s) for s in edge.action_steps],
             })
-    doc = {
+    return {
         "schema_version": 1,
         "question": {
             "id": tree.question.id,
@@ -468,13 +482,11 @@ def reference_tree_dict(tree, budget=None):
         "threshold": tree.threshold,
         "nodes": nodes,
         "edges": edges,
-    }
-    if budget is not None:
-        doc["budget"] = {
+        "budget": {
             "searches_done": budget.searches_done,
             "policy_calls": budget.policy_calls,
-        }
-    return doc
+        },
+    }
 
 
 # Texts with quotes, backslashes, control characters, non-ASCII and
@@ -506,14 +518,13 @@ def odd_trees(draw):
                 steps=steps,
                 final_answer=draw(st.one_of(st.just(""), _odd_texts)),
                 is_correct=draw(st.booleans()),
-                token_len=sum(s.token_len for s in steps),
             )])
         if not node.stats.rollouts and draw(st.booleans()):
             node.stats.forced_mc = Fraction(draw(st.integers(0, 3)), 4)
     tree.avg_solution_tokens = draw(st.floats())
     tree.threshold = draw(st.floats())
-    budget = draw(st.one_of(st.none(), st.builds(
-        SearchBudget, st.integers(0, 10**6), st.integers(0, 10**9))))
+    budget = draw(st.builds(
+        SearchBudget, st.integers(0, 10**6), st.integers(0, 10**9)))
     return tree, budget
 
 
@@ -579,6 +590,8 @@ class TestTreeWriter:
         lambda text: text.replace('"schema_version": 1', '"schema_version": 2'),
         lambda text: "[1, 2]",
         lambda text: text.replace('"nodes"', '"nodez"'),
+        lambda text: text.replace('"budget"', '"budgets"'),
+        lambda text: _edited(text, _rollout_token_len_off_by_one),
     ])
     def test_unreadable_tree_raises_parse_error(self, tmp_path, damage):
         q, chain, comp, cfg = make_setup(error_prob=0.3, seed=1)

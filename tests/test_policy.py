@@ -7,7 +7,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from omegaprm import policy
-from omegaprm.core import Question, State, make_rollout, make_step
+from omegaprm.core import Question, Rollout, State, make_step
 from omegaprm.errors import CompleterUnavailable
 from omegaprm.policy import (
     CompleterRequest,
@@ -231,7 +231,7 @@ def reference_sample_rollouts(comp, request):
         else:
             first = error_steps[0] if error_steps else 0
             final = f"wrong{first}"
-        rollouts.append(make_rollout(
+        rollouts.append(Rollout(
             steps, final, answers_equivalent(final, question.golden_answer),
         ))
     return rollouts
@@ -325,6 +325,17 @@ class TestRemoteCompleter:
         assert [r.is_correct for r in rollouts] == [True, False, False]
         assert rollouts[1].final_answer == ""
         assert rollouts[2].final_answer == ""
+
+    @pytest.mark.parametrize("completions", [5, "4 4", {"text": "4"}, None])
+    def test_completions_not_a_list_are_failed_slots(self, fake_server,
+                                                      completions):
+        # Each slot of such a reply is a failed rollout, as for a short
+        # reply; the reply is not retried.
+        fake_server.respond = lambda body: completions
+        comp = self.make(fake_server.url, batch_size=2)
+        rollouts = comp.sample_rollouts(CompleterRequest(State("q1"), 3))
+        assert rollouts == [Rollout((), "", False)] * 3
+        assert [b["n"] for b in fake_server.requests_seen] == [2, 1]
 
     def test_auth_header_sent(self, fake_server):
         comp = self.make(fake_server.url, auth_token="sekrit")
@@ -467,7 +478,7 @@ class TestRemoteTransport:
         for text in completions + completions:
             rollout = comp._to_rollout(text, question)
             answer = extract_final_answer(text)
-            assert rollout == make_rollout(
+            assert rollout == Rollout(
                 [make_step(tok) for tok in text.split()], answer,
                 bool(text.strip()) and answers_equivalent(answer, "4"),
             )

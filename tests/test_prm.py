@@ -187,16 +187,13 @@ class TestScoring:
 
     def test_solution_score_bounded_by_worst_step(self, model):
         steps = ["add 1 to both sides", "err999 err998 err997"]
-        total = score_solution(model, "stmt", steps)
-        worst = min(
-            score(model, "stmt", steps[0]),
-            score(model, "stmt " + steps[0], steps[1]),
-        )
+        total = score_solution(model, steps)
+        worst = min(score(model, "", steps[0]), score(model, steps[0], steps[1]))
         assert total <= worst
 
     def test_solution_score_uses_growing_prefix(self, model):
-        a = score_solution(model, "stmt", ["foo bar", "foo bar"])
-        b = score_solution(model, "stmt", ["foo bar", "baz qux"])
+        a = score_solution(model, ["foo bar", "foo bar"])
+        b = score_solution(model, ["foo bar", "baz qux"])
         assert a != b
 
     @staticmethod
@@ -210,14 +207,11 @@ class TestScoring:
         ]
 
     @staticmethod
-    def per_step_scores(model, statement, steps):
-        """Each step scored through featurize on the full prefix string."""
-        prefix = statement
-        scores = []
-        for step in steps:
-            scores.append(score(model, prefix, step))
-            prefix = f"{prefix} {step}"
-        return scores
+    def per_step_scores(model, steps):
+        """Each step scored on the row that training fits for it: the steps
+        before it joined by spaces, then the step."""
+        return [score(model, " ".join(steps[:i]), step)
+                for i, step in enumerate(steps)]
 
     # Random weights on every feature: the trained model above never sees
     # a prefix, so its overlap weight is 0 and it would hide overlap errors.
@@ -228,11 +222,11 @@ class TestScoring:
         # prefix string bit for bit, empty and padded steps included.
         for seed in range(5):
             steps = self.long_solution(seed)
-            expected = self.per_step_scores(self.DENSE, "stmt add 3", steps)
-            assert score_solution(self.DENSE, "stmt add 3", steps) == \
+            expected = self.per_step_scores(self.DENSE, steps)
+            assert score_solution(self.DENSE, steps) == \
                 aggregate_solution_score(expected)
-            assert score_solution(self.DENSE, "stmt add 3", steps,
-                                  mode="min") == min(expected)
+            assert score_solution(self.DENSE, steps, mode="min") == \
+                min(expected)
 
     def test_shared_cache_never_changes_a_score(self):
         # Solutions share leading steps, so the cache is hit at equal and at
@@ -240,8 +234,8 @@ class TestScoring:
         cache = {}
         for seed in range(20):
             steps = self.long_solution(seed % 4, n_steps=8 + seed)
-            expected = self.per_step_scores(self.DENSE, "stmt", steps)
-            assert score_solution(self.DENSE, "stmt", steps, cache=cache) == \
+            expected = self.per_step_scores(self.DENSE, steps)
+            assert score_solution(self.DENSE, steps, cache=cache) == \
                 aggregate_solution_score(expected)
 
 
