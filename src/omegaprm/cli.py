@@ -6,10 +6,10 @@ artifact is reproducible from (config, seed).
 from __future__ import annotations
 
 import argparse
-import concurrent.futures
 import json
 import math
 import os
+import re
 import sys
 import threading
 from dataclasses import asdict, dataclass, field, fields, replace
@@ -47,6 +47,8 @@ from .policy import (
 from .prm import TrainSettings, load_model, save_model, train_toy_prm
 
 AUTH_TOKEN_ENV = "OMEGAPRM_AUTH_TOKEN"
+# A temporary file of ``core.open_replacing``: <name>.<pid>.tmp.
+_TMP_NAME = re.compile(r".+\.([0-9]+)\.tmp")
 # The JSON types that a field annotation (a string, as every module here
 # postpones annotations) admits: a string is not a number, a float is not
 # an integer, and true is not a number.
@@ -208,8 +210,10 @@ def _map_questions(cfg: RunConfig, work, questions):
     workers = min(cfg.parallelism, len(questions))
     if workers <= 1:
         return list(map(work, questions))
-    # Each pool class is imported on first access (the process pool pulls
-    # in multiprocessing), so a command pays only for the one it uses.
+    # Imported here, so a serial command loads no pool. Each pool class is
+    # imported on first access (the process pool pulls in multiprocessing).
+    import concurrent.futures
+
     if cfg.completer_kind == "sim":
         pool = concurrent.futures.ProcessPoolExecutor(
             workers, mp_context=_worker_start())
@@ -223,15 +227,41 @@ def _worker_start():
     """The multiprocessing context worker processes start from.
 
     A forked worker starts at once with the package imported; a spawned
-    one imports the package and numpy again, about 0.45 s per pool on a
-    2-core VM, which is more than the pool saves on a 24-question
-    generate. Fork is used only where it is safe: on Linux, and while no
-    other thread of this process could hold a lock at the fork.
+    one imports the package again (without numpy, which it never uses),
+    about 0.18 s for a two-worker pool on a 2-core VM. Fork is used only
+    where it is safe: on Linux, and while no other thread of this process
+    could hold a lock at the fork.
     """
     import multiprocessing  # already loaded by the process pool
 
     forkable = sys.platform == "linux" and threading.active_count() == 1
     return multiprocessing.get_context("fork" if forkable else "spawn")
+
+
+def _remove_stale_tmp(directory):
+    """Remove each ``<name>.<pid>.tmp`` in ``directory`` whose pid is no
+    live process: what a writer killed before its rename left. The file
+    of a live pid is kept, since that process (an orphaned worker, say)
+    may still be writing it."""
+    if os.name != "posix":  # elsewhere os.kill(pid, 0) ends the process
+        return
+    try:
+        names = os.listdir(directory)
+    except OSError:  # no directory yet: nothing was written there
+        return
+    for name in names:
+        match = _TMP_NAME.fullmatch(name)
+        if match is None:
+            continue
+        try:
+            os.kill(int(match[1]), 0)
+        except ProcessLookupError:
+            try:
+                os.remove(os.path.join(directory, name))
+            except FileNotFoundError:  # another rerun removed it first
+                pass
+        except (OSError, OverflowError):  # alive, or not a pid at all
+            pass
 
 
 # -- commands --------------------------------------------------------------
@@ -296,6 +326,7 @@ def cmd_generate(cfg: RunConfig) -> int:
     questions, chains = _read(
         import_corpus_jsonl, os.path.join(cfg.output, "kept.jsonl"))
     trees_dir = os.path.join(cfg.output, "trees")
+    _remove_stale_tmp(trees_dir)
     results = _map_questions(
         cfg, partial(_generate_one, cfg, chains, trees_dir), questions)
 
@@ -445,6 +476,7 @@ def main(argv=None) -> int:
             cfg = RunConfig.from_file(flags.pop("config"), **flags)
         else:
             cfg = RunConfig.from_dict({}, **flags)
+        _remove_stale_tmp(cfg.output)  # cmd_generate also cleans trees/
         return command(cfg)
     except SystemExit as exc:  # argparse printed the help
         return exc.code

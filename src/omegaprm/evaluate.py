@@ -6,8 +6,6 @@ import random
 from dataclasses import dataclass, field
 from typing import Optional
 
-import numpy as np
-
 from .core import EngineConfig, Question, State, open_replacing
 from .dataset import tree_to_examples
 from .errors import CompleterUnavailable
@@ -69,6 +67,8 @@ class _Pool:
     ``weighted``, else 1."""
 
     def __init__(self, candidates, weighted: bool, golden_answer: str = ""):
+        import numpy as np
+
         votes = [cand.aggregate_score if weighted else 1.0
                  for cand in candidates]
         if None in votes:
@@ -92,6 +92,8 @@ class _Pool:
         R×k array of pool indices in pool order. A class scores the sum of
         its members' votes, added in row order; the top score wins, and a
         tie goes to the class whose first member comes first in the row."""
+        import numpy as np
+
         n_rows, n_classes = len(subsets), len(self.answers)
         ids = self.classes[subsets]
         scores = np.bincount(
@@ -112,6 +114,8 @@ def weighted_vote(candidates, weighted: bool) -> str:
     scored by the sum of aggregate scores (weighted) or the count
     (unweighted); ties go to the class whose first member came earliest.
     """
+    import numpy as np
+
     if not candidates:
         raise ValueError("weighted_vote requires at least one candidate")
     pool = _Pool(candidates, weighted)
@@ -167,6 +171,8 @@ def accuracy_curve(questions, completer, model, settings: EvalSettings,
     resamples at once. A voted class counts as correct when its first
     answer in the pool matches the golden answer; every member's would.
     """
+    import numpy as np
+
     k_max, pool_size = settings.k_max, settings.pool_size
     scorers = {"majority": None, "prm_weighted": model}
     # Per method and question index: the pool's vote tables. Only the pool

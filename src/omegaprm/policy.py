@@ -18,7 +18,6 @@ import select
 import threading
 import time
 from dataclasses import dataclass
-from http.client import HTTPConnection, HTTPException, HTTPSConnection
 from typing import Optional
 from urllib.parse import urlsplit
 
@@ -317,6 +316,8 @@ class RemoteCompleter(Completer):
 
     def __init__(self, questions, settings: RemoteSettings, *,
                  auth_token=None, retry_backoff=0.5):
+        from http.client import HTTPConnection, HTTPSConnection
+
         if settings.endpoint is None:
             raise ValueError("a remote completer needs an endpoint")
         url = urlsplit(settings.endpoint)
@@ -348,6 +349,8 @@ class RemoteCompleter(Completer):
         return conn
 
     def _post(self, payload):
+        from http.client import HTTPException
+
         body = json.dumps(payload, allow_nan=False).encode()
         headers = self._headers()
         last_error = None

@@ -12,11 +12,13 @@ import functools
 import hashlib
 import json
 from dataclasses import dataclass, field, asdict
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from .dataset import write_json
 from .errors import ParseError
+
+if TYPE_CHECKING:  # each function imports numpy: only train and eval load it
+    import numpy as np
 
 SCORE_EPS = 1e-7
 FEATURE_VERSION = 1
@@ -27,6 +29,8 @@ OVERLAP = N_HASH_BUCKETS + 2  # the only feature that depends on the prefix
 
 def _sigmoid(z: np.ndarray) -> np.ndarray:
     """The logistic function, clipped to [SCORE_EPS, 1 - SCORE_EPS]."""
+    import numpy as np
+
     return np.clip(1.0 / (1.0 + np.exp(-z)), SCORE_EPS, 1.0 - SCORE_EPS)
 
 
@@ -38,6 +42,8 @@ def _sigmoid(z: np.ndarray) -> np.ndarray:
 def pointwise_objective(z, targets):
     """Cross-entropy of predictions sigmoid(z) against (possibly soft)
     labels ``targets``."""
+    import numpy as np
+
     y = _sigmoid(z)
     loss = -np.mean(targets * np.log(y) + (1 - targets) * np.log(1 - y))
     return loss, y - targets
@@ -46,6 +52,8 @@ def pointwise_objective(z, targets):
 def pairwise_objective(za, zb, prefs):
     """Cross-entropy between the preference targets (prefs, 1 - prefs) and
     the Bradley-Terry predictions (ya, yb) / (ya + yb), y = sigmoid(z)."""
+    import numpy as np
+
     ya = _sigmoid(za)
     yb = _sigmoid(zb)
     s = ya + yb
@@ -68,6 +76,8 @@ def _step_features(step_text: str):
     """The features of a stripped step that do not depend on the prefix:
     trigram buckets, bias, length and digit ratio, with the overlap slot
     left at 0. Returns (phi, step tokens)."""
+    import numpy as np
+
     phi = np.zeros(N_FEATURES)
     padded = f" {step_text} "
     for i in range(len(padded) - 2):
@@ -174,6 +184,8 @@ def score_solution(model: ToyPrmModel, step_texts, mode: str = "product",
 def _descend(objective, Xs, targets, settings):
     """Full-batch gradient descent from w = 0 on ``objective`` of the logits
     X @ w of each feature matrix in ``Xs``. Returns (w, loss curve)."""
+    import numpy as np
+
     w = np.zeros(Xs[0].shape[1])
     curve = []
     for _ in range(settings.epochs):
@@ -193,6 +205,8 @@ def train_toy_prm(examples=None, objective: str = "soft", settings=None,
     (model, loss_curve). Deterministic: full-batch gradient descent from a
     zero initialization.
     """
+    import numpy as np
+
     settings = settings or TrainSettings()
     if objective in ("soft", "hard"):
         if not examples:
@@ -232,6 +246,8 @@ def load_model(path) -> ToyPrmModel:
     a whole checkpoint of this feature map (malformed, truncated, another
     feature version or bucket count, or weights of another length or not
     all finite)."""
+    import numpy as np
+
     try:
         with open(path, encoding="utf-8") as fh:
             doc = json.load(fh)

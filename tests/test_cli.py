@@ -283,6 +283,14 @@ def run(cmd, config):
     return main([cmd, "--config", str(config)])
 
 
+def _src_env():
+    """This process's environment with this checkout's ``src`` first on
+    ``PYTHONPATH``, for a fresh interpreter."""
+    src = str(ROOT / "src")
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+
+
 class TestExitCodes:
     def test_bad_config_is_2(self, tmp_path):
         path = tmp_path / "bad.json"
@@ -407,11 +415,8 @@ class TestExitCodes:
             config.write_text(json.dumps(doc))
         else:
             argv[-1] = "0"
-        src = str(ROOT / "src")
-        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-            filter(None, [src, os.environ.get("PYTHONPATH")])))
         proc = subprocess.run([sys.executable, "-m", "omegaprm.cli", *argv],
-                              env=env, capture_output=True, text=True,
+                              env=_src_env(), capture_output=True, text=True,
                               timeout=60)
         assert proc.returncode == 2
         assert proc.stderr.count("\n") == 1
@@ -729,6 +734,31 @@ class TestPipeline:
         assert (out / "examples.jsonl").read_bytes() == fresh_examples
         assert (out / "pairs.jsonl").read_bytes() == fresh_pairs
 
+    def test_rerun_removes_only_dead_writers_tmp_files(self, pipeline):
+        tmp_path, config, doc = pipeline
+        out = tmp_path / "out"
+        for cmd in ("filter", "generate"):
+            assert run(cmd, config) == 0
+        tree = next((out / "trees").glob("*.json"))
+        dead = subprocess.Popen([sys.executable, "-c", ""])
+        dead.wait()  # reaped, so its pid names no process
+        live = subprocess.Popen([sys.executable, "-c", "input()"],
+                                stdin=subprocess.PIPE)
+        try:
+            planted = {}  # path: whether its writer is alive
+            for path in (out / "generate_summary.json", tree):
+                for pid in (dead.pid, live.pid):
+                    tmp = path.with_name(f"{path.name}.{pid}.tmp")
+                    tmp.write_text("partial")
+                    planted[tmp] = pid == live.pid
+            other = out / "notes.tmp"  # not a writer's temporary file
+            other.write_text("kept")
+            assert run("generate", config) == 0
+        finally:
+            live.communicate(b"\n", timeout=30)
+        assert {tmp: tmp.exists() for tmp in planted} == planted
+        assert other.read_text() == "kept"
+
     def test_changed_question_is_rebuilt(self, pipeline):
         tmp_path, config, doc = pipeline
         out = tmp_path / "out"
@@ -959,3 +989,43 @@ class TestPipeline:
 
 def _question_and_pid(question):
     return question.id, os.getpid()
+
+
+HEAVY_MODULES = ("concurrent.futures", "http.client", "numpy")
+RUN_MAIN = ("import sys\nfrom omegaprm.cli import main\n"
+            "if main(sys.argv[1:]):\n    raise SystemExit(1)")
+
+
+def _heavy_modules_after(code, *argv):
+    """Which of ``HEAVY_MODULES`` a fresh interpreter has loaded once it
+    has run ``code`` with ``argv``."""
+    probe = (f"{code}\nimport sys\n"
+             f"print(*[m for m in {HEAVY_MODULES!r} if m in sys.modules])")
+    proc = subprocess.run([sys.executable, "-c", probe, *argv],
+                          env=_src_env(), capture_output=True, text=True,
+                          timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout.splitlines()[-1].split()
+
+
+class TestStartupImports:
+    """A command loads only the layers it runs: the PRM's numpy, the HTTP
+    client and the worker pools are imported where they are used."""
+
+    def test_cli_import_loads_none(self):
+        assert _heavy_modules_after("import omegaprm.cli") == []
+
+    def test_only_train_and_eval_load_numpy(self, pipeline):
+        tmp_path, config, doc = pipeline
+        stages = ("filter", "generate", "export", "train", "eval", "bench")
+        loaded = {cmd: _heavy_modules_after(RUN_MAIN, cmd, "--config",
+                                            str(config)) for cmd in stages}
+        assert loaded == {cmd: ["numpy"] if cmd in ("train", "eval") else []
+                          for cmd in stages}
+
+    def test_remote_completer_loads_http_client(self):
+        code = ("import sys\n"
+                "from omegaprm.policy import RemoteCompleter, RemoteSettings\n"
+                "assert 'http.client' not in sys.modules\n"
+                "RemoteCompleter({}, RemoteSettings('http://127.0.0.1:9/x'))")
+        assert _heavy_modules_after(code) == ["http.client"]
