@@ -9,13 +9,12 @@ import argparse
 import json
 import math
 import os
-import re
 import sys
 import threading
 from dataclasses import asdict, dataclass, field, fields, replace
 from functools import partial
 
-from .core import EngineConfig
+from .core import EngineConfig, remove_stale_tmp
 from .dataset import (
     export_corpus_jsonl,
     export_examples_jsonl,
@@ -47,8 +46,6 @@ from .policy import (
 from .prm import TrainSettings, load_model, save_model, train_toy_prm
 
 AUTH_TOKEN_ENV = "OMEGAPRM_AUTH_TOKEN"
-# A temporary file of ``core.open_replacing``: <name>.<pid>.tmp.
-_TMP_NAME = re.compile(r".+\.([0-9]+)\.tmp")
 # The JSON types that a field annotation (a string, as every module here
 # postpones annotations) admits: a string is not a number, a float is not
 # an integer, and true is not a number.
@@ -198,6 +195,15 @@ def _read(reader, path, what="upstream artifact", error=UpstreamError):
         raise error(f"malformed {what}: {path}: {exc}") from None
 
 
+def _make_dir(path, error):
+    """Create directory ``path`` and its parents, or raise ``error``."""
+    try:
+        os.makedirs(path, exist_ok=True)
+    except OSError as exc:
+        raise error(
+            f"cannot create directory {path}: {exc.strerror}") from None
+
+
 def _map_questions(cfg: RunConfig, work, questions):
     """``work(question)`` for each question, in question order.
 
@@ -238,32 +244,6 @@ def _worker_start():
     return multiprocessing.get_context("fork" if forkable else "spawn")
 
 
-def _remove_stale_tmp(directory):
-    """Remove each ``<name>.<pid>.tmp`` in ``directory`` whose pid is no
-    live process: what a writer killed before its rename left. The file
-    of a live pid is kept, since that process (an orphaned worker, say)
-    may still be writing it."""
-    if os.name != "posix":  # elsewhere os.kill(pid, 0) ends the process
-        return
-    try:
-        names = os.listdir(directory)
-    except OSError:  # no directory yet: nothing was written there
-        return
-    for name in names:
-        match = _TMP_NAME.fullmatch(name)
-        if match is None:
-            continue
-        try:
-            os.kill(int(match[1]), 0)
-        except ProcessLookupError:
-            try:
-                os.remove(os.path.join(directory, name))
-            except FileNotFoundError:  # another rerun removed it first
-                pass
-        except (OSError, OverflowError):  # alive, or not a pid at all
-            pass
-
-
 # -- commands --------------------------------------------------------------
 
 def _filter_one(cfg: RunConfig, chains, question):
@@ -282,7 +262,7 @@ def cmd_filter(cfg: RunConfig) -> int:
     if questions and all(rec.reason == "unresolved" for rec in report):
         raise CompleterUnavailable(
             f"no root sampled for any of the {len(questions)} questions")
-    os.makedirs(cfg.output, exist_ok=True)
+    _make_dir(cfg.output, ConfigError)
     export_corpus_jsonl(kept, os.path.join(cfg.output, "kept.jsonl"), chains)
     export_filter_report(report, os.path.join(cfg.output, "filter_report.jsonl"))
     print(f"kept {len(kept)} of {len(questions)} questions")
@@ -293,13 +273,14 @@ def _stored_tree(path, question):
     """The (tree, budget) that an earlier generate run saved at ``path`` for
     ``question`` (same id, statement and answer), or None when the file is
     missing, not a readable tree (a budgetless one included), or of another
-    question."""
-    if not os.path.exists(path):
-        return None
+    question. A path that cannot be read (a directory) is an UpstreamError."""
     try:
         tree, budget = load_tree(path)
-    except ParseError:
+    except (FileNotFoundError, ParseError):
         return None
+    except OSError as exc:
+        raise UpstreamError(f"cannot read upstream artifact: {path}: "
+                            f"{exc.strerror}") from None
     return (tree, budget) if tree.question == question else None
 
 
@@ -317,7 +298,6 @@ def _generate_one(cfg: RunConfig, chains, trees_dir, question):
         tree, budget = build_tree(question, completer, cfg.engine)
     except CompleterUnavailable as exc:
         return question.id, "failed", str(exc)
-    os.makedirs(trees_dir, exist_ok=True)
     save_tree(tree, path, budget)
     return question.id, "built", budget
 
@@ -326,7 +306,9 @@ def cmd_generate(cfg: RunConfig) -> int:
     questions, chains = _read(
         import_corpus_jsonl, os.path.join(cfg.output, "kept.jsonl"))
     trees_dir = os.path.join(cfg.output, "trees")
-    _remove_stale_tmp(trees_dir)
+    remove_stale_tmp(trees_dir)
+    created = not os.path.isdir(trees_dir)
+    _make_dir(trees_dir, UpstreamError)
     results = _map_questions(
         cfg, partial(_generate_one, cfg, chains, trees_dir), questions)
 
@@ -341,6 +323,8 @@ def cmd_generate(cfg: RunConfig) -> int:
             summary["total_searches"] += info.searches_done
     failures = summary["failures"]
     if questions and len(failures) == len(questions):
+        if created:  # an outage leaves the output as it found it
+            os.rmdir(trees_dir)
         raise CompleterUnavailable(failures[0]["error"])
     write_json(summary, os.path.join(cfg.output, "generate_summary.json"))
     built = sum(1 for _, s, _ in results if s == "built")
@@ -417,7 +401,7 @@ def cmd_eval(cfg: RunConfig) -> int:
 def cmd_bench(cfg: RunConfig) -> int:
     questions, chains = _read(import_corpus_jsonl, cfg.corpus, "corpus",
                               ConfigError)
-    os.makedirs(cfg.output, exist_ok=True)
+    _make_dir(cfg.output, ConfigError)
     completer = make_completer(cfg, questions, chains, scope="bench")
     report = efficiency_benchmark(questions, completer, cfg.engine,
                                   cfg.bench.budget)
@@ -476,7 +460,7 @@ def main(argv=None) -> int:
             cfg = RunConfig.from_file(flags.pop("config"), **flags)
         else:
             cfg = RunConfig.from_dict({}, **flags)
-        _remove_stale_tmp(cfg.output)  # cmd_generate also cleans trees/
+        remove_stale_tmp(cfg.output)  # cmd_generate also cleans trees/
         return command(cfg)
     except SystemExit as exc:  # argparse printed the help
         return exc.code

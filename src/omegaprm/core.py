@@ -8,10 +8,14 @@ are converted to float only at export time.
 from __future__ import annotations
 
 import os
-from contextlib import contextmanager
+import re
+from contextlib import contextmanager, suppress
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Optional
+
+# The temporary file of ``open_replacing``: <name>.<pid>.tmp.
+_TMP_NAME = re.compile(r".+\.([0-9]+)\.tmp")
 
 
 @contextmanager
@@ -19,12 +23,39 @@ def open_replacing(path, newline=None):
     """A text file to write whose content replaces ``path`` when the block
     ends without error: it is written as ``<path>.<pid>.tmp`` and renamed
     over ``path``, so ``path`` holds either its previous content or the
-    whole new one, whenever the process dies. Each process writes its own
-    temporary file, so two writers of one path never share one."""
+    whole new one, whenever the process dies. A block that raises removes
+    the temporary file. Each process writes its own temporary file, so two
+    writers of one path never share one."""
     tmp = f"{path}.{os.getpid()}.tmp"
-    with open(tmp, "w", encoding="utf-8", newline=newline) as fh:
-        yield fh
-    os.replace(tmp, path)
+    fh = open(tmp, "w", encoding="utf-8", newline=newline)
+    try:
+        with fh:
+            yield fh
+        os.replace(tmp, path)
+    except BaseException:
+        os.remove(tmp)
+        raise
+
+
+def remove_stale_tmp(directory):
+    """Remove each ``<name>.<pid>.tmp`` in ``directory`` whose pid is no
+    live process: what a writer killed before its rename left. The file
+    of a live pid is kept, since that process (an orphaned worker, say)
+    may still be writing it."""
+    if os.name != "posix":  # elsewhere os.kill(pid, 0) ends the process
+        return
+    try:
+        names = os.listdir(directory)
+    except OSError:  # no directory yet: nothing was written there
+        return
+    for match in filter(None, map(_TMP_NAME.fullmatch, names)):
+        try:
+            os.kill(int(match[1]), 0)
+        except ProcessLookupError:
+            with suppress(FileNotFoundError):  # another rerun removed it first
+                os.remove(os.path.join(directory, match[0]))
+        except (OSError, OverflowError):  # alive, or not a pid at all
+            pass
 
 
 @dataclass(frozen=True)

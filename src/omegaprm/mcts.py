@@ -87,14 +87,8 @@ class RolloutPool:
 
     def total_visits(self) -> int:
         """Sum of N(s) over the distinct states currently in the pool."""
-        seen = set()
-        total = 0
-        for entry in self.entries:
-            key = entry.node.state.key()
-            if key not in seen:
-                seen.add(key)
-                total += entry.node.stats.visit_count
-        return total
+        nodes = {entry.node.state.key(): entry.node for entry in self.entries}
+        return sum(node.stats.visit_count for node in nodes.values())
 
     def select(self, cfg: EngineConfig) -> PoolEntry:
         """Pop the entry maximizing Q(s, r) + U(s); the earliest added entry
@@ -142,7 +136,6 @@ class Tree:
 class SearchResult:
     first_error_index: int
     probe_positions: list
-    trajectory: list
     rollouts_spent: int
 
 
@@ -171,7 +164,6 @@ class OmegaPRMEngine:
 
     def __init__(self, question: Question, completer: Completer,
                  cfg: EngineConfig, max_policy_calls=None):
-        self.question = question
         self.completer = completer
         self.cfg = cfg
         self.max_policy_calls = max_policy_calls
@@ -192,7 +184,7 @@ class OmegaPRMEngine:
 
     # -- root seeding ------------------------------------------------------
 
-    def seed_root(self) -> TreeNode:
+    def seed_root(self):
         root = self.tree.root
         _, rollouts = self._sample(root.state, self.cfg.k_rollouts)
         root.stats.add_rollouts(rollouts)
@@ -204,7 +196,6 @@ class OmegaPRMEngine:
         )
         for r in rollouts:
             self.pool.add(root, r)
-        return root
 
     # -- binary search -----------------------------------------------------
 
@@ -246,7 +237,6 @@ class OmegaPRMEngine:
             cum.append(cum[-1] + s.token_len)
         lo, hi = 0, len(steps)
         probes = []
-        trajectory = []
         spent_before = self.budget.policy_calls
         prev_node, prev_pos = node, 0
         error_rollouts = ()
@@ -269,7 +259,6 @@ class OmegaPRMEngine:
                 probe_node.stats.add_rollouts(new_rollouts)
                 for r in new_rollouts:
                     self.pool.add(probe_node, r)
-                trajectory.append(probe_node)
                 prev_node, prev_pos = probe_node, m
                 lo = m
             else:
@@ -285,11 +274,9 @@ class OmegaPRMEngine:
         elif error_node.mc is None:
             # Terminal wrong end, never probed: its answer is wrong, MC = 0.
             error_node.stats.forced_mc = Fraction(0)
-        trajectory.append(error_node)
         return SearchResult(
             first_error_index=hi,
             probe_positions=probes,
-            trajectory=trajectory,
             rollouts_spent=self.budget.policy_calls - spent_before,
         )
 

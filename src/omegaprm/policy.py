@@ -25,6 +25,7 @@ from .core import Question, Rollout, State, make_step
 from .errors import CompleterUnavailable
 
 PROMPT_TEMPLATE = "Question: {statement}\nSolution so far: {prefix}\n"
+RETRY_BACKOFF = 0.5  # seconds before the first retry; doubles per retry
 
 _BOXED_RE = re.compile(r"\\boxed\{([^{}]*)\}")
 _MARKER_RE = re.compile(
@@ -198,7 +199,8 @@ class SimulatedCompleter(Completer):
         key = (state.question_id,) + state.key()
         ordinal = self._call_ordinals.get(key, 0)
         self._call_ordinals[key] = ordinal + 1
-        return random.Random(stable_int(self.spec.seed, ordinal, *key))
+        return random.Random(stable_int(self.spec.seed, ordinal,
+                                        "\x1f".join(key)))
 
     def reset(self):
         """Forget call ordinals so an identical call sequence replays."""
@@ -315,7 +317,7 @@ class RemoteCompleter(Completer):
     """
 
     def __init__(self, questions, settings: RemoteSettings, *,
-                 auth_token=None, retry_backoff=0.5):
+                 auth_token=None):
         from http.client import HTTPConnection, HTTPSConnection
 
         if settings.endpoint is None:
@@ -329,14 +331,9 @@ class RemoteCompleter(Completer):
         self._steps = {}
         self.questions = dict(questions)
         self.settings = settings
-        self.auth_token = auth_token
-        self.retry_backoff = retry_backoff
-
-    def _headers(self):
-        headers = {"Content-Type": "application/json"}
-        if self.auth_token:
-            headers["Authorization"] = f"Bearer {self.auth_token}"
-        return headers
+        self._headers = {"Content-Type": "application/json"}
+        if auth_token:
+            self._headers["Authorization"] = f"Bearer {auth_token}"
 
     def _connection(self):
         """This thread's connection; a kept-alive socket the server has
@@ -352,12 +349,11 @@ class RemoteCompleter(Completer):
         from http.client import HTTPException
 
         body = json.dumps(payload, allow_nan=False).encode()
-        headers = self._headers()
         last_error = None
         for attempt in range(self.settings.max_retries):
             conn = self._connection()
             try:
-                conn.request("POST", self._path, body, headers)
+                conn.request("POST", self._path, body, self._headers)
                 resp = conn.getresponse()
                 data = resp.read()
                 if resp.status >= 500 or resp.status == 429:
@@ -372,7 +368,7 @@ class RemoteCompleter(Completer):
                 conn.close()
                 last_error = str(exc)
             if attempt + 1 < self.settings.max_retries:
-                time.sleep(self.retry_backoff * (2 ** attempt))
+                time.sleep(RETRY_BACKOFF * 2 ** attempt)
         raise CompleterUnavailable(f"completer unreachable: {last_error}")
 
     def _to_rollout(self, completion, question):

@@ -594,6 +594,40 @@ class TestExitCodes:
         assert err.count("\n") == 1 and artifact in err
         assert not (tmp_path / "out" / "prm_model.json").exists()
 
+    @pytest.mark.parametrize("cmd", ["filter", "bench"])
+    def test_output_that_is_a_file_is_2(self, tmp_path, capsys, cmd):
+        write_corpus(tmp_path / "corpus.jsonl", n_questions=2)
+        config, _ = write_config(tmp_path)
+        (tmp_path / "out").write_text("not a directory")
+        capsys.readouterr()
+        assert run(cmd, config) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: ") and err.count("\n") == 1
+        assert (tmp_path / "out").read_text() == "not a directory"
+
+    @pytest.mark.parametrize("parallelism", [1, 2])
+    @pytest.mark.parametrize("blocker", ["trees_file", "tree_directory"])
+    def test_unwritable_tree_path_is_3(self, tmp_path, capsys, blocker,
+                                       parallelism):
+        # A file where trees/ belongs, or a directory where a tree belongs.
+        write_corpus(tmp_path / "corpus.jsonl", n_questions=2)
+        config, _ = write_config(tmp_path)
+        assert run("filter", config) == 0
+        trees = tmp_path / "out" / "trees"
+        if blocker == "trees_file":
+            trees.write_text("not a directory")
+        else:
+            qid = json.loads((tmp_path / "out" / "kept.jsonl").read_text()
+                             .splitlines()[0])["id"]
+            (trees / f"{qid}.json").mkdir(parents=True)
+        capsys.readouterr()
+        assert main(["generate", "--config", str(config),
+                     "--parallelism", str(parallelism)]) == 3
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "Traceback" not in err
+        assert str(trees) in err
+        assert not (tmp_path / "out" / "generate_summary.json").exists()
+
     MODEL_DAMAGE = {
         "truncated": lambda text: text[: len(text) // 2],
         "not_json": lambda text: "weights: [0.5]\n",

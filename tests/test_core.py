@@ -1,3 +1,4 @@
+import json
 import os
 import subprocess
 import sys
@@ -16,6 +17,7 @@ from omegaprm.core import (
     open_replacing,
     state_transition,
 )
+from omegaprm.dataset import write_json
 
 
 def steps(*texts):
@@ -167,6 +169,17 @@ class TestOpenReplacing:
             child.stdout.close()
         assert path.read_text() == "child"
         assert sorted(p.name for p in tmp_path.iterdir()) == ["artifact.json"]
+
+    def test_failed_block_leaves_no_temporary_file(self, tmp_path):
+        path = tmp_path / "x.json"
+        path.write_text("old")
+        with pytest.raises(TypeError):
+            write_json({"a": object()}, path)
+        assert path.read_text() == "old"
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["x.json"]
+        write_json({"a": 1}, path)  # a block that ends normally renames
+        assert json.loads(path.read_text()) == {"a": 1}
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["x.json"]
 
 
 class TestEngineConfig:

@@ -65,6 +65,13 @@ def wrong_rollout_at(chain, error_step):
     return Rollout(out, f"wrong{error_step}", False)
 
 
+def node_at(engine, rollout, position):
+    """The tree node of the root's prefix plus ``rollout``'s first
+    ``position`` steps."""
+    state = state_transition(engine.tree.root.state, rollout.steps[:position])
+    return engine.tree.nodes[state.key()]
+
+
 def node_with_mc(prefix, mc_rollouts):
     node = TreeNode(state=State("q1", steps(*prefix)))
     node.stats.add_rollouts(
@@ -185,13 +192,13 @@ class TestLocateFirstError:
         q, chain, comp, cfg = make_setup(n_steps=8)
         engine = OmegaPRMEngine(q, comp, cfg)
         engine.seed_root()
-        result = engine.locate_first_error(
-            engine.tree.root, wrong_rollout_at(chain, 7)
-        )
+        rollout = wrong_rollout_at(chain, 7)
+        result = engine.locate_first_error(engine.tree.root, rollout)
         assert result.probe_positions == [4, 6, 7]
         assert result.first_error_index == 7
-        assert [len(n.state.prefix_steps) for n in result.trajectory] == [4, 6, 7]
-        assert [n.mc for n in result.trajectory] == [1, 1, 0]
+        # Each probed prefix is a tree node.
+        assert [node_at(engine, rollout, m).mc
+                for m in result.probe_positions] == [1, 1, 0]
         assert result.rollouts_spent == 3 * cfg.k_rollouts
 
     def test_matches_exhaustive_oracle(self):
@@ -253,10 +260,9 @@ class TestLocateFirstError:
         q, chain, comp, cfg = make_setup(n_steps=8)
         engine = OmegaPRMEngine(q, comp, cfg)
         engine.seed_root()
-        result = engine.locate_first_error(
-            engine.tree.root, wrong_rollout_at(chain, 7)
-        )
-        error_node = result.trajectory[-1]
+        rollout = wrong_rollout_at(chain, 7)
+        result = engine.locate_first_error(engine.tree.root, rollout)
+        error_node = node_at(engine, rollout, result.first_error_index)
         assert error_node.mc == 0
 
     def test_preconditions(self):
@@ -430,11 +436,11 @@ class TestSerialization:
         q, chain, comp, cfg = make_setup(n_steps=8)
         engine = OmegaPRMEngine(q, comp, cfg)
         engine.seed_root()
-        result = engine.locate_first_error(
-            engine.tree.root, wrong_rollout_at(chain, 8)
-        )
-        error_key = result.trajectory[-1].state.key()
-        assert engine.tree.nodes[error_key].stats.forced_mc == 0
+        rollout = wrong_rollout_at(chain, 8)
+        result = engine.locate_first_error(engine.tree.root, rollout)
+        error_node = node_at(engine, rollout, result.first_error_index)
+        error_key = error_node.state.key()
+        assert error_node.stats.forced_mc == 0
         tree2, _ = tree_from_dict(
             json.loads(dump_tree(engine.tree, engine.budget)))
         assert tree2.nodes[error_key].mc == 0

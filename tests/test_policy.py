@@ -283,10 +283,17 @@ class TestSimulatorMatchesReference:
 class TestRemoteCompleter:
     QUESTION = Question("q1", "What is 2+2?", "4")
 
+    @pytest.fixture(autouse=True)
+    def sleeps(self, monkeypatch):
+        """The backoff of each retry, recorded instead of slept."""
+        sleeps = []
+        monkeypatch.setattr(policy.time, "sleep", sleeps.append)
+        return sleeps
+
     def make(self, endpoint, auth_token=None, **settings):
         return RemoteCompleter({"q1": self.QUESTION},
                                RemoteSettings(endpoint, **settings),
-                               auth_token=auth_token, retry_backoff=0.0)
+                               auth_token=auth_token)
 
     def test_basic_request(self, fake_server):
         comp = self.make(fake_server.url)
@@ -301,17 +308,20 @@ class TestRemoteCompleter:
         sizes = [b["n"] for b in fake_server.requests_seen]
         assert sizes == [4, 4, 2]
 
-    def test_retries_transient_errors(self, fake_server):
+    def test_retries_transient_errors(self, fake_server, sleeps):
         fake_server.fail_times = 2
         comp = self.make(fake_server.url, max_retries=3)
         rollouts = comp.sample_rollouts(CompleterRequest(State("q1"), 2))
         assert len(rollouts) == 2
+        # 0.5 s before the first retry, doubling per retry.
+        assert sleeps == [0.5, 1.0]
 
-    def test_unavailable_after_retry_budget(self, fake_server):
+    def test_unavailable_after_retry_budget(self, fake_server, sleeps):
         fake_server.fail_times = 10
         comp = self.make(fake_server.url, max_retries=2)
         with pytest.raises(CompleterUnavailable):
             comp.sample_rollouts(CompleterRequest(State("q1"), 2))
+        assert sleeps == [0.5]  # no wait after the last attempt
 
     def test_unreachable_endpoint(self):
         comp = self.make("http://127.0.0.1:1/complete", max_retries=2)
@@ -339,8 +349,7 @@ class TestRemoteCompleter:
 
     def test_auth_header_sent(self, fake_server):
         comp = self.make(fake_server.url, auth_token="sekrit")
-        headers = comp._headers()
-        assert headers["Authorization"] == "Bearer sekrit"
+        assert comp._headers["Authorization"] == "Bearer sekrit"
 
     def test_request_carries_sampling_params(self, fake_server):
         comp = self.make(fake_server.url)
@@ -413,8 +422,7 @@ class TestRemoteTransport:
 
     def make(self, endpoint, **settings):
         return RemoteCompleter(self.QUESTIONS,
-                               RemoteSettings(endpoint, **settings),
-                               retry_backoff=0.0)
+                               RemoteSettings(endpoint, **settings))
 
     @staticmethod
     def answer_prompt(body):
