@@ -204,18 +204,22 @@ def _make_dir(path, error):
             f"cannot create directory {path}: {exc.strerror}") from None
 
 
-def _map_questions(cfg: RunConfig, work, questions):
-    """``work(question)`` for each question, in question order.
+def _map_questions(cfg: RunConfig, work, items):
+    """``work(item)`` for each of ``items`` (the questions of ``filter``,
+    ``generate`` and a simulated ``export``, or the two arms of a simulated
+    ``bench``), as a list in item order.
 
-    At parallelism 1 (or for a single question) it runs in this process.
-    Otherwise the simulated completer, which holds the GIL, runs in worker
-    processes, so ``work`` and its results must pickle; the remote one,
-    which waits on the network and keeps one connection per thread, runs
-    on threads.
+    At parallelism 1 (or for a single item) it runs in this process.
+    Otherwise, with the simulated completer, which is CPU-bound and holds
+    the GIL, it runs in worker processes, so ``work`` and its results must
+    pickle: a ``generate`` worker returns a status, not its tree, and an
+    ``export`` worker loads one tree and returns its examples and pairs.
+    With the remote one, which waits on the network and keeps one
+    connection per thread, it runs on threads.
     """
-    workers = min(cfg.parallelism, len(questions))
+    workers = min(cfg.parallelism, len(items))
     if workers <= 1:
-        return list(map(work, questions))
+        return list(map(work, items))
     # Imported here, so a serial command loads no pool. Each pool class is
     # imported on first access (the process pool pulls in multiprocessing).
     import concurrent.futures
@@ -226,7 +230,17 @@ def _map_questions(cfg: RunConfig, work, questions):
     else:
         pool = concurrent.futures.ThreadPoolExecutor(workers)
     with pool:
-        return list(pool.map(work, questions))
+        return list(pool.map(work, items))
+
+
+def _sim_map(cfg: RunConfig):
+    """The map of ``export`` and ``bench``, whose work is CPU-bound: through
+    ``_map_questions`` with the simulated completer, and the built-in
+    ``map`` with the remote one. Threads would not speed that work up, and
+    each would keep the memory it used in a malloc arena of its own; and
+    ``bench``'s arms would interleave their requests, while a remote
+    server's reply to a prefix may depend on the requests for it before."""
+    return partial(_map_questions, cfg) if cfg.completer_kind == "sim" else map
 
 
 def _worker_start():
@@ -334,23 +348,31 @@ def cmd_generate(cfg: RunConfig) -> int:
     return 0
 
 
+def _export_one(trees_dir, question):
+    """The (examples, pairs) of ``question``'s tree under ``trees_dir``, or
+    None when the tree is missing or of another question."""
+    path = os.path.join(trees_dir, f"{question.id}.json")
+    if not os.path.exists(path):
+        return None
+    tree = _read(load_tree, path)[0]
+    if tree.question != question:
+        return None
+    return tree_to_examples(tree), tree_to_pairs(tree)
+
+
 def cmd_export(cfg: RunConfig) -> int:
     """Export the tree of each kept question, in file name order, skipping
     a tree that is missing or of another question; ignore other trees."""
     questions, _ = _read(
         import_corpus_jsonl, os.path.join(cfg.output, "kept.jsonl"))
     trees_dir = os.path.join(cfg.output, "trees")
-    examples, pairs, exported = [], [], 0
-    for question in sorted(questions, key=lambda q: f"{q.id}.json"):
-        path = os.path.join(trees_dir, f"{question.id}.json")
-        tree = _read(load_tree, path)[0] if os.path.exists(path) else None
-        if tree is None or tree.question != question:
-            continue
-        exported += 1
-        examples.extend(tree_to_examples(tree))
-        pairs.extend(tree_to_pairs(tree))
-    if not exported:
+    results = [r for r in _sim_map(cfg)(
+        partial(_export_one, trees_dir),
+        sorted(questions, key=lambda q: f"{q.id}.json")) if r is not None]
+    if not results:
         raise UpstreamError(f"missing upstream artifact: {trees_dir}/*.json")
+    examples = [ex for tree_examples, _ in results for ex in tree_examples]
+    pairs = [pair for _, tree_pairs in results for pair in tree_pairs]
     export_examples_jsonl(examples, os.path.join(cfg.output, "examples.jsonl"))
     export_pairs_jsonl(pairs, os.path.join(cfg.output, "pairs.jsonl"))
     print(f"exported {len(examples)} examples, {len(pairs)} pairs")
@@ -403,8 +425,10 @@ def cmd_bench(cfg: RunConfig) -> int:
                               ConfigError)
     _make_dir(cfg.output, ConfigError)
     completer = make_completer(cfg, questions, chains, scope="bench")
+    # Each arm starts with completer.reset(). The simulator then replays its
+    # seeded streams, so a copy in a worker counts what a serial run would.
     report = efficiency_benchmark(questions, completer, cfg.engine,
-                                  cfg.bench.budget)
+                                  cfg.bench.budget, _sim_map(cfg))
     write_json(report, os.path.join(cfg.output, "bench_report.json"))
     print(
         f"examples/call: brute {report['brute_force']['examples_per_call']:.4f}"

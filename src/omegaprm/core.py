@@ -14,6 +14,8 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Optional
 
+from .errors import UpstreamError
+
 # The temporary file of ``open_replacing``: <name>.<pid>.tmp.
 _TMP_NAME = re.compile(r".+\.([0-9]+)\.tmp")
 
@@ -24,17 +26,23 @@ def open_replacing(path, newline=None):
     ends without error: it is written as ``<path>.<pid>.tmp`` and renamed
     over ``path``, so ``path`` holds either its previous content or the
     whole new one, whenever the process dies. A block that raises removes
-    the temporary file. Each process writes its own temporary file, so two
-    writers of one path never share one."""
+    the temporary file, and an ``OSError`` (``path`` is a directory, say)
+    is raised as an ``UpstreamError`` that names ``path``. Each process
+    writes its own temporary file, so two writers of one path never share
+    one."""
     tmp = f"{path}.{os.getpid()}.tmp"
-    fh = open(tmp, "w", encoding="utf-8", newline=newline)
     try:
-        with fh:
-            yield fh
-        os.replace(tmp, path)
-    except BaseException:
-        os.remove(tmp)
-        raise
+        fh = open(tmp, "w", encoding="utf-8", newline=newline)
+        try:
+            with fh:
+                yield fh
+            os.replace(tmp, path)
+        except BaseException:
+            os.remove(tmp)
+            raise
+    except OSError as exc:
+        raise UpstreamError(
+            f"cannot write artifact: {path}: {exc.strerror}") from None
 
 
 def remove_stale_tmp(directory):

@@ -4,6 +4,7 @@ from __future__ import annotations
 import csv
 import random
 from dataclasses import dataclass, field
+from functools import partial
 from typing import Optional
 
 from .core import EngineConfig, Question, State, open_replacing
@@ -235,63 +236,81 @@ def accuracy_curve(questions, completer, model, settings: EvalSettings,
     return reports
 
 
-def efficiency_benchmark(questions, completer, cfg: EngineConfig,
-                         budget: int) -> dict:
-    """Compare examples-per-policy-call of per-step annotation vs the
-    tree search, under the same total rollout budget.
-
-    The brute-force arm samples a solution and runs k rollouts for every
-    step prefix (one example per annotated step). The search arm builds
-    trees and counts the single-step edges they yield.
-    """
-    # Arm A: brute-force per-step Monte Carlo annotation.
+def _brute_force_arm(questions, completer, cfg: EngineConfig, budget: int):
+    """Per-step Monte Carlo annotation: sample a solution and run k rollouts
+    for every step prefix (one example per annotated step), question after
+    question, until ``budget`` policy calls are spent. Returns (policy
+    calls, examples)."""
     completer.reset()
-    brute_budget = SearchBudget()
-    brute_examples = 0
+    spent = SearchBudget()
+    examples = 0
     idx = 0
-    while questions and brute_budget.policy_calls + 1 + cfg.k_rollouts <= budget:
+    while questions and spent.policy_calls + 1 + cfg.k_rollouts <= budget:
         question = questions[idx % len(questions)]
         idx += 1
         root = State(question_id=question.id)
-        _, sols = monte_carlo_estimate(completer, root, 1, brute_budget)
+        _, sols = monte_carlo_estimate(completer, root, 1, spent)
         solution = sols[0]
         if not solution.steps:
             continue
-        affordable = (budget - brute_budget.policy_calls) // cfg.k_rollouts
+        affordable = (budget - spent.policy_calls) // cfg.k_rollouts
         labels = annotate_per_step(
             completer, question, solution, cfg.k_rollouts,
-            budget=brute_budget, max_steps=affordable,
+            budget=spent, max_steps=affordable,
         )
-        brute_examples += len(labels)
+        examples += len(labels)
+    return spent.policy_calls, examples
 
-    # Arm B: tree construction under the same cap. Each completed search
-    # annotates its rollout up to the located first error, so it certifies
-    # one per-step label for every step through that error.
+
+def _search_arm(questions, completer, cfg: EngineConfig, budget: int):
+    """Tree construction under the same cap. Each completed search annotates
+    its rollout up to the located first error, so it certifies one per-step
+    label for every step through that error. Returns (policy calls,
+    examples, single-step edges)."""
     completer.reset()
-    omega_calls = 0
-    omega_examples = 0
-    omega_single_step_edges = 0
+    calls = examples = single_step_edges = 0
     for question in questions:
-        remaining = budget - omega_calls
+        remaining = budget - calls
         if remaining < cfg.k_rollouts:
             break
         engine = OmegaPRMEngine(
             question, completer, cfg, max_policy_calls=remaining
         )
         tree, tree_budget = engine.build()
-        omega_calls += tree_budget.policy_calls
-        omega_examples += engine.labels_produced
-        omega_single_step_edges += len(tree_to_examples(tree))
+        calls += tree_budget.policy_calls
+        examples += engine.labels_produced
+        single_step_edges += len(tree_to_examples(tree))
+    return calls, examples, single_step_edges
+
+
+def _run_arm(questions, completer, cfg: EngineConfig, budget: int, arm):
+    """``arm(questions, completer, cfg, budget)``: the arm comes last, so a
+    ``partial`` of the rest maps over the arms, in a worker too."""
+    return arm(questions, completer, cfg, budget)
+
+
+def efficiency_benchmark(questions, completer, cfg: EngineConfig,
+                         budget: int, map_arms) -> dict:
+    """Compare examples-per-policy-call of per-step annotation vs the
+    tree search, under the same total rollout budget.
+
+    ``map_arms(work, arms)`` runs ``work`` on each arm and returns the
+    results in arm order; each arm starts with ``completer.reset()``, so
+    the arms are independent.
+    """
+    (brute_calls, brute_examples), (omega_calls, omega_examples, edges) = (
+        map_arms(partial(_run_arm, questions, completer, cfg, budget),
+                 (_brute_force_arm, _search_arm)))
 
     def per_call(examples, calls):
         return examples / calls if calls else 0.0
 
-    brute_epc = per_call(brute_examples, brute_budget.policy_calls)
+    brute_epc = per_call(brute_examples, brute_calls)
     omega_epc = per_call(omega_examples, omega_calls)
     return {
         "budget": budget,
         "brute_force": {
-            "policy_calls": brute_budget.policy_calls,
+            "policy_calls": brute_calls,
             "examples": brute_examples,
             "examples_per_call": brute_epc,
         },
@@ -299,7 +318,7 @@ def efficiency_benchmark(questions, completer, cfg: EngineConfig,
             "policy_calls": omega_calls,
             "examples": omega_examples,
             "examples_per_call": omega_epc,
-            "single_step_edges": omega_single_step_edges,
+            "single_step_edges": edges,
         },
         "ratio": (omega_epc / brute_epc) if brute_epc else 0.0,
     }

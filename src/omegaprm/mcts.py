@@ -12,6 +12,7 @@ import math
 from dataclasses import asdict, dataclass
 from fractions import Fraction
 from json.encoder import encode_basestring_ascii
+from operator import itemgetter
 
 from .core import (
     Edge,
@@ -344,6 +345,12 @@ def annotate_per_step(completer: Completer, question: Question,
 SCHEMA_VERSION = 1
 
 
+def _mc_fields(mc) -> dict:
+    """The stored fields of a node's MC: both null for a node without one."""
+    return {"mc_num": getattr(mc, "numerator", None),
+            "mc_den": getattr(mc, "denominator", None)}
+
+
 def tree_doc(tree: Tree, budget: SearchBudget) -> dict:
     """The schema-v1 document of ``tree`` and its budget, the inverse of
     ``tree_from_dict``. Each step sequence stays the tuple of its
@@ -358,9 +365,7 @@ def tree_doc(tree: Tree, budget: SearchBudget) -> dict:
             "id": i,
             "prefix_steps": node.state.prefix_steps,
             "visit_count": node.stats.visit_count,
-            # both null for a node without MC
-            "mc_num": getattr(node.mc, "numerator", None),
-            "mc_den": getattr(node.mc, "denominator", None),
+            **_mc_fields(node.mc),
             "rollouts": [{
                 "steps": r.steps,
                 "final_answer": r.final_answer,
@@ -445,34 +450,34 @@ def save_tree(tree: Tree, path, budget: SearchBudget):
         fh.write("\n")
 
 
-def _rollout_from_dict(d, step):
-    rollout = Rollout(
-        steps=tuple(step(s) for s in d["steps"]),
-        final_answer=d["final_answer"],
-        is_correct=d["is_correct"],
-    )
-    if rollout.token_len != d["token_len"]:
-        raise ValueError(f"rollout token_len {d['token_len']!r}, but its "
-                         f"steps sum to {rollout.token_len}")
-    return rollout
+# A step dict's (text, token_len).
+_SPELLING = itemgetter("text", "token_len")
+
+
+class _Steps(dict):
+    """(text, token_len) -> the one ``Step`` of that value, made on first
+    use, so a tree's equal steps are one object."""
+
+    def __missing__(self, key):
+        step = self[key] = Step(*key)
+        return step
 
 
 def tree_from_dict(doc):
     """Rebuild a tree and its budget from the parsed JSON of a schema-v1
-    file. Raises ``ValueError`` for another schema version."""
+    file. Raises ``ValueError`` for another schema version, for a stored
+    rollout ``token_len`` that disagrees with its steps, and for a stored
+    MC other than the one ``tree_doc`` writes for its node."""
     if doc["schema_version"] != SCHEMA_VERSION:
         raise ValueError(
             f"schema_version {doc['schema_version']!r}, "
             f"expected {SCHEMA_VERSION}"
         )
-    steps = {}  # (text, token_len) -> the tree's one Step of that value
+    interned = _Steps().__getitem__
 
-    def step(d):
-        key = (d["text"], d["token_len"])
-        s = steps.get(key)
-        if s is None:
-            s = steps[key] = Step(text=key[0], token_len=key[1])
-        return s
+    def steps(dicts):
+        """The tuple of the interned ``Step``s that the step dicts spell."""
+        return tuple(map(interned, map(_SPELLING, dicts)))
 
     q = doc["question"]
     question = Question(
@@ -483,34 +488,43 @@ def tree_from_dict(doc):
     tree.threshold = doc["threshold"]
     by_id = {}
     for nd in doc["nodes"]:
-        if not nd["prefix_steps"]:
-            node = tree.root
+        prefix = steps(nd["prefix_steps"])
+        if prefix:
+            node = TreeNode(state=State(question.id, prefix))
+            tree.nodes[node.state.key()] = node
         else:
-            state = State(
-                question_id=question.id,
-                prefix_steps=tuple(step(s) for s in nd["prefix_steps"]),
-            )
-            node = TreeNode(state=state)
-            tree.nodes[state.key()] = node
-        node.stats.visit_count = nd["visit_count"]
-        node.stats.add_rollouts(
-            _rollout_from_dict(r, step) for r in nd["rollouts"])
-        if not node.stats.rollouts and nd["mc_num"] is not None:
-            node.stats.forced_mc = Fraction(nd["mc_num"], nd["mc_den"])
+            node = tree.root
+        rollouts = []
+        for d in nd["rollouts"]:
+            rollout = Rollout(steps(d["steps"]), d["final_answer"],
+                              d["is_correct"])
+            if rollout.token_len != d["token_len"]:
+                raise ValueError(f"rollout token_len {d['token_len']!r}, but "
+                                 f"its steps sum to {rollout.token_len}")
+            rollouts.append(rollout)
+        stats = node.stats
+        stats.visit_count = nd["visit_count"]
+        stats.add_rollouts(rollouts)
+        if not rollouts and nd["mc_num"] is not None:
+            stats.forced_mc = Fraction(0)  # the only MC a search forces
+        written = _mc_fields(stats.mc)
+        if any(type(nd[k]) is not type(v) or nd[k] != v
+               for k, v in written.items()):
+            raise ValueError(f"stored MC {nd['mc_num']!r}/{nd['mc_den']!r}, "
+                             f"expected {written['mc_num']!r}/"
+                             f"{written['mc_den']!r}")
         by_id[nd["id"]] = node
     for ed in doc["edges"]:
-        parent = by_id[ed["parent"]]
-        parent.children.append(Edge(
-            action_steps=tuple(step(s) for s in ed["action_steps"]),
-            child=by_id[ed["child"]],
-        ))
+        by_id[ed["parent"]].children.append(
+            Edge(steps(ed["action_steps"]), by_id[ed["child"]]))
     return tree, SearchBudget(**doc["budget"])
 
 
 def load_tree(path):
     """Read the tree file at ``path``. Raises ``ParseError`` when the file
     is not a whole schema-v1 tree (truncated, malformed, other version,
-    without a budget)."""
+    without a budget, or storing a rollout length or an MC that its steps
+    or rollouts contradict)."""
     with open(path, encoding="utf-8") as fh:
         try:
             return tree_from_dict(json.load(fh))

@@ -159,7 +159,8 @@ def test_criterion_3_examples_per_call_ratio():
     )
     cfg = EngineConfig()  # k = 8
     t0 = time.perf_counter()
-    result = efficiency_benchmark(questions, comp, cfg, budget=20_000)
+    result = efficiency_benchmark(questions, comp, cfg, budget=20_000,
+                                  map_arms=map)
     elapsed = time.perf_counter() - t0
     ok = result["ratio"] >= 3.0 and elapsed < 300.0
     report(3, ok,
@@ -412,7 +413,8 @@ def _artifact_bundle(seed):
     reports = accuracy_curve([q], comp, model, EvalSettings(
         k_max=4, n_resamples=10, pool_size=8), seed=seed)
     comp.reset()
-    bench = efficiency_benchmark([q], comp, EngineConfig(), budget=500)
+    bench = efficiency_benchmark([q], comp, EngineConfig(), budget=500,
+                                 map_arms=map)
     return {
         "tree": dump_tree(tree, budget),
         "examples": json.dumps([vars(ex) for ex in examples]),

@@ -269,13 +269,24 @@ def write_config(tmp_path, out_name="out", seed=0):
 
 
 def damaged_tree(doc, damage):
-    """The tree document ``doc`` without its budget ("budgetless"), or with
-    a stored rollout whose ``token_len`` disagrees with its steps."""
+    """The tree document ``doc`` without its budget ("budgetless"); with a
+    stored rollout whose ``token_len`` disagrees with its steps
+    ("token_len"); with a zero MC denominator on a node without rollouts
+    ("mc_den_zero"); or with the MC 7/1 on a node with rollouts
+    ("mc_mismatch")."""
+    nodes = doc["nodes"]
     if damage == "budgetless":
         del doc["budget"]
-    else:
-        rollout = next(r for nd in doc["nodes"] for r in nd["rollouts"])
+    elif damage == "token_len":
+        rollout = next(r for nd in nodes for r in nd["rollouts"])
         rollout["token_len"] += 1
+    elif damage == "mc_den_zero":
+        node = next(nd for nd in nodes
+                    if not nd["rollouts"] and nd["mc_num"] is not None)
+        node["mc_den"] = 0
+    else:
+        node = next(nd for nd in nodes if nd["rollouts"])
+        node["mc_num"], node["mc_den"] = 7, 1
     return doc
 
 
@@ -628,6 +639,29 @@ class TestExitCodes:
         assert str(trees) in err
         assert not (tmp_path / "out" / "generate_summary.json").exists()
 
+    @pytest.mark.parametrize("parallelism", [1, 2])
+    @pytest.mark.parametrize("cmd,artifact", [
+        ("export", "examples.jsonl"),
+        ("bench", "bench_report.json"),
+    ])
+    def test_artifact_that_is_a_directory_is_3(self, tmp_path, capsys, cmd,
+                                               artifact, parallelism):
+        write_corpus(tmp_path / "corpus.jsonl", n_questions=2)
+        config, _ = write_config(tmp_path)
+        if cmd == "export":
+            for stage in ("filter", "generate"):
+                assert run(stage, config) == 0
+        out = tmp_path / "out"
+        blocker = out / artifact
+        blocker.mkdir(parents=True)
+        capsys.readouterr()
+        assert main([cmd, "--config", str(config),
+                     "--parallelism", str(parallelism)]) == 3
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "Traceback" not in err
+        assert str(blocker) in err
+        assert blocker.is_dir() and not list(out.rglob("*.tmp"))
+
     MODEL_DAMAGE = {
         "truncated": lambda text: text[: len(text) // 2],
         "not_json": lambda text: "weights: [0.5]\n",
@@ -854,6 +888,79 @@ class TestPipeline:
         assert err.count("\n") == 1 and "not a readable tree" in err
         assert victim.name in err
 
+    @pytest.mark.parametrize("parallelism", [1, 2])
+    @pytest.mark.parametrize("damage", ["mc_den_zero", "mc_mismatch"])
+    def test_tree_with_another_stored_mc_is_unreadable(self, pipeline, capsys,
+                                                       damage, parallelism):
+        # Export exits 3 on it, and generate rebuilds it.
+        tmp_path, config, doc = pipeline
+        out = tmp_path / "out"
+        for cmd in ("filter", "generate", "export"):
+            assert run(cmd, config) == 0
+        fresh = {name: (out / name).read_bytes()
+                 for name in ("examples.jsonl", "pairs.jsonl")}
+        victim = sorted((out / "trees").glob("*.json"))[0]
+        tree = victim.read_bytes()
+        victim.write_text(json.dumps(
+            damaged_tree(json.loads(tree), damage), indent=2))
+        flags = ["--config", str(config), "--parallelism", str(parallelism)]
+        capsys.readouterr()
+        assert main(["export", *flags]) == 3
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "not a readable tree" in err
+        assert victim.name in err
+        assert main(["generate", *flags]) == 0
+        summary = json.loads((out / "generate_summary.json").read_text())
+        statuses = {q["question_id"]: q["status"] for q in summary["questions"]}
+        assert statuses.pop(victim.stem) == "built"
+        assert set(statuses.values()) == {"resumed"}
+        assert victim.read_bytes() == tree
+        assert main(["export", *flags]) == 0
+        for name, data in fresh.items():
+            assert (out / name).read_bytes() == data, name
+
+    @pytest.mark.parametrize("case", ["skipped_trees", "truncated_tree",
+                                      "bench"])
+    def test_workers_write_what_one_process_writes(self, pipeline, capsys,
+                                                   case):
+        tmp_path, config, doc = pipeline
+        out = tmp_path / "out"
+        if case == "bench":
+            cmd, names = "bench", ["bench_report.json"]
+        else:
+            cmd, names = "export", ["examples.jsonl", "pairs.jsonl"]
+            for stage in ("filter", "generate"):
+                assert run(stage, config) == 0
+            trees = sorted((out / "trees").glob("*.json"))
+            if case == "skipped_trees":
+                trees[0].unlink()  # missing
+                trees[1].write_bytes(trees[2].read_bytes())  # another question's
+            else:
+                trees[1].write_bytes(trees[1].read_bytes()[:1000])
+        results = []
+        for parallelism in (1, 2):
+            capsys.readouterr()
+            code = main([cmd, "--config", str(config),
+                         "--parallelism", str(parallelism)])
+            err = capsys.readouterr().err
+            written = [(out / name).read_bytes() if (out / name).exists()
+                       else None for name in names]
+            for name in names:  # the next run's files are its own
+                (out / name).unlink(missing_ok=True)
+            results.append((code, err, written))
+        assert results[0] == results[1]
+        code, err, written = results[0]
+        if case == "truncated_tree":
+            assert code == 3 and written == [None, None]
+            assert err.count("\n") == 1 and "Traceback" not in err
+            assert trees[1].name in err
+        else:
+            assert code == 0 and None not in written
+        if case == "skipped_trees":
+            exported = {json.loads(line)["question_id"]
+                        for line in written[0].decode().splitlines()}
+            assert exported == {p.stem for p in trees[2:]}
+
     def test_export_with_only_stray_trees_is_3(self, pipeline, capsys):
         tmp_path, config, doc = pipeline
         out = tmp_path / "out"
@@ -1056,6 +1163,34 @@ class TestStartupImports:
                                             str(config)) for cmd in stages}
         assert loaded == {cmd: ["numpy"] if cmd in ("train", "eval") else []
                           for cmd in stages}
+
+    def test_export_and_bench_load_a_pool_above_parallelism_1(self,
+                                                              pipeline):
+        tmp_path, config, doc = pipeline
+        for cmd in ("filter", "generate"):
+            assert run(cmd, config) == 0
+        loaded = {(cmd, p): _heavy_modules_after(
+            RUN_MAIN, cmd, "--config", str(config), "--parallelism", str(p))
+            for cmd in ("export", "bench") for p in (1, 2)}
+        assert loaded == {(cmd, p): ["concurrent.futures"] if p > 1 else []
+                          for cmd, p in loaded}
+
+    def test_remote_export_and_bench_start_no_pool(self, tmp_path,
+                                                   fake_server, monkeypatch):
+        write_corpus(tmp_path / "corpus.jsonl", n_questions=2)
+        config, doc = write_config(tmp_path)
+        doc.update(parallelism=2, bench={"budget": 200})
+        doc["completer"]["remote"] = {"endpoint": fake_server.url}
+        config.write_text(json.dumps(doc))
+        for cmd in ("filter", "generate"):  # trees from the simulator
+            assert run(cmd, config) == 0
+        pools = []
+        monkeypatch.setattr(cli, "_map_questions",
+                            lambda *args: pools.append(args))
+        for cmd in ("export", "bench"):
+            assert main([cmd, "--config", str(config),
+                         "--completer", "remote"]) == 0
+        assert fake_server.requests_seen and pools == []
 
     def test_remote_completer_loads_http_client(self):
         code = ("import sys\n"

@@ -1,5 +1,6 @@
 import json
 import os
+import re
 import subprocess
 import sys
 from fractions import Fraction
@@ -18,6 +19,7 @@ from omegaprm.core import (
     state_transition,
 )
 from omegaprm.dataset import write_json
+from omegaprm.errors import UpstreamError
 
 
 def steps(*texts):
@@ -179,6 +181,15 @@ class TestOpenReplacing:
         assert sorted(p.name for p in tmp_path.iterdir()) == ["x.json"]
         write_json({"a": 1}, path)  # a block that ends normally renames
         assert json.loads(path.read_text()) == {"a": 1}
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["x.json"]
+
+
+    def test_path_that_is_a_directory_is_upstream_error(self, tmp_path):
+        path = tmp_path / "x.json"
+        path.mkdir()
+        with pytest.raises(UpstreamError, match=re.escape(str(path))):
+            write_json({"a": 1}, path)
+        assert path.is_dir()
         assert sorted(p.name for p in tmp_path.iterdir()) == ["x.json"]
 
 

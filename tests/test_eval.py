@@ -376,7 +376,7 @@ class TestEfficiencyBenchmark:
     def test_search_beats_per_step_annotation(self):
         questions, comp = sim_world(n_questions=6, error_prob=0.15, seed=9)
         result = efficiency_benchmark(questions, comp, EngineConfig(),
-                                      budget=4000)
+                                      budget=4000, map_arms=map)
         assert result["brute_force"]["policy_calls"] <= 4000
         assert result["omegaprm"]["policy_calls"] <= 4000
         assert result["brute_force"]["examples"] > 0
@@ -385,13 +385,14 @@ class TestEfficiencyBenchmark:
     def test_zero_budget(self):
         questions, comp = sim_world()
         result = efficiency_benchmark(questions, comp, EngineConfig(),
-                                      budget=0)
+                                      budget=0, map_arms=map)
         assert result["brute_force"]["policy_calls"] == 0
         assert result["omegaprm"]["policy_calls"] == 0
         assert result["ratio"] == 0.0
 
     def test_report_is_deterministic(self):
         questions, comp = sim_world(n_questions=4, error_prob=0.2, seed=11)
-        r1 = efficiency_benchmark(questions, comp, EngineConfig(), budget=2000)
-        r2 = efficiency_benchmark(questions, comp, EngineConfig(), budget=2000)
+        r1, r2 = (efficiency_benchmark(questions, comp, EngineConfig(),
+                                       budget=2000, map_arms=map)
+                  for _ in range(2))
         assert r1 == r2

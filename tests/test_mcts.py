@@ -410,6 +410,18 @@ def _rollout_token_len_off_by_one(doc):
     next(r for nd in doc["nodes"] for r in nd["rollouts"])["token_len"] += 1
 
 
+def _stored_mc_seven(doc):
+    """A node with rollouts stores 7/1, which no rollouts give."""
+    nd = next(nd for nd in doc["nodes"] if nd["rollouts"])
+    nd["mc_num"], nd["mc_den"] = 7, 1
+
+
+def _forced_mc_zero_denominator(doc):
+    """A node without rollouts stores its MC of 0 as 0/0."""
+    next(nd for nd in doc["nodes"]
+         if not nd["rollouts"] and nd["mc_num"] is not None)["mc_den"] = 0
+
+
 class TestSerialization:
     def test_round_trip_preserves_bytes(self):
         q, chain, comp, cfg = make_setup(error_prob=0.3, seed=6)
@@ -606,4 +618,17 @@ class TestTreeWriter:
         save_tree(tree, path, budget)
         path.write_text(damage(path.read_text()))
         with pytest.raises(ParseError):
+            load_tree(path)
+
+    @pytest.mark.parametrize("edit", [
+        _stored_mc_seven, _forced_mc_zero_denominator])
+    def test_stored_mc_other_than_the_nodes_raises_parse_error(self, tmp_path,
+                                                              edit):
+        # Seed 5 builds a tree with forced-MC nodes, which have no rollouts.
+        q, chain, comp, cfg = make_setup(error_prob=0.3, seed=5)
+        tree, budget = build_tree(q, comp, cfg)
+        path = tmp_path / "t.json"
+        save_tree(tree, path, budget)
+        path.write_text(_edited(path.read_text(), edit))
+        with pytest.raises(ParseError, match="stored MC"):
             load_tree(path)
