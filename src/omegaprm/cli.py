@@ -205,9 +205,10 @@ def _make_dir(path, error):
 
 
 def _map_questions(cfg: RunConfig, work, items):
-    """``work(item)`` for each of ``items`` (the questions of ``filter``,
-    ``generate`` and a simulated ``export``, or the two arms of a simulated
-    ``bench``), as a list in item order.
+    """``work(item)`` for each of ``items``, as a list in item order: the
+    questions of ``filter`` and ``generate``, of ``eval``'s two pools and
+    of a simulated ``export``; the two arms of a simulated ``bench``; or
+    the prefix states of one solution in a remote ``bench``'s per-step arm.
 
     At parallelism 1 (or for a single item) it runs in this process.
     Otherwise, with the simulated completer, which is CPU-bound and holds
@@ -215,7 +216,8 @@ def _map_questions(cfg: RunConfig, work, items):
     pickle: a ``generate`` worker returns a status, not its tree, and an
     ``export`` worker loads one tree and returns its examples and pairs.
     With the remote one, which waits on the network and keeps one
-    connection per thread, it runs on threads.
+    connection per thread, it runs on threads. Either way the items'
+    requests may overlap, so no two items may sample the same state.
     """
     workers = min(cfg.parallelism, len(items))
     if workers <= 1:
@@ -233,22 +235,12 @@ def _map_questions(cfg: RunConfig, work, items):
         return list(pool.map(work, items))
 
 
-def _sim_map(cfg: RunConfig):
-    """The map of ``export`` and ``bench``, whose work is CPU-bound: through
-    ``_map_questions`` with the simulated completer, and the built-in
-    ``map`` with the remote one. Threads would not speed that work up, and
-    each would keep the memory it used in a malloc arena of its own; and
-    ``bench``'s arms would interleave their requests, while a remote
-    server's reply to a prefix may depend on the requests for it before."""
-    return partial(_map_questions, cfg) if cfg.completer_kind == "sim" else map
-
-
 def _worker_start():
     """The multiprocessing context worker processes start from.
 
     A forked worker starts at once with the package imported; a spawned
-    one imports the package again (without numpy, which it never uses),
-    about 0.18 s for a two-worker pool on a 2-core VM. Fork is used only
+    one imports the package again (numpy only for ``eval``'s pools), about
+    0.18 s for a two-worker pool on a 2-core VM. Fork is used only
     where it is safe: on Linux, and while no other thread of this process
     could hold a lock at the fork.
     """
@@ -366,7 +358,11 @@ def cmd_export(cfg: RunConfig) -> int:
     questions, _ = _read(
         import_corpus_jsonl, os.path.join(cfg.output, "kept.jsonl"))
     trees_dir = os.path.join(cfg.output, "trees")
-    results = [r for r in _sim_map(cfg)(
+    # Loading trees is CPU-bound: threads would not speed it up, and each
+    # would keep the memory it used in a malloc arena of its own.
+    export_map = (partial(_map_questions, cfg)
+                  if cfg.completer_kind == "sim" else map)
+    results = [r for r in export_map(
         partial(_export_one, trees_dir),
         sorted(questions, key=lambda q: f"{q.id}.json")) if r is not None]
     if not results:
@@ -404,7 +400,8 @@ def cmd_eval(cfg: RunConfig) -> int:
     model = _read(
         load_model, os.path.join(cfg.output, "prm_model.json"))
     completer = make_completer(cfg, questions, chains, scope="eval")
-    reports = accuracy_curve(questions, completer, model, cfg.eval, cfg.seed)
+    reports = accuracy_curve(questions, completer, model, cfg.eval, cfg.seed,
+                             partial(_map_questions, cfg))
     majority, weighted = reports["majority"], reports["prm_weighted"]
     if questions and len(majority.config["skipped"]) == len(questions):
         raise CompleterUnavailable(
@@ -427,8 +424,14 @@ def cmd_bench(cfg: RunConfig) -> int:
     completer = make_completer(cfg, questions, chains, scope="bench")
     # Each arm starts with completer.reset(). The simulator then replays its
     # seeded streams, so a copy in a worker counts what a serial run would.
+    # A remote server never resets: its reply to a prefix may depend on the
+    # requests for it before, which two arms at once would interleave. So
+    # there the arms run in turn, and the per-step arm's requests overlap.
+    pool_map = partial(_map_questions, cfg)
+    sim = cfg.completer_kind == "sim"
     report = efficiency_benchmark(questions, completer, cfg.engine,
-                                  cfg.bench.budget, _sim_map(cfg))
+                                  cfg.bench.budget, pool_map if sim else map,
+                                  map if sim else pool_map)
     write_json(report, os.path.join(cfg.output, "bench_report.json"))
     print(
         f"examples/call: brute {report['brute_force']['examples_per_call']:.4f}"

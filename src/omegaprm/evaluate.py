@@ -153,8 +153,19 @@ def _k_schedule(k_max: int):
     return ks
 
 
+def _question_pool(completer, pool_size: int, model, question):
+    """The ``_Pool`` of ``question``'s sampled candidates, scored by
+    ``model`` when one is given, or None when the completer is
+    unavailable."""
+    try:
+        candidates = sample_candidates(question, completer, pool_size, model)
+    except CompleterUnavailable:
+        return None
+    return _Pool(candidates, model is not None, question.golden_answer)
+
+
 def accuracy_curve(questions, completer, model, settings: EvalSettings,
-                   seed: int = 0) -> dict:
+                   seed: int = 0, map_questions=map) -> dict:
     """Majority and PRM-weighted voting accuracy against the number of
     sampled solutions, as ``{"majority": EvalReport, "prm_weighted":
     EvalReport}``.
@@ -167,6 +178,12 @@ def accuracy_curve(questions, completer, model, settings: EvalSettings,
     once and voted by both methods; subsets keep pool order so the vote
     tie-break is stable, and k = pool size has zero resampling freedom.
 
+    ``map_questions(work, questions)`` samples one method's pools and
+    returns them in question order. Each pool is one ``sample_rollouts``
+    call on its question's root, a state no other question shares, so the
+    pools may be sampled in any order, or at once, from a completer whose
+    reply depends on the state and on the calls for it before.
+
     Every subset is voted as ``weighted_vote`` votes it in pool order: on
     answer classes computed once per pool, per (question, k) in numpy, all
     resamples at once. A voted class counts as correct when its first
@@ -176,23 +193,16 @@ def accuracy_curve(questions, completer, model, settings: EvalSettings,
 
     k_max, pool_size = settings.k_max, settings.pool_size
     scorers = {"majority": None, "prm_weighted": model}
-    # Per method and question index: the pool's vote tables. Only the pool
-    # being reduced is held.
-    tables = {method: {} for method in scorers}
-    failed = set()
+    # Per method and question index: the pool's vote tables. The weighted
+    # pass samples only the questions the majority pass could.
+    tables = {}
+    usable = list(range(len(questions)))
     for method, scorer in scorers.items():
         completer.reset()
-        for i, question in enumerate(questions):
-            if i in failed:
-                continue
-            try:
-                pool = sample_candidates(question, completer, pool_size, scorer)
-            except CompleterUnavailable:
-                failed.add(i)
-                continue
-            tables[method][i] = _Pool(pool, scorer is not None,
-                                      question.golden_answer)
-    usable = [i for i in range(len(questions)) if i not in failed]
+        tables[method] = dict(zip(usable, map_questions(
+            partial(_question_pool, completer, pool_size, scorer),
+            [questions[i] for i in usable])))
+        usable = [i for i in usable if tables[method][i] is not None]
 
     rng = random.Random(seed)
     ks = _k_schedule(k_max)
@@ -215,7 +225,7 @@ def accuracy_curve(questions, completer, model, settings: EvalSettings,
                 hits[method][:, q] = pool.golden[pool.vote(subsets[:, q])]
             accs[method].append([int(n) / len(usable) if usable else 0.0
                                  for n in hits[method].sum(axis=1)])
-    skipped = [questions[i].id for i in sorted(failed)]
+    skipped = [q.id for i, q in enumerate(questions) if i not in usable]
     reports = {}
     for method, per_k in accs.items():
         means = [sum(runs) / len(runs) for runs in per_k]
@@ -236,11 +246,14 @@ def accuracy_curve(questions, completer, model, settings: EvalSettings,
     return reports
 
 
-def _brute_force_arm(questions, completer, cfg: EngineConfig, budget: int):
+def _brute_force_arm(questions, completer, cfg: EngineConfig, budget: int,
+                     map_states):
     """Per-step Monte Carlo annotation: sample a solution and run k rollouts
     for every step prefix (one example per annotated step), question after
-    question, until ``budget`` policy calls are spent. Returns (policy
-    calls, examples)."""
+    question, until ``budget`` policy calls are spent. ``map_states`` maps
+    one solution's prefix requests (see ``annotate_per_step``); each
+    solution is annotated to its end before the next one is sampled.
+    Returns (policy calls, examples)."""
     completer.reset()
     spent = SearchBudget()
     examples = 0
@@ -256,7 +269,7 @@ def _brute_force_arm(questions, completer, cfg: EngineConfig, budget: int):
         affordable = (budget - spent.policy_calls) // cfg.k_rollouts
         labels = annotate_per_step(
             completer, question, solution, cfg.k_rollouts,
-            budget=spent, max_steps=affordable,
+            budget=spent, max_steps=affordable, map_states=map_states,
         )
         examples += len(labels)
     return spent.policy_calls, examples
@@ -290,17 +303,18 @@ def _run_arm(questions, completer, cfg: EngineConfig, budget: int, arm):
 
 
 def efficiency_benchmark(questions, completer, cfg: EngineConfig,
-                         budget: int, map_arms) -> dict:
+                         budget: int, map_arms, map_states=map) -> dict:
     """Compare examples-per-policy-call of per-step annotation vs the
     tree search, under the same total rollout budget.
 
     ``map_arms(work, arms)`` runs ``work`` on each arm and returns the
     results in arm order; each arm starts with ``completer.reset()``, so
-    the arms are independent.
+    the arms are independent. ``map_states`` maps the per-step arm's
+    requests for the prefixes of one solution.
     """
+    arms = (partial(_brute_force_arm, map_states=map_states), _search_arm)
     (brute_calls, brute_examples), (omega_calls, omega_examples, edges) = (
-        map_arms(partial(_run_arm, questions, completer, cfg, budget),
-                 (_brute_force_arm, _search_arm)))
+        map_arms(partial(_run_arm, questions, completer, cfg, budget), arms))
 
     def per_call(examples, calls):
         return examples / calls if calls else 0.0

@@ -11,6 +11,7 @@ import json
 import math
 from dataclasses import asdict, dataclass
 from fractions import Fraction
+from functools import partial
 from json.encoder import encode_basestring_ascii
 from operator import itemgetter
 
@@ -319,25 +320,37 @@ def build_tree(question: Question, completer: Completer, cfg: EngineConfig):
 
 # -- brute-force baseline (per-step annotation) ----------------------------
 
+def _prefix_mc(completer: Completer, k: int, state: State):
+    """The MC of ``state`` from k rollouts, counted in no budget."""
+    return monte_carlo_estimate(completer, state, k, SearchBudget())[0]
+
+
 def annotate_per_step(completer: Completer, question: Question,
                       rollout: Rollout, k: int, budget: SearchBudget,
-                      max_steps=None):
-    """Math-Shepherd-style annotation: MC for every step prefix in order.
+                      max_steps=None, map_states=map):
+    """Math-Shepherd-style annotation: the MC of every step prefix.
 
-    Returns a list of (step_index, MC) pairs; costs exactly k rollouts per
-    annotated step. Used as the brute-force arm of the efficiency benchmark
-    and as the exhaustive oracle in tests.
+    Returns a list of (step_index, MC) pairs in step order; costs exactly k
+    rollouts per annotated step, counted in ``budget`` once all are in.
+    Used as the brute-force arm of the efficiency benchmark and as the
+    exhaustive oracle in tests.
+
+    ``map_states(work, states)`` runs ``work`` on each prefix state and
+    returns the results in state order, so the requests may overlap. Each
+    prefix is one ``sample_rollouts`` call, and no two prefixes of a
+    rollout whose steps hold a token each are the same state, so a
+    completer whose reply depends on the state and on the calls for it
+    before answers each call as it would in a serial run.
     """
     root = State(question_id=question.id)
-    labels = []
     n = len(rollout.steps)
     if max_steps is not None:
         n = min(n, max_steps)
-    for t in range(1, n + 1):
-        state = state_transition(root, rollout.steps[:t])
-        mc, _ = monte_carlo_estimate(completer, state, k, budget)
-        labels.append((t, mc))
-    return labels
+    states = [state_transition(root, rollout.steps[:t])
+              for t in range(1, n + 1)]
+    mcs = list(map_states(partial(_prefix_mc, completer, k), states))
+    budget.policy_calls += k * n
+    return list(enumerate(mcs, start=1))
 
 
 # -- serialization ---------------------------------------------------------

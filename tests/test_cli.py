@@ -9,6 +9,7 @@ import re
 import subprocess
 import sys
 import threading
+import time
 from dataclasses import fields
 from functools import partial
 from pathlib import Path
@@ -27,7 +28,7 @@ from omegaprm.cli import (
     _worker_start,
     main,
 )
-from omegaprm.core import EngineConfig, Question
+from omegaprm.core import EngineConfig, Question, State
 from omegaprm.dataset import export_corpus_jsonl, import_corpus_jsonl
 from omegaprm.errors import CompleterUnavailable, ConfigError, UpstreamError
 from omegaprm.evaluate import EvalSettings
@@ -1116,6 +1117,36 @@ class TestPipeline:
         assert [qid for qid, _ in results] == [q.id for q in questions]
         assert all(pid != os.getpid() for _, pid in results)
 
+    @pytest.mark.parametrize("parallelism", [1, 2])
+    def test_remote_eval_and_bench_keep_parallelism_requests_in_flight(
+            self, pipeline, fake_server_11, parallelism):
+        tmp_path, config, doc = pipeline
+        for cmd in ("filter", "generate", "export", "train"):
+            assert run(cmd, config) == 0
+        lock = threading.Lock()
+        in_flight = [0]
+        peaks = {}
+
+        def respond(body):
+            # The peak number of requests the server held at once, per
+            # command.
+            with lock:
+                in_flight[0] += 1
+                peaks[cmd] = max(peaks.get(cmd, 0), in_flight[0])
+            time.sleep(0.02)
+            with lock:
+                in_flight[0] -= 1
+            return ["step one step two the answer is 4"] * body["n"]
+
+        fake_server_11.respond = respond
+        doc.update(parallelism=parallelism, bench={"budget": 200})
+        doc["completer"] = {"kind": "remote",
+                            "remote": {"endpoint": fake_server_11.url}}
+        config.write_text(json.dumps(doc))
+        for cmd in ("eval", "bench"):
+            assert run(cmd, config) == 0
+        assert peaks == {"eval": parallelism, "bench": parallelism}
+
     def test_pairwise_training_path(self, pipeline):
         tmp_path, config, doc = pipeline
         for cmd in ("filter", "generate", "export"):
@@ -1167,16 +1198,19 @@ class TestStartupImports:
     def test_export_and_bench_load_a_pool_above_parallelism_1(self,
                                                               pipeline):
         tmp_path, config, doc = pipeline
-        for cmd in ("filter", "generate"):
+        for cmd in ("filter", "generate", "export", "train"):
             assert run(cmd, config) == 0
         loaded = {(cmd, p): _heavy_modules_after(
             RUN_MAIN, cmd, "--config", str(config), "--parallelism", str(p))
-            for cmd in ("export", "bench") for p in (1, 2)}
-        assert loaded == {(cmd, p): ["concurrent.futures"] if p > 1 else []
-                          for cmd, p in loaded}
+            for cmd in ("export", "eval", "bench") for p in (1, 2)}
+        expected = {(cmd, p): ["concurrent.futures"] if p > 1 else []
+                    for cmd, p in loaded}
+        for p in (1, 2):
+            expected["eval", p] = [*expected["eval", p], "numpy"]
+        assert loaded == expected
 
-    def test_remote_export_and_bench_start_no_pool(self, tmp_path,
-                                                   fake_server, monkeypatch):
+    def test_remote_bench_maps_only_per_step_requests(self, tmp_path,
+                                                     fake_server, monkeypatch):
         write_corpus(tmp_path / "corpus.jsonl", n_questions=2)
         config, doc = write_config(tmp_path)
         doc.update(parallelism=2, bench={"budget": 200})
@@ -1184,13 +1218,23 @@ class TestStartupImports:
         config.write_text(json.dumps(doc))
         for cmd in ("filter", "generate"):  # trees from the simulator
             assert run(cmd, config) == 0
-        pools = []
-        monkeypatch.setattr(cli, "_map_questions",
-                            lambda *args: pools.append(args))
+        maps = {}
+
+        def record(cfg, work, items):
+            maps.setdefault(cmd, []).append(items)
+            return list(map(work, items))
+
+        monkeypatch.setattr(cli, "_map_questions", record)
         for cmd in ("export", "bench"):
             assert main([cmd, "--config", str(config),
                          "--completer", "remote"]) == 0
-        assert fake_server.requests_seen and pools == []
+        # Export runs in this process; bench runs its arms in turn and maps
+        # the prefix states of each annotated solution.
+        assert fake_server.requests_seen and list(maps) == ["bench"]
+        for states in maps["bench"]:
+            assert states and all(isinstance(s, State) for s in states)
+            assert [len(s.key()) for s in states] == \
+                list(range(1, len(states) + 1))
 
     def test_remote_completer_loads_http_client(self):
         code = ("import sys\n"

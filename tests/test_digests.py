@@ -1,6 +1,6 @@
 """Pinned artifact digests: the tiny benchmark workloads must give
-byte-identical artifacts at every parallelism, and the tiny remote one
-through the benchmark's stub server.
+byte-identical artifacts at every parallelism, the tiny remote one
+through the benchmark's stub server too.
 
 The workloads and their pinned SHA-256 digests come from ``perfbench/``
 (``workloads.py`` and ``digests.json``, seed 0); each artifact is hashed as
@@ -99,12 +99,14 @@ def _stop(proc):
     proc.stdout.close()
 
 
-def test_tiny_remote_workload_matches_pinned_digests(tmp_path):
+@pytest.mark.parametrize("parallelism", [1, 2])
+def test_tiny_remote_workload_matches_pinned_digests(tmp_path, parallelism):
     workloads.write_corpus("remote", "tiny", 0, str(tmp_path))
     proc, endpoint = _start_stub(str(tmp_path), 0)
     try:
         config = workloads.write_config("remote", 0, str(tmp_path),
-                                        endpoint=endpoint, parallelism=2)
+                                        endpoint=endpoint,
+                                        parallelism=parallelism)
         for stage in STAGES:
             assert main([stage, "--config", config]) == 0, stage
     finally:

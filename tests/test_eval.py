@@ -1,5 +1,6 @@
 """Voting, accuracy curves, and the annotation-efficiency benchmark."""
 import random
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict
 
 import numpy as np
@@ -340,6 +341,24 @@ class TestAccuracyCurve:
                 ["q0", "q2", "q3"]
             assert report.accuracy_mean == expected[method].accuracy_mean
             assert report.per_question == expected[method].per_question
+
+    @pytest.mark.parametrize("resets", [0, 1], ids=["majority", "weighted"])
+    def test_threaded_map_matches_a_serial_run(self, model, resets):
+        # q1 fails in the majority pass, or in the weighted pass only; on
+        # threads as in one, it is skipped by both curves.
+        questions, comp = sim_world(error_prob=0.4, seed=5)
+        settings = EvalSettings(8, n_resamples=10, pool_size=8)
+        serial = accuracy_curve(questions, _FailingCompleter(comp, "q1",
+                                                             resets),
+                                model, settings, seed=3)
+        with ThreadPoolExecutor(2) as pool:
+            mapped = accuracy_curve(questions, _FailingCompleter(comp, "q1",
+                                                                 resets),
+                                    model, settings, seed=3,
+                                    map_questions=pool.map)
+        assert {m: asdict(r) for m, r in mapped.items()} == \
+            {m: asdict(r) for m, r in serial.items()}
+        assert all(r.config["skipped"] == ["q1"] for r in mapped.values())
 
     def test_report_holds_python_types(self, model):
         questions, comp = sim_world(error_prob=0.4, seed=5)

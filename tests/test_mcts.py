@@ -2,6 +2,7 @@
 tree construction, budgets, and serialization."""
 import json
 import math
+from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
 
 import pytest
@@ -398,6 +399,30 @@ class TestAnnotatePerStep:
         assert len(labels) == 3
 
 
+    @pytest.mark.parametrize("mapped", ["threads", "reversed"])
+    def test_mapped_requests_match_a_serial_run(self, mapped):
+        # Each prefix is its own state, so the simulator answers it as in a
+        # serial run whatever order the requests are sent in.
+        q, chain, comp, cfg = make_setup(n_steps=8, error_prob=0.3, seed=5)
+        rollout = wrong_rollout_at(chain, 7)
+        serial_budget = SearchBudget(policy_calls=5)
+        serial = annotate_per_step(comp, q, rollout, 4, serial_budget)
+        comp.reset()
+        budget = SearchBudget(policy_calls=5)
+        if mapped == "threads":
+            with ThreadPoolExecutor(2) as pool:
+                labels = annotate_per_step(comp, q, rollout, 4, budget,
+                                           map_states=pool.map)
+        else:
+            labels = annotate_per_step(
+                comp, q, rollout, 4, budget,
+                map_states=lambda work, states: [
+                    work(s) for s in states[::-1]][::-1])
+        assert labels == serial
+        assert [t for t, _ in labels] == list(range(1, 9))
+        assert len({mc for _, mc in labels[:6]}) > 1  # noisy estimates
+        assert budget.policy_calls == serial_budget.policy_calls == 5 + 4 * 8
+
 def _edited(text, edit):
     """The tree text ``text`` with ``edit`` applied to its parsed document."""
     doc = json.loads(text)
@@ -406,8 +431,8 @@ def _edited(text, edit):
 
 
 def _rollout_token_len_off_by_one(doc):
-    """A stored rollout's token_len no longer sums its steps."""
-    next(r for nd in doc["nodes"] for r in nd["rollouts"])["token_len"] += 1
+    """The last stored rollout's token_len no longer sums its steps."""
+    [r for nd in doc["nodes"] for r in nd["rollouts"]][-1]["token_len"] += 1
 
 
 def _stored_mc_seven(doc):
@@ -612,8 +637,12 @@ class TestTreeWriter:
         lambda text: _edited(text, _rollout_token_len_off_by_one),
     ])
     def test_unreadable_tree_raises_parse_error(self, tmp_path, damage):
-        q, chain, comp, cfg = make_setup(error_prob=0.3, seed=1)
+        # Seed 5 grows a tree, so a cut lands among its nodes and edges and
+        # the last stored rollout belongs to a node below the root.
+        q, chain, comp, cfg = make_setup(error_prob=0.3, seed=5)
         tree, budget = build_tree(q, comp, cfg)
+        below_root = list(tree.nodes.values())[1:]
+        assert tree.root.children and any(n.stats.rollouts for n in below_root)
         path = tmp_path / "t.json"
         save_tree(tree, path, budget)
         path.write_text(damage(path.read_text()))
