@@ -275,6 +275,12 @@ def cmd_filter(cfg: RunConfig) -> int:
     return 0
 
 
+def _tree_name(question):
+    """``question``'s tree file name, by which trees are sorted: "a-b.json"
+    comes before "a.json", although "a" comes before "a-b"."""
+    return f"{question.id}.json"
+
+
 def _stored_tree(path, question):
     """The (tree, budget) that an earlier generate run saved at ``path`` for
     ``question`` (same id, statement and answer), or None when the file is
@@ -294,7 +300,7 @@ def _generate_one(cfg: RunConfig, chains, trees_dir, question):
     """Resume or build one question's tree, saved under ``trees_dir``.
     Returns (question id, status, budget or error text) but not the tree,
     so no tree crosses a worker process's pipe."""
-    path = os.path.join(trees_dir, f"{question.id}.json")
+    path = os.path.join(trees_dir, _tree_name(question))
     stored = _stored_tree(path, question)
     if stored is not None:
         return question.id, "resumed", stored[1]
@@ -343,7 +349,7 @@ def cmd_generate(cfg: RunConfig) -> int:
 def _export_one(trees_dir, question):
     """The (examples, pairs) of ``question``'s tree under ``trees_dir``, or
     None when the tree is missing or of another question."""
-    path = os.path.join(trees_dir, f"{question.id}.json")
+    path = os.path.join(trees_dir, _tree_name(question))
     if not os.path.exists(path):
         return None
     tree = _read(load_tree, path)[0]
@@ -364,7 +370,7 @@ def cmd_export(cfg: RunConfig) -> int:
                   if cfg.completer_kind == "sim" else map)
     results = [r for r in export_map(
         partial(_export_one, trees_dir),
-        sorted(questions, key=lambda q: f"{q.id}.json")) if r is not None]
+        sorted(questions, key=_tree_name)) if r is not None]
     if not results:
         raise UpstreamError(f"missing upstream artifact: {trees_dir}/*.json")
     examples = [ex for tree_examples, _ in results for ex in tree_examples]

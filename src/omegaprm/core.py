@@ -160,17 +160,17 @@ def state_transition(state: State, action_steps) -> State:
 class NodeStats:
     """Visit count, rollouts and the derived Monte Carlo estimate.
 
-    ``forced_mc`` marks terminal wrong-answer states whose MC is known to be
-    zero without any rollouts of their own. Rollouts are only ever added,
-    through ``add_rollouts``, which keeps a running count of the correct
-    ones and the MC they give, so reading ``mc`` recounts nothing.
+    ``forced_wrong`` marks a terminal wrong-answer state, whose MC is known
+    to be zero without any rollouts of its own. Rollouts are only ever
+    added, through ``add_rollouts``, which keeps a running count of the
+    correct ones and the MC they give, so reading ``mc`` recounts nothing.
     """
 
-    __slots__ = ("visit_count", "forced_mc", "_rollouts", "_correct", "_mc")
+    __slots__ = ("visit_count", "forced_wrong", "_rollouts", "_correct", "_mc")
 
     def __init__(self):
         self.visit_count = 0
-        self.forced_mc: Optional[Fraction] = None
+        self.forced_wrong = False
         self._rollouts = ()
         self._correct = 0
         self._mc = None
@@ -191,13 +191,22 @@ class NodeStats:
     def mc(self) -> Optional[Fraction]:
         if self._rollouts:
             return self._mc
-        return self.forced_mc
+        return Fraction(0) if self.forced_wrong else None
 
 
 @dataclass
-class Edge:
-    action_steps: tuple
-    child: "TreeNode"
+class TreeNode:
+    """A state and its statistics, the action of its one parent edge (set
+    when it is linked; ``()`` at the root), and its child nodes."""
+
+    state: State
+    action_steps: tuple = field(default=(), init=False)
+    stats: NodeStats = field(default_factory=NodeStats)
+    children: list = field(default_factory=list)
+
+    @property
+    def mc(self) -> Optional[Fraction]:
+        return self.stats.mc
 
     @property
     def action_text(self) -> str:
@@ -206,17 +215,6 @@ class Edge:
     @property
     def action_token_len(self) -> int:
         return sum(s.token_len for s in self.action_steps)
-
-
-@dataclass
-class TreeNode:
-    state: State
-    stats: NodeStats = field(default_factory=NodeStats)
-    children: list = field(default_factory=list)
-
-    @property
-    def mc(self) -> Optional[Fraction]:
-        return self.stats.mc
 
 
 @dataclass

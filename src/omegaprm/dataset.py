@@ -76,26 +76,26 @@ def filter_questions(corpus, completer, k_filter: int = 32):
 
 
 def _single_step_edges(tree: Tree):
-    """Each node of ``tree``, in tree order, with its single-step edges to a
-    child that has an MC, in edge order."""
+    """Each node of ``tree``, in tree order, with its children that have an
+    MC and are reached by a single-step action, in edge order."""
     for node in tree.nodes.values():
-        yield node, [edge for edge in node.children
-                     if edge.child.mc is not None
-                     and edge.action_token_len < tree.threshold]
+        yield node, [child for child in node.children
+                     if child.mc is not None
+                     and child.action_token_len < tree.threshold]
 
 
 def tree_to_examples(tree: Tree):
     """One pointwise example per single-step edge; multi-step edges are
     skipped rather than re-split (their interior MC was never computed)."""
     examples = []
-    for parent, edges in _single_step_edges(tree):
-        for edge in edges:
-            mc = edge.child.mc
+    for parent, children in _single_step_edges(tree):
+        for child in children:
+            mc = child.mc
             examples.append(TrainingExample(
                 question_id=tree.question.id,
                 question=tree.question.statement,
                 prefix=parent.state.prefix_text,
-                step=edge.action_text,
+                step=child.action_text,
                 mc=float(mc),
                 hard_label=int(mc > 0),
             ))
@@ -113,9 +113,9 @@ def normalize_pair(p: float, q: float):
 def tree_to_pairs(tree: Tree):
     """All unordered pairs of sibling single-step actions."""
     pairs = []
-    for parent, edges in _single_step_edges(tree):
-        for a, b in itertools.combinations(edges, 2):
-            pref_a, _ = normalize_pair(float(a.child.mc), float(b.child.mc))
+    for parent, children in _single_step_edges(tree):
+        for a, b in itertools.combinations(children, 2):
+            pref_a, _ = normalize_pair(float(a.mc), float(b.mc))
             pairs.append(PreferencePair(
                 question_id=tree.question.id,
                 question=tree.question.statement,

@@ -16,7 +16,6 @@ from json.encoder import encode_basestring_ascii
 from operator import itemgetter
 
 from .core import (
-    Edge,
     EngineConfig,
     Question,
     Rollout,
@@ -52,12 +51,6 @@ class SearchBudget:
     policy_calls: int = 0
 
 
-@dataclass
-class PoolEntry:
-    node: TreeNode
-    rollout: Rollout
-
-
 class RolloutPool:
     """Wrong-answer rollouts attached to states with 0 < MC < 1.
 
@@ -84,23 +77,19 @@ class RolloutPool:
         if key in self._seen:
             return False
         self._seen.add(key)
-        self.entries.append(PoolEntry(node, rollout))
+        self.entries.append((node, rollout))
         return True
 
-    def total_visits(self) -> int:
-        """Sum of N(s) over the distinct states currently in the pool."""
-        nodes = {entry.node.state.key(): entry.node for entry in self.entries}
-        return sum(node.stats.visit_count for node in nodes.values())
-
-    def select(self, cfg: EngineConfig) -> PoolEntry:
-        """Pop the entry maximizing Q(s, r) + U(s); the earliest added entry
-        wins ties. An empty pool raises IndexError, as ``list.pop`` does."""
-        total = self.total_visits()
+    def select(self, cfg: EngineConfig) -> tuple:
+        """Pop the (node, rollout) maximizing Q(s, r) + U(s), the earliest on
+        ties. An empty pool raises IndexError, as ``list.pop`` does."""
+        states = {node.state.key(): node for node, _ in self.entries}
+        total = sum(node.stats.visit_count for node in states.values())
         best_idx = 0
         best_score = -math.inf
-        for idx, entry in enumerate(self.entries):
-            q = rollout_value(entry.node.mc, entry.rollout.token_len, cfg)
-            u = exploration_bonus(entry.node.stats.visit_count, total, cfg)
+        for idx, (node, rollout) in enumerate(self.entries):
+            q = rollout_value(node.mc, rollout.token_len, cfg)
+            u = exploration_bonus(node.stats.visit_count, total, cfg)
             score = q + u
             if score > best_score:
                 best_score = score
@@ -119,18 +108,14 @@ class Tree:
         self.threshold = 0.0
 
     def ensure_child(self, parent: TreeNode, action_steps, child_state: State):
-        """Return the node for ``child_state``, linking it under ``parent``
-        if it does not exist yet. An already-known prefix keeps its first
-        parent edge."""
+        """The node of ``child_state``, made and linked under ``parent`` by
+        ``action_steps`` if new; a known prefix keeps its first parent."""
         key = child_state.key()
-        existing = self.nodes.get(key)
-        if existing is not None:
-            return existing
-        child = TreeNode(state=child_state)
-        parent.children.append(
-            Edge(action_steps=tuple(action_steps), child=child)
-        )
-        self.nodes[key] = child
+        child = self.nodes.get(key)
+        if child is None:
+            child = self.nodes[key] = TreeNode(state=child_state)
+            child.action_steps = tuple(action_steps)
+            parent.children.append(child)
         return child
 
 
@@ -271,11 +256,10 @@ class OmegaPRMEngine:
         error_node = self.tree.ensure_child(
             prev_node, steps[prev_pos:hi], error_state
         )
-        if error_rollouts:
-            error_node.stats.add_rollouts(error_rollouts)
-        elif error_node.mc is None:
+        error_node.stats.add_rollouts(error_rollouts)
+        if error_node.mc is None:
             # Terminal wrong end, never probed: its answer is wrong, MC = 0.
-            error_node.stats.forced_mc = Fraction(0)
+            error_node.stats.forced_wrong = True
         return SearchResult(
             first_error_index=hi,
             probe_positions=probes,
@@ -293,12 +277,12 @@ class OmegaPRMEngine:
         """
         if not self.pool:
             return False
-        entry = self.pool.select(self.cfg)
-        result = self.locate_first_error(entry.node, entry.rollout)
-        entry.node.stats.visit_count += 1
+        node, rollout = self.pool.select(self.cfg)
+        result = self.locate_first_error(node, rollout)
+        node.stats.visit_count += 1
         self.budget.searches_done += 1
         self.labels_produced += (
-            len(entry.node.state.prefix_steps) + result.first_error_index
+            len(node.state.prefix_steps) + result.first_error_index
         )
         return True
 
@@ -388,9 +372,9 @@ def tree_doc(tree: Tree, budget: SearchBudget) -> dict:
         } for i, node in enumerate(tree.nodes.values())],
         "edges": [{
             "parent": ids[key],
-            "child": ids[edge.child.state.key()],
-            "action_steps": edge.action_steps,
-        } for key, node in tree.nodes.items() for edge in node.children],
+            "child": ids[child.state.key()],
+            "action_steps": child.action_steps,
+        } for key, node in tree.nodes.items() for child in node.children],
         "budget": asdict(budget),
     }
 
@@ -477,10 +461,11 @@ class _Steps(dict):
 
 
 def tree_from_dict(doc):
-    """Rebuild a tree and its budget from the parsed JSON of a schema-v1
-    file. Raises ``ValueError`` for another schema version, for a stored
-    rollout ``token_len`` that disagrees with its steps, and for a stored
-    MC other than the one ``tree_doc`` writes for its node."""
+    """Rebuild a tree and its budget from a parsed schema-v1 file. Raises
+    ``ValueError`` for another version, a rollout ``token_len`` other than
+    its steps' sum, an MC other than ``tree_doc`` writes, a count not an
+    ``int`` >= 0, and records that are not one tree (two of a prefix, or a
+    node below the root without one edge that extends its parent to it)."""
     if doc["schema_version"] != SCHEMA_VERSION:
         raise ValueError(
             f"schema_version {doc['schema_version']!r}, "
@@ -502,11 +487,8 @@ def tree_from_dict(doc):
     by_id = {}
     for nd in doc["nodes"]:
         prefix = steps(nd["prefix_steps"])
-        if prefix:
-            node = TreeNode(state=State(question.id, prefix))
-            tree.nodes[node.state.key()] = node
-        else:
-            node = tree.root
+        node = TreeNode(State(question.id, prefix)) if prefix else tree.root
+        tree.nodes[node.state.key()] = node
         rollouts = []
         for d in nd["rollouts"]:
             rollout = Rollout(steps(d["steps"]), d["final_answer"],
@@ -518,8 +500,8 @@ def tree_from_dict(doc):
         stats = node.stats
         stats.visit_count = nd["visit_count"]
         stats.add_rollouts(rollouts)
-        if not rollouts and nd["mc_num"] is not None:
-            stats.forced_mc = Fraction(0)  # the only MC a search forces
+        # A zero MC without rollouts is the only MC a search forces.
+        stats.forced_wrong = not rollouts and nd["mc_num"] is not None
         written = _mc_fields(stats.mc)
         if any(type(nd[k]) is not type(v) or nd[k] != v
                for k, v in written.items()):
@@ -528,16 +510,29 @@ def tree_from_dict(doc):
                              f"{written['mc_den']!r}")
         by_id[nd["id"]] = node
     for ed in doc["edges"]:
-        by_id[ed["parent"]].children.append(
-            Edge(steps(ed["action_steps"]), by_id[ed["child"]]))
-    return tree, SearchBudget(**doc["budget"])
+        parent, child = by_id[ed["parent"]], by_id[ed["child"]]
+        action = steps(ed["action_steps"])
+        if (not action or child.action_steps or
+                parent.state.prefix_steps + action != child.state.prefix_steps):
+            raise ValueError(f"edge {ed['parent']!r} -> {ed['child']!r} is "
+                             f"not the one edge into its child")
+        child.action_steps = action
+        parent.children.append(child)
+    # Two records of a prefix, or a node below the root without a parent.
+    if not len(doc["nodes"]) == len(tree.nodes) == len(doc["edges"]) + 1:
+        raise ValueError("the node records and edges are not one tree")
+    budget = SearchBudget(**doc["budget"])
+    counts = [*asdict(budget).values(),
+              *(node.stats.visit_count for node in tree.nodes.values())]
+    if any(type(n) is not int or n < 0 for n in counts):  # a bool is no count
+        raise ValueError("a budget field or visit count is not an int >= 0")
+    return tree, budget
 
 
 def load_tree(path):
     """Read the tree file at ``path``. Raises ``ParseError`` when the file
-    is not a whole schema-v1 tree (truncated, malformed, other version,
-    without a budget, or storing a rollout length or an MC that its steps
-    or rollouts contradict)."""
+    is not a whole schema-v1 tree: truncated, malformed, of another
+    version, without a budget, or failing a check of ``tree_from_dict``."""
     with open(path, encoding="utf-8") as fh:
         try:
             return tree_from_dict(json.load(fh))

@@ -247,8 +247,8 @@ def test_criterion_5_tree_invariants_over_seeded_builds():
         cfg = EngineConfig(search_limit=100)
         engine = OmegaPRMEngine(q, comp, cfg)
         tree, budget = engine.build()
-        for entry in engine.pool.entries:
-            if entry.rollout.is_correct or not (0 < entry.node.mc < 1):
+        for node, rollout in engine.pool.entries:
+            if rollout.is_correct or not (0 < node.mc < 1):
                 failures.append((seed, "pool"))
         for node in tree.nodes.values():
             if node.stats.rollouts:
@@ -256,8 +256,8 @@ def test_criterion_5_tree_invariants_over_seeded_builds():
                 if node.mc != Fraction(correct, len(node.stats.rollouts)):
                     failures.append((seed, "mc"))
         for parent in tree.nodes.values():
-            for edge in parent.children:
-                child_key = edge.child.state.key()
+            for child in parent.children:
+                child_key = child.state.key()
                 if child_key[: len(parent.state.key())] != parent.state.key():
                     failures.append((seed, "prefix"))
         text = dump_tree(tree, budget)

@@ -34,6 +34,7 @@ from omegaprm.errors import CompleterUnavailable, ConfigError, UpstreamError
 from omegaprm.evaluate import EvalSettings
 from omegaprm.policy import RemoteSettings, SimPolicySpec
 from omegaprm.prm import TrainSettings
+from test_mcts import TREE_DAMAGES
 
 
 def _load_module(path):
@@ -273,10 +274,13 @@ def damaged_tree(doc, damage):
     """The tree document ``doc`` without its budget ("budgetless"); with a
     stored rollout whose ``token_len`` disagrees with its steps
     ("token_len"); with a zero MC denominator on a node without rollouts
-    ("mc_den_zero"); or with the MC 7/1 on a node with rollouts
-    ("mc_mismatch")."""
+    ("mc_den_zero"); with the MC 7/1 on a node with rollouts
+    ("mc_mismatch"); or with a damage of ``test_mcts.TREE_DAMAGES``, such
+    as a string budget ("budget_str") or visit count ("visit_count_str")."""
     nodes = doc["nodes"]
-    if damage == "budgetless":
+    if damage in TREE_DAMAGES:
+        TREE_DAMAGES[damage](doc)
+    elif damage == "budgetless":
         del doc["budget"]
     elif damage == "token_len":
         rollout = next(r for nd in nodes for r in nd["rollouts"])
@@ -890,10 +894,14 @@ class TestPipeline:
         assert victim.name in err
 
     @pytest.mark.parametrize("parallelism", [1, 2])
-    @pytest.mark.parametrize("damage", ["mc_den_zero", "mc_mismatch"])
+    @pytest.mark.parametrize("damage", [
+        "mc_den_zero", "mc_mismatch", *TREE_DAMAGES])
     def test_tree_with_another_stored_mc_is_unreadable(self, pipeline, capsys,
                                                        damage, parallelism):
-        # Export exits 3 on it, and generate rebuilds it.
+        # Export exits 3 on it and leaves its outputs as they were, so it
+        # writes no duplicate example, and generate rebuilds it. Besides
+        # another stored MC, the damages include edges that are not a tree
+        # and counts that are not ints.
         tmp_path, config, doc = pipeline
         out = tmp_path / "out"
         for cmd in ("filter", "generate", "export"):
@@ -910,6 +918,8 @@ class TestPipeline:
         err = capsys.readouterr().err
         assert err.count("\n") == 1 and "not a readable tree" in err
         assert victim.name in err
+        for name, data in fresh.items():
+            assert (out / name).read_bytes() == data, name
         assert main(["generate", *flags]) == 0
         summary = json.loads((out / "generate_summary.json").read_text())
         statuses = {q["question_id"]: q["status"] for q in summary["questions"]}

@@ -53,9 +53,23 @@ def digest(path):
     return h.hexdigest()
 
 
+def _assert_generate_resumes_every_tree(config, out, capsys):
+    """Rerun generate: the reader accepts each tree the writer wrote, so
+    every tree is resumed and the trees stay as they are. A reader check
+    that is too strict would rebuild a tree on every rerun, unseen."""
+    trees = os.path.join(out, "trees")
+    n, before = len(os.listdir(trees)), digest(trees)
+    capsys.readouterr()
+    assert main(["generate", "--config", config]) == 0
+    assert capsys.readouterr().out.startswith(
+        f"built 0, resumed {n} of {n} trees")
+    assert digest(trees) == before
+
+
 @pytest.mark.parametrize("parallelism", [1, 2])
 @pytest.mark.parametrize("workload", ["deep_search", "wide_eval"])
-def test_tiny_workload_matches_pinned_digests(tmp_path, workload, parallelism):
+def test_tiny_workload_matches_pinned_digests(tmp_path, capsys, workload,
+                                              parallelism):
     workloads.write_corpus(workload, "tiny", 0, str(tmp_path))
     config = workloads.write_config(workload, 0, str(tmp_path),
                                     parallelism=parallelism)
@@ -65,6 +79,7 @@ def test_tiny_workload_matches_pinned_digests(tmp_path, workload, parallelism):
     got = {name: digest(os.path.join(tmp_path, "out", name))
            for name in pinned}
     assert got == pinned
+    _assert_generate_resumes_every_tree(config, tmp_path / "out", capsys)
 
 
 def _start_stub(directory, seed):
@@ -100,7 +115,8 @@ def _stop(proc):
 
 
 @pytest.mark.parametrize("parallelism", [1, 2])
-def test_tiny_remote_workload_matches_pinned_digests(tmp_path, parallelism):
+def test_tiny_remote_workload_matches_pinned_digests(tmp_path, capsys,
+                                                    parallelism):
     workloads.write_corpus("remote", "tiny", 0, str(tmp_path))
     proc, endpoint = _start_stub(str(tmp_path), 0)
     try:
@@ -115,6 +131,8 @@ def test_tiny_remote_workload_matches_pinned_digests(tmp_path, parallelism):
     got = {name: digest(os.path.join(tmp_path, "out", name))
            for name in pinned}
     assert got == pinned
+    # The stub is stopped: a resumed tree sends no request.
+    _assert_generate_resumes_every_tree(config, tmp_path / "out", capsys)
 
 
 # The artifacts each stage writes.

@@ -4,6 +4,7 @@ import json
 import math
 from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
+from functools import partial
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -117,8 +118,8 @@ class TestRolloutPool:
         lo = node_with_mc(["lo"], [True, False, False, False])  # MC = 1/4
         pool.add(lo, self.WRONG)
         pool.add(hi, Rollout(steps("d e f"), "0", False))
-        entry = pool.select(cfg)
-        assert entry.node is hi
+        node, _ = pool.select(cfg)
+        assert node is hi
         assert len(pool) == 1
 
     def test_tie_breaks_to_earliest(self):
@@ -128,7 +129,7 @@ class TestRolloutPool:
         b = node_with_mc(["b"], [True, False])
         pool.add(a, self.WRONG)
         pool.add(b, Rollout(steps("a b c"), "0", False))
-        assert pool.select(cfg).node is a
+        assert pool.select(cfg)[0] is a
 
     def test_exploration_prefers_unvisited(self):
         cfg = EngineConfig(c_puct=10.0)  # exaggerate the bonus
@@ -138,7 +139,7 @@ class TestRolloutPool:
         fresh = node_with_mc(["b"], [True, False, False, False])
         pool.add(visited, self.WRONG)
         pool.add(fresh, Rollout(steps("d e f"), "0", False))
-        assert pool.select(cfg).node is fresh
+        assert pool.select(cfg)[0] is fresh
 
     def test_empty_pool_raises(self):
         with pytest.raises(IndexError):
@@ -285,7 +286,7 @@ class TestMaintenance:
         engine = OmegaPRMEngine(q, comp, cfg)
         engine.seed_root()
         assert len(engine.pool) > 0
-        selected = engine.pool.entries[0].node  # earliest entry wins at start
+        selected, _ = engine.pool.entries[0]  # earliest entry wins at start
         others_before = {
             key: node.stats.visit_count
             for key, node in engine.tree.nodes.items()
@@ -328,15 +329,16 @@ class TestBuild:
         assert budget.searches_done <= 10
 
     def test_structural_invariants(self):
-        engine, tree, budget = self.build(seed=2)
+        # Seed 5 grows a tree; seeds 0-4 leave the root alone.
+        engine, tree, budget = self.build(seed=5)
+        assert len(tree.nodes) > 1
         for parent in tree.nodes.values():
-            for edge in parent.children:
-                child = edge.child
+            for child in parent.children:
                 # Child prefix = parent prefix + action, token-for-token.
                 assert child.state.key()[: len(parent.state.key())] == \
                     parent.state.key()
                 action_tokens = tuple(
-                    t for s in edge.action_steps for t in s.text.split()
+                    t for s in child.action_steps for t in s.text.split()
                 )
                 assert child.state.key() == parent.state.key() + action_tokens
         # MC of every node recomputes from its stored rollouts.
@@ -346,11 +348,13 @@ class TestBuild:
                 assert node.mc == Fraction(correct, len(node.stats.rollouts))
 
     def test_pool_membership_invariants(self):
-        engine, tree, budget = self.build(seed=3)
-        for entry in engine.pool.entries:
-            assert not entry.rollout.is_correct
-            assert entry.node.mc is not None
-            assert 0 < entry.node.mc < 1
+        # The search limit stops seed 5 with entries left in the pool.
+        engine, tree, budget = self.build(seed=5, limit=10)
+        assert engine.pool.entries
+        for node, rollout in engine.pool.entries:
+            assert not rollout.is_correct
+            assert node.mc is not None
+            assert 0 < node.mc < 1
 
     def test_stepless_wrong_rollouts_are_never_searched(self):
         # The last rollout of every call comes back without steps, as a
@@ -366,7 +370,7 @@ class TestBuild:
         engine = OmegaPRMEngine(q, ShortReplies(), cfg)
         tree, budget = engine.build()
         assert budget.searches_done > 0
-        assert all(entry.rollout.steps for entry in engine.pool.entries)
+        assert all(rollout.steps for _, rollout in engine.pool.entries)
 
     def test_max_policy_calls_is_hard_cap(self):
         q, chain, comp, cfg = make_setup(error_prob=0.3, seed=4)
@@ -447,6 +451,69 @@ def _forced_mc_zero_denominator(doc):
          if not nd["rollouts"] and nd["mc_num"] is not None)["mc_den"] = 0
 
 
+def _root_id(doc):
+    return next(nd["id"] for nd in doc["nodes"] if not nd["prefix_steps"])
+
+
+def _duplicate_edge(doc):
+    """A single-step edge is listed twice."""
+    edges = doc["edges"]
+    edges.append(dict(next(e for e in edges if len(e["action_steps"]) == 1)))
+
+
+def _edge_into_root(doc):
+    """The root's first child gets an edge back into the root."""
+    edge = next(e for e in doc["edges"] if e["parent"] == _root_id(doc))
+    doc["edges"].append(dict(edge, parent=edge["child"], child=edge["parent"]))
+
+
+def _second_parent(doc):
+    """A node two edges below the root is also linked under the root, by
+    the action that spells its whole prefix."""
+    root = _root_id(doc)
+    child = next(e["child"] for e in doc["edges"] if e["parent"] != root)
+    prefix = next(nd["prefix_steps"] for nd in doc["nodes"]
+                  if nd["id"] == child)
+    doc["edges"].append(
+        {"parent": root, "child": child, "action_steps": prefix})
+
+
+def _empty_action(doc):
+    doc["edges"][-1]["action_steps"] = []
+
+
+def _second_record(doc):
+    """A second record of the last node's prefix, under a new id."""
+    doc["nodes"].append(dict(doc["nodes"][-1], id=len(doc["nodes"])))
+
+
+def _budget_str(doc):
+    doc["budget"] = {"searches_done": "x", "policy_calls": "y"}
+
+
+def _visit_count_str(doc):
+    node = doc["nodes"][-1]
+    node["visit_count"] = str(node["visit_count"])
+
+
+def _visit_count_bool(doc):
+    doc["nodes"][-1]["visit_count"] = True
+
+
+# Edits that leave a tree document parseable JSON but not a readable tree:
+# its edges are not a tree, or a count is not an int >= 0.
+TREE_DAMAGES = {
+    "duplicate_edge": _duplicate_edge,
+    "edge_into_root": _edge_into_root,
+    "second_parent": _second_parent,
+    "empty_action": _empty_action,
+    "second_record": _second_record,
+    "budget_str": _budget_str,
+    "visit_count_str": _visit_count_str,
+    "visit_count_bool": _visit_count_bool,
+}
+
+
 class TestSerialization:
     def test_round_trip_preserves_bytes(self):
         q, chain, comp, cfg = make_setup(error_prob=0.3, seed=6)
@@ -477,7 +544,7 @@ class TestSerialization:
         result = engine.locate_first_error(engine.tree.root, rollout)
         error_node = node_at(engine, rollout, result.first_error_index)
         error_key = error_node.state.key()
-        assert error_node.stats.forced_mc == 0
+        assert error_node.stats.forced_wrong and error_node.mc == 0
         tree2, _ = tree_from_dict(
             json.loads(dump_tree(engine.tree, engine.budget)))
         assert tree2.nodes[error_key].mc == 0
@@ -508,11 +575,11 @@ def reference_tree_dict(tree, budget):
                 "token_len": r.token_len,
             } for r in node.stats.rollouts],
         })
-        for edge in node.children:
+        for child in node.children:
             edges.append({
                 "parent": ids[key],
-                "child": ids[edge.child.state.key()],
-                "action_steps": [step(s) for s in edge.action_steps],
+                "child": ids[child.state.key()],
+                "action_steps": [step(s) for s in child.action_steps],
             })
     return {
         "schema_version": 1,
@@ -562,8 +629,8 @@ def odd_trees(draw):
                 final_answer=draw(st.one_of(st.just(""), _odd_texts)),
                 is_correct=draw(st.booleans()),
             )])
-        if not node.stats.rollouts and draw(st.booleans()):
-            node.stats.forced_mc = Fraction(draw(st.integers(0, 3)), 4)
+        if not node.stats.rollouts:
+            node.stats.forced_wrong = draw(st.booleans())
     tree.avg_solution_tokens = draw(st.floats())
     tree.threshold = draw(st.floats())
     budget = draw(st.builds(
@@ -623,7 +690,7 @@ class TestTreeWriter:
         for node in loaded.nodes.values():
             every = list(node.state.prefix_steps)
             every += [s for r in node.stats.rollouts for s in r.steps]
-            every += [s for e in node.children for s in e.action_steps]
+            every += [s for child in node.children for s in child.action_steps]
             for s in every:
                 assert found.setdefault(s, s) is s
 
@@ -635,6 +702,8 @@ class TestTreeWriter:
         lambda text: text.replace('"nodes"', '"nodez"'),
         lambda text: text.replace('"budget"', '"budgets"'),
         lambda text: _edited(text, _rollout_token_len_off_by_one),
+        *(pytest.param(partial(_edited, edit=edit), id=name)
+          for name, edit in TREE_DAMAGES.items()),
     ])
     def test_unreadable_tree_raises_parse_error(self, tmp_path, damage):
         # Seed 5 grows a tree, so a cut lands among its nodes and edges and
