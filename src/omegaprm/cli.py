@@ -206,9 +206,9 @@ def _make_dir(path, error):
 
 def _map_questions(cfg: RunConfig, work, items):
     """``work(item)`` for each of ``items``, as a list in item order: the
-    questions of ``filter`` and ``generate``, of ``eval``'s two pools and
-    of a simulated ``export``; the two arms of a simulated ``bench``; or
-    the prefix states of one solution in a remote ``bench``'s per-step arm.
+    questions of ``filter``, ``generate``, ``eval`` and a simulated
+    ``export``; the two arms of a simulated ``bench``; or the prefix
+    states of one solution in a remote ``bench``'s per-step arm.
 
     At parallelism 1 (or for a single item) it runs in this process.
     Otherwise, with the simulated completer, which is CPU-bound and holds

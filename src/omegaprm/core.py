@@ -1,9 +1,10 @@
 """Shared domain types: questions, steps, rollouts, states, tree nodes;
 and the writer every artifact goes through.
 
-Monte Carlo estimates are stored as exact rationals (``fractions.Fraction``)
-so that the boundary predicates ``MC == 0`` and ``MC == 1`` are exact; they
-are converted to float only at export time.
+A Monte Carlo estimate is the float ``correct / total`` of two integer
+counts. The boundary predicates ``MC == 0`` and ``MC == 1`` stay exact: for
+counts below 2**53 the quotient is correctly rounded, so it is 0 only when
+``correct`` is 0, and 1 only when ``correct == total``.
 """
 from __future__ import annotations
 
@@ -11,7 +12,6 @@ import os
 import re
 from contextlib import contextmanager, suppress
 from dataclasses import dataclass, field
-from fractions import Fraction
 from typing import Optional
 
 from .errors import UpstreamError
@@ -163,17 +163,16 @@ class NodeStats:
     ``forced_wrong`` marks a terminal wrong-answer state, whose MC is known
     to be zero without any rollouts of its own. Rollouts are only ever
     added, through ``add_rollouts``, which keeps a running count of the
-    correct ones and the MC they give, so reading ``mc`` recounts nothing.
+    correct ones, so reading ``mc`` recounts nothing.
     """
 
-    __slots__ = ("visit_count", "forced_wrong", "_rollouts", "_correct", "_mc")
+    __slots__ = ("visit_count", "forced_wrong", "correct", "_rollouts")
 
     def __init__(self):
         self.visit_count = 0
         self.forced_wrong = False
+        self.correct = 0
         self._rollouts = ()
-        self._correct = 0
-        self._mc = None
 
     @property
     def rollouts(self) -> tuple:
@@ -184,14 +183,13 @@ class NodeStats:
         if not rollouts:
             return
         self._rollouts += rollouts
-        self._correct += sum(1 for r in rollouts if r.is_correct)
-        self._mc = Fraction(self._correct, len(self._rollouts))
+        self.correct += sum(1 for r in rollouts if r.is_correct)
 
     @property
-    def mc(self) -> Optional[Fraction]:
+    def mc(self) -> Optional[float]:
         if self._rollouts:
-            return self._mc
-        return Fraction(0) if self.forced_wrong else None
+            return self.correct / len(self._rollouts)
+        return 0.0 if self.forced_wrong else None
 
 
 @dataclass
@@ -205,7 +203,7 @@ class TreeNode:
     children: list = field(default_factory=list)
 
     @property
-    def mc(self) -> Optional[Fraction]:
+    def mc(self) -> Optional[float]:
         return self.stats.mc
 
     @property

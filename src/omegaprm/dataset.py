@@ -96,7 +96,7 @@ def tree_to_examples(tree: Tree):
                 question=tree.question.statement,
                 prefix=parent.state.prefix_text,
                 step=child.action_text,
-                mc=float(mc),
+                mc=mc,
                 hard_label=int(mc > 0),
             ))
     return examples
@@ -115,7 +115,7 @@ def tree_to_pairs(tree: Tree):
     pairs = []
     for parent, children in _single_step_edges(tree):
         for a, b in itertools.combinations(children, 2):
-            pref_a, _ = normalize_pair(float(a.mc), float(b.mc))
+            pref_a, _ = normalize_pair(a.mc, b.mc)
             pairs.append(PreferencePair(
                 question_id=tree.question.id,
                 question=tree.question.statement,

@@ -10,12 +10,7 @@ from typing import Optional
 from .core import EngineConfig, Question, State, open_replacing
 from .dataset import tree_to_examples
 from .errors import CompleterUnavailable
-from .mcts import (
-    OmegaPRMEngine,
-    SearchBudget,
-    annotate_per_step,
-    monte_carlo_estimate,
-)
+from .mcts import OmegaPRMEngine, annotate_per_step, monte_carlo_estimate
 from .policy import CompleterRequest, answer_key, answers_equivalent
 from .prm import ToyPrmModel, score_solution
 
@@ -153,15 +148,21 @@ def _k_schedule(k_max: int):
     return ks
 
 
-def _question_pool(completer, pool_size: int, model, question):
-    """The ``_Pool`` of ``question``'s sampled candidates, scored by
-    ``model`` when one is given, or None when the completer is
-    unavailable."""
-    try:
-        candidates = sample_candidates(question, completer, pool_size, model)
-    except CompleterUnavailable:
-        return None
-    return _Pool(candidates, model is not None, question.golden_answer)
+def _question_pools(completer, pool_size: int, model, question):
+    """``question``'s majority ``_Pool`` and its weighted one, scored by
+    ``model``, each sampled after a ``completer.reset()``; or None when
+    the completer is unavailable for either."""
+    pools = []
+    for scorer in (None, model):
+        completer.reset()
+        try:
+            candidates = sample_candidates(question, completer, pool_size,
+                                           scorer)
+        except CompleterUnavailable:
+            return None
+        pools.append(_Pool(candidates, scorer is not None,
+                           question.golden_answer))
+    return pools
 
 
 def accuracy_curve(questions, completer, model, settings: EvalSettings,
@@ -170,19 +171,19 @@ def accuracy_curve(questions, completer, model, settings: EvalSettings,
     sampled solutions, as ``{"majority": EvalReport, "prm_weighted":
     EvalReport}``.
 
-    After a ``completer.reset()``, each method samples one fixed pool of
-    ``settings.pool_size`` solutions per question, scored by ``model`` for
-    the weighted one. A question whose pool fails for either method is
+    Each question's majority pool of ``settings.pool_size`` solutions,
+    and then its weighted pool, scored by ``model``, is sampled after a
+    ``completer.reset()``. A question whose pool fails for either method is
     skipped by both and listed in both reports' ``skipped``. Per k,
     accuracy is averaged over seeded random subsets of size k, each drawn
     once and voted by both methods; subsets keep pool order so the vote
     tie-break is stable, and k = pool size has zero resampling freedom.
 
-    ``map_questions(work, questions)`` samples one method's pools and
-    returns them in question order. Each pool is one ``sample_rollouts``
+    ``map_questions(work, questions)`` samples each question's two pools
+    and returns them in question order. Each pool is one ``sample_rollouts``
     call on its question's root, a state no other question shares, so the
-    pools may be sampled in any order, or at once, from a completer whose
-    reply depends on the state and on the calls for it before.
+    questions may be sampled in any order, or at once, from a completer
+    whose reply depends on the state and on the calls for it since a reset.
 
     Every subset is voted as ``weighted_vote`` votes it in pool order: on
     answer classes computed once per pool, per (question, k) in numpy, all
@@ -192,21 +193,17 @@ def accuracy_curve(questions, completer, model, settings: EvalSettings,
     import numpy as np
 
     k_max, pool_size = settings.k_max, settings.pool_size
-    scorers = {"majority": None, "prm_weighted": model}
-    # Per method and question index: the pool's vote tables. The weighted
-    # pass samples only the questions the majority pass could.
-    tables = {}
-    usable = list(range(len(questions)))
-    for method, scorer in scorers.items():
-        completer.reset()
-        tables[method] = dict(zip(usable, map_questions(
-            partial(_question_pool, completer, pool_size, scorer),
-            [questions[i] for i in usable])))
-        usable = [i for i in usable if tables[method][i] is not None]
+    methods = ("majority", "prm_weighted")
+    pools = list(map_questions(
+        partial(_question_pools, completer, pool_size, model), questions))
+    usable = [i for i, pair in enumerate(pools) if pair is not None]
+    # Per method: the vote tables of the usable questions' pools.
+    tables = {method: [pools[i][m] for i in usable]
+              for m, method in enumerate(methods)}
 
     rng = random.Random(seed)
     ks = _k_schedule(k_max)
-    accs = {method: [] for method in scorers}  # per k: one per resample
+    accs = {method: [] for method in methods}  # per k: one per resample
     for k in ks:
         n_runs = 1 if k == pool_size else settings.n_resamples
         # subsets[r, q]: resample r's subset for usable question q, drawn
@@ -220,8 +217,7 @@ def accuracy_curve(questions, completer, model, settings: EvalSettings,
         hits = {}
         for method, table in tables.items():
             hits[method] = np.zeros((n_runs, len(usable)), dtype=bool)
-            for q, i in enumerate(usable):
-                pool = table[i]
+            for q, pool in enumerate(table):
                 hits[method][:, q] = pool.golden[pool.vote(subsets[:, q])]
             accs[method].append([int(n) / len(usable) if usable else 0.0
                                  for n in hits[method].sum(axis=1)])
@@ -255,24 +251,24 @@ def _brute_force_arm(questions, completer, cfg: EngineConfig, budget: int,
     solution is annotated to its end before the next one is sampled.
     Returns (policy calls, examples)."""
     completer.reset()
-    spent = SearchBudget()
-    examples = 0
-    idx = 0
-    while questions and spent.policy_calls + 1 + cfg.k_rollouts <= budget:
+    spent = examples = idx = 0
+    while questions and spent + 1 + cfg.k_rollouts <= budget:
         question = questions[idx % len(questions)]
         idx += 1
         root = State(question_id=question.id)
-        _, sols = monte_carlo_estimate(completer, root, 1, spent)
+        _, sols = monte_carlo_estimate(completer, 1, root)
+        spent += 1
         solution = sols[0]
         if not solution.steps:
             continue
-        affordable = (budget - spent.policy_calls) // cfg.k_rollouts
+        affordable = (budget - spent) // cfg.k_rollouts
         labels = annotate_per_step(
             completer, question, solution, cfg.k_rollouts,
-            budget=spent, max_steps=affordable, map_states=map_states,
+            max_steps=affordable, map_states=map_states,
         )
+        spent += cfg.k_rollouts * len(labels)
         examples += len(labels)
-    return spent.policy_calls, examples
+    return spent, examples
 
 
 def _search_arm(questions, completer, cfg: EngineConfig, budget: int):

@@ -10,7 +10,6 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import asdict, dataclass
-from fractions import Fraction
 from functools import partial
 from json.encoder import encode_basestring_ascii
 from operator import itemgetter
@@ -35,7 +34,7 @@ def rollout_value(mc, rollout_token_len, cfg: EngineConfig) -> float:
     Increasing in MC (supposed-to-be-correct states first) and decreasing
     in rollout length (length penalty).
     """
-    return cfg.alpha ** (1.0 - float(mc)) * cfg.beta ** (
+    return cfg.alpha ** (1.0 - mc) * cfg.beta ** (
         rollout_token_len / cfg.len_scale_L
     )
 
@@ -130,20 +129,16 @@ class BudgetExhausted(Exception):
     """Internal: the engine hit its policy-call cap (benchmark mode)."""
 
 
-def monte_carlo_estimate(completer: Completer, state: State, k: int,
-                         budget: SearchBudget):
-    """Sample k rollouts from ``state``, count them in ``budget``, and
-    return (MC, rollouts).
+def monte_carlo_estimate(completer: Completer, k: int, state: State):
+    """Sample k rollouts from ``state`` and return (MC, rollouts).
 
-    MC is the exact fraction of rollouts whose final answer matched the
-    golden answer.
+    MC is the share of the k rollouts whose final answer matched the golden
+    answer. The caller counts the k policy calls where it spends them.
     """
     rollouts = completer.sample_rollouts(
         CompleterRequest(state=state, n_samples=k)
     )
-    budget.policy_calls += k
-    correct = sum(1 for r in rollouts if r.is_correct)
-    return Fraction(correct, k), rollouts
+    return sum(1 for r in rollouts if r.is_correct) / k, rollouts
 
 
 class OmegaPRMEngine:
@@ -167,7 +162,9 @@ class OmegaPRMEngine:
         if (self.max_policy_calls is not None
                 and self.budget.policy_calls + n > self.max_policy_calls):
             raise BudgetExhausted
-        return monte_carlo_estimate(self.completer, state, n, self.budget)
+        sample = monte_carlo_estimate(self.completer, n, state)
+        self.budget.policy_calls += n
+        return sample
 
     # -- root seeding ------------------------------------------------------
 
@@ -304,20 +301,15 @@ def build_tree(question: Question, completer: Completer, cfg: EngineConfig):
 
 # -- brute-force baseline (per-step annotation) ----------------------------
 
-def _prefix_mc(completer: Completer, k: int, state: State):
-    """The MC of ``state`` from k rollouts, counted in no budget."""
-    return monte_carlo_estimate(completer, state, k, SearchBudget())[0]
-
-
 def annotate_per_step(completer: Completer, question: Question,
-                      rollout: Rollout, k: int, budget: SearchBudget,
-                      max_steps=None, map_states=map):
+                      rollout: Rollout, k: int, max_steps=None,
+                      map_states=map):
     """Math-Shepherd-style annotation: the MC of every step prefix.
 
     Returns a list of (step_index, MC) pairs in step order; costs exactly k
-    rollouts per annotated step, counted in ``budget`` once all are in.
-    Used as the brute-force arm of the efficiency benchmark and as the
-    exhaustive oracle in tests.
+    rollouts per annotated step, which the caller counts. Used as the
+    brute-force arm of the efficiency benchmark and as the exhaustive
+    oracle in tests.
 
     ``map_states(work, states)`` runs ``work`` on each prefix state and
     returns the results in state order, so the requests may overlap. Each
@@ -332,9 +324,8 @@ def annotate_per_step(completer: Completer, question: Question,
         n = min(n, max_steps)
     states = [state_transition(root, rollout.steps[:t])
               for t in range(1, n + 1)]
-    mcs = list(map_states(partial(_prefix_mc, completer, k), states))
-    budget.policy_calls += k * n
-    return list(enumerate(mcs, start=1))
+    samples = map_states(partial(monte_carlo_estimate, completer, k), states)
+    return [(t, mc) for t, (mc, _) in enumerate(samples, start=1)]
 
 
 # -- serialization ---------------------------------------------------------
@@ -342,10 +333,15 @@ def annotate_per_step(completer: Completer, question: Question,
 SCHEMA_VERSION = 1
 
 
-def _mc_fields(mc) -> dict:
-    """The stored fields of a node's MC: both null for a node without one."""
-    return {"mc_num": getattr(mc, "numerator", None),
-            "mc_den": getattr(mc, "denominator", None)}
+def _mc_fields(stats) -> dict:
+    """The stored fields of a node's MC, the reduced fraction of its
+    counts: 0/1 when forced, and both null for a node without an MC."""
+    total = len(stats.rollouts)
+    if not total:
+        return ({"mc_num": 0, "mc_den": 1} if stats.forced_wrong
+                else {"mc_num": None, "mc_den": None})
+    common = math.gcd(stats.correct, total)
+    return {"mc_num": stats.correct // common, "mc_den": total // common}
 
 
 def tree_doc(tree: Tree, budget: SearchBudget) -> dict:
@@ -362,7 +358,7 @@ def tree_doc(tree: Tree, budget: SearchBudget) -> dict:
             "id": i,
             "prefix_steps": node.state.prefix_steps,
             "visit_count": node.stats.visit_count,
-            **_mc_fields(node.mc),
+            **_mc_fields(node.stats),
             "rollouts": [{
                 "steps": r.steps,
                 "final_answer": r.final_answer,
@@ -462,9 +458,11 @@ class _Steps(dict):
 
 def tree_from_dict(doc):
     """Rebuild a tree and its budget from a parsed schema-v1 file. Raises
-    ``ValueError`` for another version, a rollout ``token_len`` other than
-    its steps' sum, an MC other than ``tree_doc`` writes, a count not an
-    ``int`` >= 0, and records that are not one tree (two of a prefix, or a
+    ``ValueError`` or ``TypeError`` where it differs from what ``tree_doc``
+    writes: another version or question keys, a rollout ``token_len`` other
+    than its steps' sum, another MC, a count not an ``int`` >= 0, a length
+    not a finite float, a node id not its position, edges out of (parent,
+    child) order, or records that are not one tree (two of a prefix, or a
     node below the root without one edge that extends its parent to it)."""
     if doc["schema_version"] != SCHEMA_VERSION:
         raise ValueError(
@@ -477,15 +475,17 @@ def tree_from_dict(doc):
         """The tuple of the interned ``Step``s that the step dicts spell."""
         return tuple(map(interned, map(_SPELLING, dicts)))
 
-    q = doc["question"]
-    question = Question(
-        id=q["id"], statement=q["statement"], golden_answer=q["golden_answer"]
-    )
+    question = Question(**doc["question"])
     tree = Tree(question)
     tree.avg_solution_tokens = doc["avg_solution_tokens"]
     tree.threshold = doc["threshold"]
+    if not all(type(x) is float and math.isfinite(x)
+               for x in (tree.avg_solution_tokens, tree.threshold)):
+        raise ValueError("a threshold or length is not a finite float")
     by_id = {}
-    for nd in doc["nodes"]:
+    for i, nd in enumerate(doc["nodes"]):
+        if type(nd["id"]) is not int or nd["id"] != i:
+            raise ValueError(f"node id {nd['id']!r} at position {i}")
         prefix = steps(nd["prefix_steps"])
         node = TreeNode(State(question.id, prefix)) if prefix else tree.root
         tree.nodes[node.state.key()] = node
@@ -502,13 +502,17 @@ def tree_from_dict(doc):
         stats.add_rollouts(rollouts)
         # A zero MC without rollouts is the only MC a search forces.
         stats.forced_wrong = not rollouts and nd["mc_num"] is not None
-        written = _mc_fields(stats.mc)
+        written = _mc_fields(stats)
         if any(type(nd[k]) is not type(v) or nd[k] != v
                for k, v in written.items()):
             raise ValueError(f"stored MC {nd['mc_num']!r}/{nd['mc_den']!r}, "
                              f"expected {written['mc_num']!r}/"
                              f"{written['mc_den']!r}")
         by_id[nd["id"]] = node
+    # The writer lists each parent's children in creation order.
+    pairs = [(ed["parent"], ed["child"]) for ed in doc["edges"]]
+    if any(a >= b for a, b in zip(pairs, pairs[1:])):
+        raise ValueError("edges are not in (parent, child) order")
     for ed in doc["edges"]:
         parent, child = by_id[ed["parent"]], by_id[ed["child"]]
         action = steps(ed["action_steps"])
@@ -523,9 +527,10 @@ def tree_from_dict(doc):
         raise ValueError("the node records and edges are not one tree")
     budget = SearchBudget(**doc["budget"])
     counts = [*asdict(budget).values(),
-              *(node.stats.visit_count for node in tree.nodes.values())]
+              *(node.stats.visit_count for node in tree.nodes.values()),
+              *(n for pair in pairs for n in pair)]
     if any(type(n) is not int or n < 0 for n in counts):  # a bool is no count
-        raise ValueError("a budget field or visit count is not an int >= 0")
+        raise ValueError("a count or id is not an int >= 0")
     return tree, budget
 
 

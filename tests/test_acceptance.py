@@ -24,7 +24,6 @@ from omegaprm.evaluate import (
 )
 from omegaprm.mcts import (
     OmegaPRMEngine,
-    SearchBudget,
     annotate_per_step,
     build_tree,
     dump_tree,
@@ -38,6 +37,7 @@ from omegaprm.prm import (
     pointwise_objective,
     train_toy_prm,
 )
+from test_mcts import SampleCounter
 from test_prm import step_accuracy
 
 
@@ -92,9 +92,8 @@ def oracle_sweep():
         rollout = wrong_rollout_at(chain, error_step)
         result = engine.locate_first_error(engine.tree.root, rollout)
 
-        brute_budget = SearchBudget()
-        oracle = annotate_per_step(comp, q, rollout, cfg.k_rollouts,
-                                   brute_budget)
+        brute = SampleCounter(comp)
+        oracle = annotate_per_step(brute, q, rollout, cfg.k_rollouts)
         oracle_first = next(t for t, mc in oracle if mc == 0)
         rows.append({
             "m": m,
@@ -102,7 +101,7 @@ def oracle_sweep():
             "found": result.first_error_index,
             "oracle": oracle_first,
             "search_rollouts": result.rollouts_spent,
-            "brute_rollouts": brute_budget.policy_calls,
+            "brute_rollouts": brute.calls,
         })
     return rows, time.perf_counter() - t0, cfg
 
@@ -239,8 +238,6 @@ def test_criterion_4_formula_values_and_gradients():
 # -- criterion 5: tree invariant suite -------------------------------------
 
 def test_criterion_5_tree_invariants_over_seeded_builds():
-    from fractions import Fraction
-
     failures = []
     for seed in range(20):
         q, chain, comp = one_question_world(f"inv{seed}", 8, 0.3, seed=seed)
@@ -253,7 +250,7 @@ def test_criterion_5_tree_invariants_over_seeded_builds():
         for node in tree.nodes.values():
             if node.stats.rollouts:
                 correct = sum(r.is_correct for r in node.stats.rollouts)
-                if node.mc != Fraction(correct, len(node.stats.rollouts)):
+                if node.mc != correct / len(node.stats.rollouts):
                     failures.append((seed, "mc"))
         for parent in tree.nodes.values():
             for child in parent.children:

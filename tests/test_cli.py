@@ -276,7 +276,9 @@ def damaged_tree(doc, damage):
     ("token_len"); with a zero MC denominator on a node without rollouts
     ("mc_den_zero"); with the MC 7/1 on a node with rollouts
     ("mc_mismatch"); or with a damage of ``test_mcts.TREE_DAMAGES``, such
-    as a string budget ("budget_str") or visit count ("visit_count_str")."""
+    as a string budget ("budget_str"), visit count ("visit_count_str") or
+    threshold ("threshold_str"), or edges listed last to first
+    ("reversed_edges")."""
     nodes = doc["nodes"]
     if damage in TREE_DAMAGES:
         TREE_DAMAGES[damage](doc)
@@ -1173,7 +1175,7 @@ def _question_and_pid(question):
     return question.id, os.getpid()
 
 
-HEAVY_MODULES = ("concurrent.futures", "http.client", "numpy")
+HEAVY_MODULES = ("concurrent.futures", "fractions", "http.client", "numpy")
 RUN_MAIN = ("import sys\nfrom omegaprm.cli import main\n"
             "if main(sys.argv[1:]):\n    raise SystemExit(1)")
 
@@ -1192,7 +1194,9 @@ def _heavy_modules_after(code, *argv):
 
 class TestStartupImports:
     """A command loads only the layers it runs: the PRM's numpy, the HTTP
-    client and the worker pools are imported where they are used."""
+    client and the worker pools are imported where they are used. None
+    loads ``fractions``, which pulls in ``decimal`` and ``numbers``: an MC
+    is the float of two counts."""
 
     def test_cli_import_loads_none(self):
         assert _heavy_modules_after("import omegaprm.cli") == []
@@ -1245,6 +1249,50 @@ class TestStartupImports:
             assert states and all(isinstance(s, State) for s in states)
             assert [len(s.key()) for s in states] == \
                 list(range(1, len(states) + 1))
+
+    @pytest.mark.parametrize("kind", ["sim", "remote"])
+    def test_eval_maps_each_question_once(self, pipeline, fake_server,
+                                          monkeypatch, kind):
+        tmp_path, config, doc = pipeline
+        for cmd in ("filter", "generate", "export", "train"):
+            assert run(cmd, config) == 0
+        lock = threading.Lock()
+        served = {}  # per prompt: the replies sent
+
+        def respond(body):
+            # A root's first reply is right and its second wrong, so the
+            # majority curve reads 1 and the weighted one 0 only if each
+            # root's majority request comes before its weighted one.
+            prompt = body["prompt"]
+            with lock:
+                ordinal = served[prompt] = served.get(prompt, 0) + 1
+            golden = 100 + int(prompt.split("number ")[1].split()[0])
+            answer = golden if ordinal == 1 else 7
+            return [f"step one the answer is {answer}"] * body["n"]
+
+        fake_server.respond = respond
+        doc["parallelism"] = 2
+        if kind == "remote":
+            doc["completer"] = {"kind": "remote",
+                                "remote": {"endpoint": fake_server.url}}
+        config.write_text(json.dumps(doc))
+        maps = []
+        map_questions = cli._map_questions
+
+        def record(cfg, work, items):
+            maps.append(len(items))
+            return map_questions(cfg, work, items)
+
+        monkeypatch.setattr(cli, "_map_questions", record)
+        assert run("eval", config) == 0
+        out = tmp_path / "out"
+        kept = (out / "kept.jsonl").read_text().splitlines()
+        assert len(kept) > 1 and maps == [len(kept)]
+        if kind == "remote":
+            assert list(served.values()) == [2] * len(kept)
+            report = json.loads((out / "eval_report.json").read_text())
+            assert set(report["majority"]["accuracy_mean"]) == {1.0}
+            assert set(report["prm_weighted"]["accuracy_mean"]) == {0.0}
 
     def test_remote_completer_loads_http_client(self):
         code = ("import sys\n"

@@ -3,7 +3,6 @@ import os
 import re
 import subprocess
 import sys
-from fractions import Fraction
 
 import pytest
 from hypothesis import given, strategies as st
@@ -107,7 +106,7 @@ class TestNodeStats:
             Rollout(steps("b"), "2", False),
             Rollout(steps("c"), "1", True),
         ])
-        assert stats.mc == Fraction(2, 3)
+        assert stats.correct == 2 and stats.mc == 2 / 3
 
     def test_mc_boundaries_are_exact(self):
         wrong, right = NodeStats(), NodeStats()
@@ -129,7 +128,8 @@ class TestNodeStats:
             rollouts = stats.rollouts
             if rollouts:
                 correct = sum(1 for r in rollouts if r.is_correct)
-                assert stats.mc == Fraction(correct, len(rollouts))
+                assert stats.correct == correct
+                assert stats.mc == correct / len(rollouts)
             else:
                 assert stats.mc is None
 

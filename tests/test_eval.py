@@ -123,22 +123,27 @@ def tricky_pools(n_pools, seed):
 
 
 class _TrickyCompleter(Completer):
-    """Seeded pools of two-step solutions with TRICKY_ANSWERS answers. With
-    ``replays`` its ``reset`` replays the pools, as the simulator's does;
-    without, ``reset`` is a no-op and every pool is new, as a remote
-    completer's are."""
+    """Seeded pools of two-step solutions with TRICKY_ANSWERS answers, from
+    one stream per state, so a reply depends on the state and on the calls
+    for it before. With ``replays`` its ``reset`` replays the pools, as the
+    simulator's does; without, ``reset`` is a no-op and every pool is new,
+    as a remote completer's are."""
 
     def __init__(self, seed, replays=False):
         self.seed = seed
         self.replays = replays
-        self.rng = random.Random(seed)
+        self.streams = {}
 
     def reset(self):
         if self.replays:
-            self.rng = random.Random(self.seed)
+            self.streams = {}
 
     def sample_rollouts(self, request):
-        rng = self.rng
+        state = request.state
+        rng = self.streams.get(state)
+        if rng is None:
+            rng = self.streams[state] = random.Random(
+                f"{self.seed} {state.question_id} {state.prefix_text}")
         return [
             Rollout(
                 [make_step(f"add {rng.randrange(4)} to both sides"),
@@ -262,23 +267,23 @@ class TestSampleCandidates:
 
 
 class _FailingCompleter(Completer):
-    """``inner``, except that sampling ``question_id`` raises
-    CompleterUnavailable after ``resets`` + 1 calls of ``reset``."""
+    """``inner``, except that the sample of ``question_id`` after its first
+    ``samples`` ones raises CompleterUnavailable."""
 
-    def __init__(self, inner, question_id, resets):
+    def __init__(self, inner, question_id, samples):
         self.inner = inner
         self.question_id = question_id
-        self.resets = resets
-        self.seen = -1
+        self.samples = samples
+        self.seen = 0
 
     def reset(self):
-        self.seen += 1
         self.inner.reset()
 
     def sample_rollouts(self, request):
-        if (request.state.question_id == self.question_id
-                and self.seen == self.resets):
-            raise CompleterUnavailable("down")
+        if request.state.question_id == self.question_id:
+            self.seen += 1
+            if self.seen == self.samples + 1:
+                raise CompleterUnavailable("down")
         return self.inner.sample_rollouts(request)
 
 
@@ -324,14 +329,14 @@ class TestAccuracyCurve:
         assert {m: asdict(r) for m, r in r1.items()} == \
             {m: asdict(r) for m, r in r2.items()}
 
-    @pytest.mark.parametrize("resets", [0, 1], ids=["majority", "weighted"])
-    def test_failed_pool_is_skipped_by_both(self, model, resets):
+    @pytest.mark.parametrize("samples", [0, 1], ids=["majority", "weighted"])
+    def test_failed_pool_is_skipped_by_both(self, model, samples):
         # The subset draws depend on the number of usable questions only,
         # so both curves equal those of the corpus without the question.
         questions, comp = sim_world(error_prob=0.4, seed=5)
         settings = EvalSettings(8, n_resamples=10, pool_size=8)
         reports = accuracy_curve(questions, _FailingCompleter(comp, "q1",
-                                                              resets),
+                                                              samples),
                                  model, settings, seed=3)
         rest = [q for q in questions if q.id != "q1"]
         expected = accuracy_curve(rest, comp, model, settings, seed=3)
@@ -342,18 +347,18 @@ class TestAccuracyCurve:
             assert report.accuracy_mean == expected[method].accuracy_mean
             assert report.per_question == expected[method].per_question
 
-    @pytest.mark.parametrize("resets", [0, 1], ids=["majority", "weighted"])
-    def test_threaded_map_matches_a_serial_run(self, model, resets):
-        # q1 fails in the majority pass, or in the weighted pass only; on
-        # threads as in one, it is skipped by both curves.
+    @pytest.mark.parametrize("samples", [0, 1], ids=["majority", "weighted"])
+    def test_threaded_map_matches_a_serial_run(self, model, samples):
+        # q1's majority sample fails, or only its weighted one; on threads
+        # as in one, it is skipped by both curves.
         questions, comp = sim_world(error_prob=0.4, seed=5)
         settings = EvalSettings(8, n_resamples=10, pool_size=8)
         serial = accuracy_curve(questions, _FailingCompleter(comp, "q1",
-                                                             resets),
+                                                             samples),
                                 model, settings, seed=3)
         with ThreadPoolExecutor(2) as pool:
             mapped = accuracy_curve(questions, _FailingCompleter(comp, "q1",
-                                                                 resets),
+                                                                 samples),
                                     model, settings, seed=3,
                                     map_questions=pool.map)
         assert {m: asdict(r) for m, r in mapped.items()} == \

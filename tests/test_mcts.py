@@ -2,6 +2,7 @@
 tree construction, budgets, and serialization."""
 import json
 import math
+import threading
 from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
 from functools import partial
@@ -14,6 +15,7 @@ from omegaprm.core import (
     Question,
     Rollout,
     State,
+    NodeStats,
     Step,
     TreeNode,
     make_step,
@@ -21,6 +23,7 @@ from omegaprm.core import (
 )
 from omegaprm.errors import CompleterUnavailable, ParseError
 from omegaprm.mcts import (
+    _mc_fields,
     _render,
     OmegaPRMEngine,
     RolloutPool,
@@ -65,6 +68,24 @@ def wrong_rollout_at(chain, error_step):
             toks = " ".join(f"bad{i}x{j}" for j in range(len(ground.split())))
             out.append(make_step(toks))
     return Rollout(out, f"wrong{error_step}", False)
+
+
+class SampleCounter:
+    """``inner``, summing in ``calls`` the rollouts requested of it: the
+    policy calls that the caller spends."""
+
+    def __init__(self, inner):
+        self.inner = inner
+        self.calls = 0
+        self._lock = threading.Lock()
+
+    def sample_rollouts(self, request):
+        with self._lock:
+            self.calls += request.n_samples
+        return self.inner.sample_rollouts(request)
+
+    def reset(self):
+        self.inner.reset()
 
 
 def node_at(engine, rollout, position):
@@ -149,15 +170,15 @@ class TestRolloutPool:
 class TestMonteCarloEstimate:
     def test_exact_fraction(self):
         q, chain, comp, cfg = make_setup(error_prob=0.5, seed=9)
-        budget = SearchBudget()
-        mc, rollouts = monte_carlo_estimate(comp, State("q1"), 16, budget)
-        assert mc == Fraction(sum(r.is_correct for r in rollouts), 16)
-        assert budget.policy_calls == 16
+        counter = SampleCounter(comp)
+        mc, rollouts = monte_carlo_estimate(counter, 16, State("q1"))
+        assert mc == sum(r.is_correct for r in rollouts) / 16
+        assert 0 < mc < 1 and len(rollouts) == counter.calls == 16
 
     def test_rejects_nonpositive_k(self):
         q, chain, comp, cfg = make_setup()
         with pytest.raises(ValueError):
-            monte_carlo_estimate(comp, State("q1"), 0, SearchBudget())
+            monte_carlo_estimate(comp, 0, State("q1"))
 
     def test_completer_failure_propagates(self):
         class Dead:
@@ -165,7 +186,7 @@ class TestMonteCarloEstimate:
                 raise CompleterUnavailable("down")
 
         with pytest.raises(CompleterUnavailable):
-            monte_carlo_estimate(Dead(), State("q1"), 4, SearchBudget())
+            monte_carlo_estimate(Dead(), 4, State("q1"))
 
 
 class TestSplitPoint:
@@ -212,8 +233,7 @@ class TestLocateFirstError:
             engine.seed_root()
             rollout = wrong_rollout_at(chain, error_step)
             result = engine.locate_first_error(engine.tree.root, rollout)
-            oracle = annotate_per_step(comp, q, rollout, cfg.k_rollouts,
-                                       SearchBudget())
+            oracle = annotate_per_step(comp, q, rollout, cfg.k_rollouts)
             first = next(t for t, mc in oracle if mc == 0)
             assert result.first_error_index == first == error_step
 
@@ -345,7 +365,7 @@ class TestBuild:
         for node in tree.nodes.values():
             if node.stats.rollouts:
                 correct = sum(r.is_correct for r in node.stats.rollouts)
-                assert node.mc == Fraction(correct, len(node.stats.rollouts))
+                assert node.mc == correct / len(node.stats.rollouts)
 
     def test_pool_membership_invariants(self):
         # The search limit stops seed 5 with entries left in the pool.
@@ -389,17 +409,17 @@ class TestBuild:
 class TestAnnotatePerStep:
     def test_cost_is_k_per_step(self):
         q, chain, comp, cfg = make_setup(n_steps=8)
-        budget = SearchBudget()
+        counter = SampleCounter(comp)
         rollout = wrong_rollout_at(chain, 5)
-        labels = annotate_per_step(comp, q, rollout, 8, budget)
-        assert budget.policy_calls == 8 * 8
+        labels = annotate_per_step(counter, q, rollout, 8)
+        assert counter.calls == 8 * 8
         assert [t for t, _ in labels] == list(range(1, 9))
         assert [mc for t, mc in labels] == [1] * 4 + [0] * 4
 
     def test_max_steps_cap(self):
         q, chain, comp, cfg = make_setup(n_steps=8)
         labels = annotate_per_step(comp, q, wrong_rollout_at(chain, 5), 4,
-                                   SearchBudget(), max_steps=3)
+                                   max_steps=3)
         assert len(labels) == 3
 
 
@@ -409,23 +429,23 @@ class TestAnnotatePerStep:
         # serial run whatever order the requests are sent in.
         q, chain, comp, cfg = make_setup(n_steps=8, error_prob=0.3, seed=5)
         rollout = wrong_rollout_at(chain, 7)
-        serial_budget = SearchBudget(policy_calls=5)
-        serial = annotate_per_step(comp, q, rollout, 4, serial_budget)
+        serial_counter = SampleCounter(comp)
+        serial = annotate_per_step(serial_counter, q, rollout, 4)
         comp.reset()
-        budget = SearchBudget(policy_calls=5)
+        counter = SampleCounter(comp)
         if mapped == "threads":
             with ThreadPoolExecutor(2) as pool:
-                labels = annotate_per_step(comp, q, rollout, 4, budget,
+                labels = annotate_per_step(counter, q, rollout, 4,
                                            map_states=pool.map)
         else:
             labels = annotate_per_step(
-                comp, q, rollout, 4, budget,
+                counter, q, rollout, 4,
                 map_states=lambda work, states: [
                     work(s) for s in states[::-1]][::-1])
         assert labels == serial
         assert [t for t, _ in labels] == list(range(1, 9))
         assert len({mc for _, mc in labels[:6]}) > 1  # noisy estimates
-        assert budget.policy_calls == serial_budget.policy_calls == 5 + 4 * 8
+        assert counter.calls == serial_counter.calls == 4 * 8
 
 def _edited(text, edit):
     """The tree text ``text`` with ``edit`` applied to its parsed document."""
@@ -500,8 +520,36 @@ def _visit_count_bool(doc):
     doc["nodes"][-1]["visit_count"] = True
 
 
+def _threshold_str(doc):
+    doc["threshold"] = "x"
+
+
+def _threshold_nan(doc):
+    doc["threshold"] = math.nan
+
+
+def _reversed_edges(doc):
+    """The edges listed last to first, which reverses each node's
+    children."""
+    doc["edges"].reverse()
+
+
+def _shifted_ids(doc):
+    """Every node id, and every edge's ids, 100 higher."""
+    for nd in doc["nodes"]:
+        nd["id"] += 100
+    for ed in doc["edges"]:
+        ed["parent"] += 100
+        ed["child"] += 100
+
+
+def _question_extra_key(doc):
+    doc["question"]["extra"] = "x"
+
+
 # Edits that leave a tree document parseable JSON but not a readable tree:
-# its edges are not a tree, or a count is not an int >= 0.
+# its edges are not a tree, a count is not an int >= 0, or it is laid out
+# otherwise than the writer lays it out.
 TREE_DAMAGES = {
     "duplicate_edge": _duplicate_edge,
     "edge_into_root": _edge_into_root,
@@ -511,6 +559,11 @@ TREE_DAMAGES = {
     "budget_str": _budget_str,
     "visit_count_str": _visit_count_str,
     "visit_count_bool": _visit_count_bool,
+    "threshold_str": _threshold_str,
+    "threshold_nan": _threshold_nan,
+    "reversed_edges": _reversed_edges,
+    "shifted_ids": _shifted_ids,
+    "question_extra_key": _question_extra_key,
 }
 
 
@@ -550,6 +603,28 @@ class TestSerialization:
         assert tree2.nodes[error_key].mc == 0
         assert not tree2.nodes[error_key].stats.rollouts
 
+    def test_counts_give_what_exact_fractions_gave(self):
+        # The stored fields and the MC are those of Fraction(c, t), which
+        # the counts replace, for every 0 <= c <= t <= 256, so no tree,
+        # example or pair changes by a byte.
+        right = Rollout(steps("a"), "10", True)
+        wrong = Rollout(steps("b"), "0", False)
+        for c in range(257):
+            stats = NodeStats()
+            stats.add_rollouts([right] * c)
+            for t in range(max(c, 1), 257):
+                stats.add_rollouts([wrong] * (t - len(stats.rollouts)))
+                exact = Fraction(c, t)
+                assert _mc_fields(stats) == {"mc_num": exact.numerator,
+                                             "mc_den": exact.denominator}
+                assert type(stats.mc) is float and stats.mc == float(exact)
+        forced = NodeStats()
+        forced.forced_wrong = True
+        assert _mc_fields(forced) == {"mc_num": 0, "mc_den": 1}
+        assert type(forced.mc) is float and forced.mc == float(Fraction(0))
+        assert _mc_fields(NodeStats()) == {"mc_num": None, "mc_den": None}
+        assert NodeStats().mc is None
+
 
 def reference_tree_dict(tree, budget):
     """The nested-dict form of a tree; schema v1 is this dict as written by
@@ -561,7 +636,10 @@ def reference_tree_dict(tree, budget):
     nodes = []
     edges = []
     for key, node in tree.nodes.items():
-        mc = node.mc
+        rollouts = node.stats.rollouts
+        mc = (Fraction(sum(r.is_correct for r in rollouts), len(rollouts))
+              if rollouts else Fraction(0) if node.stats.forced_wrong
+              else None)
         nodes.append({
             "id": ids[key],
             "prefix_steps": [step(s) for s in node.state.prefix_steps],
