@@ -7,15 +7,16 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import os
 import sys
 import threading
+from contextlib import closing
 from dataclasses import asdict, dataclass, field, fields, replace
 from functools import partial
 
 from .core import EngineConfig, remove_stale_tmp
 from .dataset import (
+    checked,
     export_corpus_jsonl,
     export_examples_jsonl,
     export_filter_report,
@@ -46,13 +47,6 @@ from .policy import (
 from .prm import TrainSettings, load_model, save_model, train_toy_prm
 
 AUTH_TOKEN_ENV = "OMEGAPRM_AUTH_TOKEN"
-# The JSON types that a field annotation (a string, as every module here
-# postpones annotations) admits: a string is not a number, a float is not
-# an integer, and true is not a number.
-_JSON_TYPES = {"int": int, "float": (int, float), "str": str, "dict": dict,
-               "Optional[int]": (int, type(None)),
-               "Optional[str]": (str, type(None)),
-               "Optional[list]": (list, type(None))}
 
 
 @dataclass
@@ -144,17 +138,12 @@ def _object(doc, where):
 
 def _checked(doc, types, where):
     """The JSON object ``doc`` at ``where``, once each key is one of
-    ``types`` and holds a finite value of the JSON type it names there."""
-    doc = _object(doc, where)
-    for key, value in doc.items():
-        if key not in types:
-            raise ConfigError(f"unknown key in {where}: {key!r}")
-        if (isinstance(value, bool)
-                or not isinstance(value, _JSON_TYPES[types[key]])
-                or isinstance(value, float) and not math.isfinite(value)):
-            raise ConfigError(
-                f"{where}.{key} must be {types[key]}, got {value!r}")
-    return doc
+    ``types`` and holds a value of the JSON type it names there
+    (``dataset.checked``), or a ConfigError."""
+    try:
+        return checked(_object(doc, where), types, where)
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from None
 
 
 def _section(cls, doc, where, **given):
@@ -162,8 +151,9 @@ def _section(cls, doc, where, **given):
     field values ``given``: its other fields are the object's keys. A value
     that ``cls`` rejects with a ValueError is a ConfigError."""
     types = {f.name: f.type for f in fields(cls) if f.name not in given}
+    doc = _checked(doc, types, where)
     try:
-        return cls(**_checked(doc, types, where), **given)
+        return cls(**doc, **given)
     except ValueError as exc:
         raise ConfigError(f"{where}: {exc}") from None
 
@@ -195,6 +185,16 @@ def _read(reader, path, what="upstream artifact", error=UpstreamError):
         raise error(f"malformed {what}: {path}: {exc}") from None
 
 
+def _read_kept(cfg: RunConfig):
+    """The questions and chains of ``<output>/kept.jsonl``; a file without
+    a question is an UpstreamError."""
+    path = os.path.join(cfg.output, "kept.jsonl")
+    questions, chains = _read(import_corpus_jsonl, path)
+    if not questions:
+        raise UpstreamError(f"empty upstream artifact: {path}")
+    return questions, chains
+
+
 def _make_dir(path, error):
     """Create directory ``path`` and its parents, or raise ``error``."""
     try:
@@ -204,25 +204,23 @@ def _make_dir(path, error):
             f"cannot create directory {path}: {exc.strerror}") from None
 
 
-def _map_questions(cfg: RunConfig, work, items):
-    """``work(item)`` for each of ``items``, as a list in item order: the
-    questions of ``filter``, ``generate``, ``eval`` and a simulated
-    ``export``; the two arms of a simulated ``bench``; or the prefix
-    states of one solution in a remote ``bench``'s per-step arm.
-
-    At parallelism 1 (or for a single item) it runs in this process.
-    Otherwise, with the simulated completer, which is CPU-bound and holds
-    the GIL, it runs in worker processes, so ``work`` and its results must
-    pickle: a ``generate`` worker returns a status, not its tree, and an
-    ``export`` worker loads one tree and returns its examples and pairs.
-    With the remote one, which waits on the network and keeps one
-    connection per thread, it runs on threads. Either way the items'
-    requests may overlap, so no two items may sample the same state.
+def _map_questions(cfg: RunConfig, pooled, work, items):
+    """``work(item)`` for each of ``items``, as a list in item order. They
+    run in this process unless the completer's kind is one of ``pooled``,
+    the kinds for which the caller's work pays for a pool, and both the
+    parallelism and the item count are above 1. Then, with the simulated
+    completer, which is CPU-bound and holds the GIL, they run in worker
+    processes, so ``work`` and its results must pickle: a ``generate``
+    worker returns a status, not its tree, and an ``export`` worker loads
+    one tree and returns its examples and pairs. With the remote one,
+    which waits on the network and keeps one connection per thread, they
+    run on threads. Either way the items' requests may overlap, so no two
+    items may sample the same state.
     """
     workers = min(cfg.parallelism, len(items))
-    if workers <= 1:
+    if workers <= 1 or cfg.completer_kind not in pooled:
         return list(map(work, items))
-    # Imported here, so a serial command loads no pool. Each pool class is
+    # Imported here, so in-process work loads no pool. Each pool class is
     # imported on first access (the process pool pulls in multiprocessing).
     import concurrent.futures
 
@@ -254,16 +252,19 @@ def _worker_start():
 
 def _filter_one(cfg: RunConfig, chains, question):
     """The filter record of one question."""
-    completer = make_completer(cfg, [question], chains,
-                               scope=f"filter/{question.id}")
-    _, report = filter_questions([question], completer, cfg.filter_k)
+    with closing(make_completer(cfg, [question], chains,
+                                scope=f"filter/{question.id}")) as completer:
+        _, report = filter_questions([question], completer, cfg.filter_k)
     return report[0]
 
 
 def cmd_filter(cfg: RunConfig) -> int:
     questions, chains = _read(import_corpus_jsonl, cfg.corpus, "corpus",
                               ConfigError)
-    report = _map_questions(cfg, partial(_filter_one, cfg, chains), questions)
+    # A simulated question samples only its k filter rollouts, less work
+    # than a worker pool costs to start.
+    report = _map_questions(cfg, ("remote",),
+                            partial(_filter_one, cfg, chains), questions)
     kept = [q for q, rec in zip(questions, report) if rec.kept]
     if questions and all(rec.reason == "unresolved" for rec in report):
         raise CompleterUnavailable(
@@ -304,25 +305,24 @@ def _generate_one(cfg: RunConfig, chains, trees_dir, question):
     stored = _stored_tree(path, question)
     if stored is not None:
         return question.id, "resumed", stored[1]
-    completer = make_completer(cfg, [question], chains,
-                               scope=f"generate/{question.id}")
-    try:
-        tree, budget = build_tree(question, completer, cfg.engine)
-    except CompleterUnavailable as exc:
-        return question.id, "failed", str(exc)
+    with closing(make_completer(cfg, [question], chains,
+                                scope=f"generate/{question.id}")) as completer:
+        try:
+            tree, budget = build_tree(question, completer, cfg.engine)
+        except CompleterUnavailable as exc:
+            return question.id, "failed", str(exc)
     save_tree(tree, path, budget)
     return question.id, "built", budget
 
 
 def cmd_generate(cfg: RunConfig) -> int:
-    questions, chains = _read(
-        import_corpus_jsonl, os.path.join(cfg.output, "kept.jsonl"))
+    questions, chains = _read_kept(cfg)
     trees_dir = os.path.join(cfg.output, "trees")
     remove_stale_tmp(trees_dir)
     created = not os.path.isdir(trees_dir)
     _make_dir(trees_dir, UpstreamError)
-    results = _map_questions(
-        cfg, partial(_generate_one, cfg, chains, trees_dir), questions)
+    results = _map_questions(cfg, ("sim", "remote"), partial(
+        _generate_one, cfg, chains, trees_dir), questions)
 
     summary = {"questions": [], "total_policy_calls": 0, "total_searches": 0,
                "failures": []}
@@ -361,15 +361,12 @@ def _export_one(trees_dir, question):
 def cmd_export(cfg: RunConfig) -> int:
     """Export the tree of each kept question, in file name order, skipping
     a tree that is missing or of another question; ignore other trees."""
-    questions, _ = _read(
-        import_corpus_jsonl, os.path.join(cfg.output, "kept.jsonl"))
+    questions, _ = _read_kept(cfg)
     trees_dir = os.path.join(cfg.output, "trees")
     # Loading trees is CPU-bound: threads would not speed it up, and each
     # would keep the memory it used in a malloc arena of its own.
-    export_map = (partial(_map_questions, cfg)
-                  if cfg.completer_kind == "sim" else map)
-    results = [r for r in export_map(
-        partial(_export_one, trees_dir),
+    results = [r for r in _map_questions(
+        cfg, ("sim",), partial(_export_one, trees_dir),
         sorted(questions, key=_tree_name)) if r is not None]
     if not results:
         raise UpstreamError(f"missing upstream artifact: {trees_dir}/*.json")
@@ -401,13 +398,16 @@ def cmd_train(cfg: RunConfig) -> int:
 
 
 def cmd_eval(cfg: RunConfig) -> int:
-    questions, chains = _read(
-        import_corpus_jsonl, os.path.join(cfg.output, "kept.jsonl"))
+    questions, chains = _read_kept(cfg)
     model = _read(
         load_model, os.path.join(cfg.output, "prm_model.json"))
     completer = make_completer(cfg, questions, chains, scope="eval")
-    reports = accuracy_curve(questions, completer, model, cfg.eval, cfg.seed,
-                             partial(_map_questions, cfg))
+    # A simulated question samples two pools, which worker processes do
+    # not measurably speed up.
+    with closing(completer):
+        reports = accuracy_curve(
+            questions, completer, model, cfg.eval, cfg.seed,
+            partial(_map_questions, cfg, ("remote",)))
     majority, weighted = reports["majority"], reports["prm_weighted"]
     if questions and len(majority.config["skipped"]) == len(questions):
         raise CompleterUnavailable(
@@ -433,11 +433,11 @@ def cmd_bench(cfg: RunConfig) -> int:
     # A remote server never resets: its reply to a prefix may depend on the
     # requests for it before, which two arms at once would interleave. So
     # there the arms run in turn, and the per-step arm's requests overlap.
-    pool_map = partial(_map_questions, cfg)
-    sim = cfg.completer_kind == "sim"
-    report = efficiency_benchmark(questions, completer, cfg.engine,
-                                  cfg.bench.budget, pool_map if sim else map,
-                                  map if sim else pool_map)
+    with closing(completer):
+        report = efficiency_benchmark(
+            questions, completer, cfg.engine, cfg.bench.budget,
+            partial(_map_questions, cfg, ("sim",)),
+            partial(_map_questions, cfg, ("remote",)))
     write_json(report, os.path.join(cfg.output, "bench_report.json"))
     print(
         f"examples/call: brute {report['brute_force']['examples_per_call']:.4f}"

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import itertools
 import json
+import math
 import os
 from dataclasses import dataclass, fields
 
@@ -16,6 +17,30 @@ from .core import Question, State, open_replacing
 from .errors import CompleterUnavailable, ParseError
 from .mcts import Tree
 from .policy import CompleterRequest
+
+
+# The JSON types that a field annotation (a string, as every module here
+# postpones annotations) admits: a string is not a number, a float is not
+# an integer, and true is not a number.
+JSON_TYPES = {"int": int, "float": (int, float), "str": str, "dict": dict,
+              "Optional[int]": (int, type(None)),
+              "Optional[str]": (str, type(None)),
+              "Optional[list]": (list, type(None))}
+
+
+def checked(doc: dict, types, where):
+    """``doc``, once each of its keys is one of ``types`` and holds a finite
+    value of the JSON type it names there; else a ValueError that names the
+    key at ``where``."""
+    for key, value in doc.items():
+        if key not in types:
+            raise ValueError(f"unknown key in {where}: {key!r}")
+        if (isinstance(value, bool)
+                or not isinstance(value, JSON_TYPES[types[key]])
+                or isinstance(value, float) and not math.isfinite(value)):
+            raise ValueError(
+                f"{where}.{key} must be {types[key]}, got {value!r}")
+    return doc
 
 
 # The record classes are the JSONL records: their fields are the keys, in
@@ -30,6 +55,14 @@ class TrainingExample:
     mc: float
     hard_label: int
 
+    def __post_init__(self):
+        # The labels export writes: a share of rollouts, and whether it is
+        # above 0.
+        if not 0 <= self.mc <= 1 or self.hard_label != int(self.mc > 0):
+            raise ValueError(f"need 0 <= mc <= 1 and hard_label == "
+                             f"int(mc > 0), got mc {self.mc!r} and "
+                             f"hard_label {self.hard_label!r}")
+
 
 @dataclass(frozen=True)
 class PreferencePair:
@@ -39,6 +72,10 @@ class PreferencePair:
     step_a: str
     step_b: str
     pref_a: float
+
+    def __post_init__(self):
+        if not 0 <= self.pref_a <= 1:
+            raise ValueError(f"need 0 <= pref_a <= 1, got {self.pref_a!r}")
 
 
 @dataclass
@@ -145,7 +182,8 @@ def _write_jsonl(records, path):
 
 
 def _read_jsonl(path, required_fields):
-    records = []
+    """Each (line number, JSON object) of the JSONL file ``path``, skipping
+    blank lines; an object must hold each of ``required_fields``."""
     try:
         with open(path, encoding="utf-8") as fh:
             for lineno, line in enumerate(fh, start=1):
@@ -161,17 +199,25 @@ def _read_jsonl(path, required_fields):
                 missing = [f for f in required_fields if f not in rec]
                 if missing:
                     raise ParseError(f"line {lineno}: missing fields {missing}")
-                records.append(rec)
+                yield lineno, rec
     except UnicodeDecodeError as exc:
         # Decoding runs ahead of the lines, so no line number is known.
         raise ParseError(f"not UTF-8 text: {exc}") from exc
-    return records
 
 
 def _import_records(cls, path):
-    names = [f.name for f in fields(cls)]
-    return [cls(**{f: rec[f] for f in names})
-            for rec in _read_jsonl(path, names)]
+    """The ``cls`` records of ``path``: each field of the JSON type its
+    annotation names and in the range ``cls`` admits; other keys are
+    ignored."""
+    types = {f.name: f.type for f in fields(cls)}
+    records = []
+    for lineno, rec in _read_jsonl(path, types):
+        try:
+            records.append(cls(**checked(
+                {name: rec[name] for name in types}, types, cls.__name__)))
+        except ValueError as exc:
+            raise ParseError(f"line {lineno}: {exc}") from None
+    return records
 
 
 def export_examples_jsonl(examples, path):
@@ -215,7 +261,7 @@ def import_corpus_jsonl(path):
     questions = []
     chains = {}
     ids = set()
-    for n, rec in enumerate(
+    for n, (_, rec) in enumerate(
             _read_jsonl(path, ("id", "statement", "golden_answer")), start=1):
         try:
             questions.append(Question(

@@ -120,6 +120,10 @@ class Completer:
         """Forget per-call state so an identical call sequence replays; a
         completer without such state has nothing to forget."""
 
+    def close(self):
+        """Release what the completer holds open; one that holds nothing
+        has nothing to release."""
+
 
 @dataclass
 class SimPolicySpec:
@@ -313,7 +317,8 @@ class RemoteCompleter(Completer):
 
     Each calling thread keeps one keep-alive ``http.client`` connection to
     the endpoint; one the server closed while idle is reopened before use,
-    which is not a retry. Proxy environment variables are not consulted.
+    which is not a retry. ``close`` closes the connections of every thread.
+    Proxy environment variables are not consulted.
     """
 
     def __init__(self, questions, settings: RemoteSettings, *,
@@ -328,6 +333,7 @@ class RemoteCompleter(Completer):
                                            timeout=settings.timeout)
         self._path = (url.path or "/") + (f"?{url.query}" if url.query else "")
         self._local = threading.local()
+        self._connections = []  # every thread's, for close()
         self._steps = {}
         self.questions = dict(questions)
         self.settings = settings
@@ -341,9 +347,14 @@ class RemoteCompleter(Completer):
         conn = getattr(self._local, "conn", None)
         if conn is None:
             conn = self._local.conn = self._connect()
+            self._connections.append(conn)  # list.append is atomic
         elif conn.sock is not None and _dropped(conn.sock):
             conn.close()
         return conn
+
+    def close(self):
+        for conn in self._connections:
+            conn.close()
 
     def _post(self, payload):
         from http.client import HTTPException

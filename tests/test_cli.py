@@ -1,15 +1,18 @@
 """Command-line pipeline: config validation, exit codes, artifacts,
 resumability, and rerun determinism."""
+import gc
 import importlib.util
 import json
 import math
 import os
 import pickle
 import re
+import shutil
 import subprocess
 import sys
 import threading
 import time
+import warnings
 from dataclasses import fields
 from functools import partial
 from pathlib import Path
@@ -18,7 +21,6 @@ import pytest
 
 from omegaprm import cli, errors
 from omegaprm.cli import (
-    _JSON_TYPES,
     BenchSettings,
     RunConfig,
     _filter_one,
@@ -29,7 +31,11 @@ from omegaprm.cli import (
     main,
 )
 from omegaprm.core import EngineConfig, Question, State
-from omegaprm.dataset import export_corpus_jsonl, import_corpus_jsonl
+from omegaprm.dataset import (
+    JSON_TYPES,
+    export_corpus_jsonl,
+    import_corpus_jsonl,
+)
 from omegaprm.errors import CompleterUnavailable, ConfigError, UpstreamError
 from omegaprm.evaluate import EvalSettings
 from omegaprm.policy import RemoteSettings, SimPolicySpec
@@ -179,7 +185,7 @@ class TestRunConfig:
             cls(**values)
 
     def test_every_section_field_has_a_json_type(self, monkeypatch):
-        # _checked looks each annotation up in _JSON_TYPES; a missing one
+        # _checked looks each annotation up in JSON_TYPES; a missing one
         # would end a config that sets the key in a KeyError traceback.
         built = []
 
@@ -187,7 +193,7 @@ class TestRunConfig:
             built.append(cls)
             for f in fields(cls):
                 if f.name not in given:
-                    assert f.type in _JSON_TYPES, f"{where}.{f.name}"
+                    assert f.type in JSON_TYPES, f"{where}.{f.name}"
             return _section(cls, doc, where, **given)
 
         monkeypatch.setattr(cli, "_section", section)
@@ -544,14 +550,36 @@ class TestExitCodes:
             (tmp_path / "out" / "generate_summary.json").read_text())
         assert summary["total_searches"] > 0
 
-    @pytest.mark.parametrize("cmd,artifact,objective", [
-        ("generate", "kept.jsonl", "soft"),
-        ("eval", "kept.jsonl", "soft"),
-        ("train", "examples.jsonl", "soft"),
-        ("train", "pairs.jsonl", "pairwise"),
+    @pytest.mark.parametrize("cmd,artifact,objective,damage", [
+        pytest.param("generate", "kept.jsonl", "soft", None,
+                     id="generate-kept.jsonl-soft"),
+        pytest.param("eval", "kept.jsonl", "soft", None,
+                     id="eval-kept.jsonl-soft"),
+        pytest.param("train", "examples.jsonl", "soft", None,
+                     id="train-examples.jsonl-soft"),
+        pytest.param("train", "pairs.jsonl", "pairwise", None,
+                     id="train-pairs.jsonl-pairwise"),
+        # One record of the right keys with a value export never writes.
+        pytest.param("train", "examples.jsonl", "soft", {"mc": "x"},
+                     id="train-examples.jsonl-soft-mc_str"),
+        pytest.param("train", "examples.jsonl", "soft", {"prefix": 5},
+                     id="train-examples.jsonl-soft-prefix_int"),
+        pytest.param("train", "examples.jsonl", "hard", {"hard_label": True},
+                     id="train-examples.jsonl-hard-hard_label_bool"),
+        pytest.param("train", "examples.jsonl", "soft", {"mc": math.nan},
+                     id="train-examples.jsonl-soft-mc_nan"),
+        pytest.param("train", "examples.jsonl", "soft", {"mc": 7},
+                     id="train-examples.jsonl-soft-mc_above_1"),
+        pytest.param("train", "examples.jsonl", "hard",
+                     {"mc": 0.5, "hard_label": 0},
+                     id="train-examples.jsonl-hard-hard_label_not_mc_above_0"),
+        pytest.param("train", "pairs.jsonl", "pairwise", {"pref_a": "x"},
+                     id="train-pairs.jsonl-pairwise-pref_a_str"),
+        pytest.param("train", "pairs.jsonl", "pairwise", {"pref_a": -0.5},
+                     id="train-pairs.jsonl-pairwise-pref_a_below_0"),
     ])
     def test_malformed_upstream_jsonl_is_3(self, tmp_path, capsys, cmd,
-                                           artifact, objective):
+                                           artifact, objective, damage):
         write_corpus(tmp_path / "corpus.jsonl")
         config, doc = write_config(tmp_path)
         doc["train"] = {"objective": objective}
@@ -559,11 +587,32 @@ class TestExitCodes:
         for stage in ("filter", "generate", "export", "train"):
             assert run(stage, config) == 0
         path = tmp_path / "out" / artifact
-        path.write_text(path.read_text() + "[1, 2]\n")
+        if damage is None:
+            path.write_text(path.read_text() + "[1, 2]\n")
+        else:
+            record = json.loads(path.read_text().splitlines()[0])
+            path.write_text(json.dumps({**record, **damage}) + "\n")
         capsys.readouterr()
         assert run(cmd, config) == 3
         err = capsys.readouterr().err
         assert err.count("\n") == 1 and artifact in err
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize("cmd", ["generate", "export", "eval"])
+    def test_empty_kept_is_3(self, tmp_path, capsys, cmd):
+        write_corpus(tmp_path / "corpus.jsonl")
+        config, _ = write_config(tmp_path)
+        for stage in ("filter", "generate", "export", "train"):
+            assert run(stage, config) == 0
+        out = tmp_path / "out"
+        (out / "kept.jsonl").write_text("")
+        before = {p: p.read_bytes() for p in out.rglob("*") if p.is_file()}
+        capsys.readouterr()
+        assert run(cmd, config) == 3
+        err = capsys.readouterr().err
+        assert err == f"empty upstream artifact: {out / 'kept.jsonl'}\n"
+        assert {p: p.read_bytes() for p in out.rglob("*")
+                if p.is_file()} == before
 
     def test_malformed_remote_endpoint_is_2(self, tmp_path, capsys):
         write_corpus(tmp_path / "corpus.jsonl", n_questions=1)
@@ -726,6 +775,18 @@ def pipeline(tmp_path):
     write_corpus(tmp_path / "corpus.jsonl")
     config, doc = write_config(tmp_path)
     return tmp_path, config, doc
+
+
+# Each call site's pool rule: the completer kinds for which its items run
+# on a pool. A pool does not speed up simulated filter and eval items.
+POOL_RULES = {
+    "filter": ("remote",),
+    "generate": ("sim", "remote"),
+    "export": ("sim",),
+    "eval": ("remote",),
+    "bench_arms": ("sim",),
+    "bench_prefix_states": ("remote",),
+}
 
 
 class TestPipeline:
@@ -1100,18 +1161,26 @@ class TestPipeline:
         assert pickle.loads(pickle.dumps(generate_work))(question) == \
             (qid, "resumed", budget)
 
-    @pytest.mark.parametrize("kind,parallelism,in_workers", [
-        ("sim", 1, False),
-        ("sim", 2, True),
-        ("remote", 2, False),
-    ])
-    def test_map_questions_keeps_order(self, kind, parallelism, in_workers):
+    @pytest.mark.parametrize("kind", ["sim", "remote"])
+    @pytest.mark.parametrize("parallelism", [1, 2])
+    @pytest.mark.parametrize("work", sorted(POOL_RULES))
+    def test_map_questions_runs_where_its_rule_says(self, work, parallelism,
+                                                    kind):
         cfg = RunConfig(completer_kind=kind, parallelism=parallelism,
                         remote=RemoteSettings("http://127.0.0.1:9/complete"))
         questions = [Question(f"q{i}", "s", "1") for i in range(5)]
-        results = _map_questions(cfg, _question_and_pid, questions)
-        assert [qid for qid, _ in results] == [q.id for q in questions]
-        assert all((pid != os.getpid()) == in_workers for _, pid in results)
+        results = _map_questions(cfg, POOL_RULES[work], _where_run,
+                                 questions)
+        assert [qid for qid, _, _ in results] == [q.id for q in questions]
+        here = {(os.getpid(), threading.get_ident())}
+        places = {(pid, thread) for _, pid, thread in results}
+        if parallelism == 1 or kind not in POOL_RULES[work]:
+            assert places == here  # this process
+        elif kind == "sim":
+            assert os.getpid() not in {pid for pid, _ in places}  # workers
+        else:
+            assert {pid for pid, _ in places} == {os.getpid()}  # threads
+            assert not places & here
 
     def test_workers_spawn_beside_another_thread(self):
         cfg = RunConfig(parallelism=2)
@@ -1121,13 +1190,13 @@ class TestPipeline:
         other.start()
         try:
             assert _worker_start().get_start_method() == "spawn"
-            results = _map_questions(cfg, _question_and_pid, questions)
+            results = _map_questions(cfg, ("sim",), _where_run, questions)
         finally:
             release.set()
             other.join(timeout=30)
         assert not other.is_alive()
-        assert [qid for qid, _ in results] == [q.id for q in questions]
-        assert all(pid != os.getpid() for _, pid in results)
+        assert [qid for qid, _, _ in results] == [q.id for q in questions]
+        assert all(pid != os.getpid() for _, pid, _ in results)
 
     @pytest.mark.parametrize("parallelism", [1, 2])
     def test_remote_eval_and_bench_keep_parallelism_requests_in_flight(
@@ -1159,6 +1228,35 @@ class TestPipeline:
             assert run(cmd, config) == 0
         assert peaks == {"eval": parallelism, "bench": parallelism}
 
+    @pytest.mark.parametrize("parallelism", [1, 2])
+    def test_remote_commands_close_their_connections(
+            self, pipeline, fake_server_11, parallelism):
+        tmp_path, config, doc = pipeline
+        for cmd in ("filter", "generate", "export", "train"):
+            assert run(cmd, config) == 0
+        shutil.rmtree(tmp_path / "out" / "trees")
+
+        def respond(body):
+            # Half right, so filter keeps each question and generate
+            # searches it.
+            golden = 100 + int(body["prompt"].split("number ")[1].split()[0])
+            return [f"step one step two the answer is {golden + i % 2}"
+                    for i in range(body["n"])]
+
+        fake_server_11.respond = respond
+        doc.update(parallelism=parallelism, bench={"budget": 200})
+        doc["completer"] = {"kind": "remote",
+                            "remote": {"endpoint": fake_server_11.url}}
+        config.write_text(json.dumps(doc))
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            for cmd in ("filter", "generate", "eval", "bench"):
+                assert run(cmd, config) == 0, cmd
+            gc.collect()
+        assert fake_server_11.connections > 0
+        assert [str(w.message) for w in caught
+                if issubclass(w.category, ResourceWarning)] == []
+
     def test_pairwise_training_path(self, pipeline):
         tmp_path, config, doc = pipeline
         for cmd in ("filter", "generate", "export"):
@@ -1171,8 +1269,9 @@ class TestPipeline:
         assert model["objective"] == "pairwise"
 
 
-def _question_and_pid(question):
-    return question.id, os.getpid()
+def _where_run(question):
+    """The question's id, and the process and thread that ran this."""
+    return question.id, os.getpid(), threading.get_ident()
 
 
 HEAVY_MODULES = ("concurrent.futures", "fractions", "http.client", "numpy")
@@ -1211,16 +1310,20 @@ class TestStartupImports:
 
     def test_export_and_bench_load_a_pool_above_parallelism_1(self,
                                                               pipeline):
+        # On the simulator, filter and eval run in this process at every
+        # parallelism, and train maps nothing.
         tmp_path, config, doc = pipeline
         for cmd in ("filter", "generate", "export", "train"):
             assert run(cmd, config) == 0
+        stages = ("filter", "generate", "export", "train", "eval", "bench")
         loaded = {(cmd, p): _heavy_modules_after(
             RUN_MAIN, cmd, "--config", str(config), "--parallelism", str(p))
-            for cmd in ("export", "eval", "bench") for p in (1, 2)}
-        expected = {(cmd, p): ["concurrent.futures"] if p > 1 else []
-                    for cmd, p in loaded}
-        for p in (1, 2):
-            expected["eval", p] = [*expected["eval", p], "numpy"]
+            for cmd in stages for p in (1, 2)}
+        pooled = ("generate", "export", "bench")
+        expected = {(cmd, p): [
+            *(["concurrent.futures"] if p > 1 and cmd in pooled else []),
+            *(["numpy"] if cmd in ("train", "eval") else [])]
+            for cmd, p in loaded}
         assert loaded == expected
 
     def test_remote_bench_maps_only_per_step_requests(self, tmp_path,
@@ -1234,18 +1337,23 @@ class TestStartupImports:
             assert run(cmd, config) == 0
         maps = {}
 
-        def record(cfg, work, items):
-            maps.setdefault(cmd, []).append(items)
+        def record(cfg, pooled, work, items):
+            maps.setdefault(cmd, []).append((pooled, items))
             return list(map(work, items))
 
         monkeypatch.setattr(cli, "_map_questions", record)
         for cmd in ("export", "bench"):
             assert main([cmd, "--config", str(config),
                          "--completer", "remote"]) == 0
-        # Export runs in this process; bench runs its arms in turn and maps
-        # the prefix states of each annotated solution.
-        assert fake_server.requests_seen and list(maps) == ["bench"]
-        for states in maps["bench"]:
+        # Export pools only on the simulator; bench runs its arms in turn
+        # and maps the prefix states of each annotated solution.
+        assert fake_server.requests_seen and list(maps) == ["export", "bench"]
+        assert [pooled for pooled, _ in maps["export"]] == [("sim",)]
+        (arms_pooled, arms), *prefix_maps = maps["bench"]
+        assert arms_pooled == ("sim",) and len(arms) == 2
+        assert prefix_maps
+        for pooled, states in prefix_maps:
+            assert pooled == ("remote",)
             assert states and all(isinstance(s, State) for s in states)
             assert [len(s.key()) for s in states] == \
                 list(range(1, len(states) + 1))
@@ -1279,15 +1387,15 @@ class TestStartupImports:
         maps = []
         map_questions = cli._map_questions
 
-        def record(cfg, work, items):
-            maps.append(len(items))
-            return map_questions(cfg, work, items)
+        def record(cfg, pooled, work, items):
+            maps.append((pooled, len(items)))
+            return map_questions(cfg, pooled, work, items)
 
         monkeypatch.setattr(cli, "_map_questions", record)
         assert run("eval", config) == 0
         out = tmp_path / "out"
         kept = (out / "kept.jsonl").read_text().splitlines()
-        assert len(kept) > 1 and maps == [len(kept)]
+        assert len(kept) > 1 and maps == [(("remote",), len(kept))]
         if kind == "remote":
             assert list(served.values()) == [2] * len(kept)
             report = json.loads((out / "eval_report.json").read_text())
