@@ -97,7 +97,8 @@ class RunConfig:
         try:
             with open(path, encoding="utf-8") as fh:
                 doc = json.load(fh)
-        except (OSError, ValueError) as exc:  # ValueError: not UTF-8 or JSON
+        # ValueError: not UTF-8 or JSON; RecursionError: nested too deeply
+        except (OSError, ValueError, RecursionError) as exc:
             raise ConfigError(f"cannot read config {path}: {exc}") from None
         return cls.from_dict(doc, **flags)
 

@@ -192,7 +192,7 @@ def _read_jsonl(path, required_fields):
                     continue
                 try:
                     rec = json.loads(line)
-                except json.JSONDecodeError as exc:
+                except (json.JSONDecodeError, RecursionError) as exc:
                     raise ParseError(f"line {lineno}: {exc}") from exc
                 if not isinstance(rec, dict):
                     raise ParseError(f"line {lineno}: not a JSON object")

@@ -344,95 +344,79 @@ def _mc_fields(stats) -> dict:
     return {"mc_num": stats.correct // common, "mc_den": total // common}
 
 
-def tree_doc(tree: Tree, budget: SearchBudget) -> dict:
-    """The schema-v1 document of ``tree`` and its budget, the inverse of
-    ``tree_from_dict``. Each step sequence stays the tuple of its
-    ``Step``s; a file spells a step as ``{"text", "token_len"}``."""
-    ids = {key: i for i, key in enumerate(tree.nodes)}
-    return {
-        "schema_version": SCHEMA_VERSION,
-        "question": asdict(tree.question),
-        "avg_solution_tokens": tree.avg_solution_tokens,
-        "threshold": tree.threshold,
-        "nodes": [{
-            "id": i,
-            "prefix_steps": node.state.prefix_steps,
-            "visit_count": node.stats.visit_count,
-            **_mc_fields(node.stats),
-            "rollouts": [{
-                "steps": r.steps,
-                "final_answer": r.final_answer,
-                "is_correct": r.is_correct,
-                "token_len": r.token_len,
-            } for r in node.stats.rollouts],
-        } for i, node in enumerate(tree.nodes.values())],
-        "edges": [{
-            "parent": ids[key],
-            "child": ids[child.state.key()],
-            "action_steps": child.action_steps,
-        } for key, node in tree.nodes.items() for child in node.children],
-        "budget": asdict(budget),
-    }
+def _json_list(items, depth) -> str:
+    """The spelled JSON values ``items`` as the list that ``json.dumps(...,
+    indent=2)`` spells at nesting ``depth``."""
+    inner = "\n" + "  " * (depth + 1)
+    return (f"[{inner}{(',' + inner).join(items)}\n{'  ' * depth}]"
+            if items else "[]")
 
 
-# How ``json.dumps`` spells a value of each scalar type.
-_SCALARS = {
-    str: encode_basestring_ascii,
-    int: int.__repr__,
-    float: json.dumps,  # NaN and infinities as json spells them
-    bool: {True: "true", False: "false"}.__getitem__,
-    type(None): lambda _: "null",
-}
+def _step_lists(depth):
+    """A function that spells a tuple of ``Step``s as the list of their
+    ``{"text", "token_len"}`` objects at nesting ``depth``. It spells each
+    step once, keyed by ``id(step)``: a step stays alive in its tree while
+    the tree is written, so no other object takes its id meanwhile."""
+    memo = {}
+    pad, close = "\n" + "  " * (depth + 2), "\n" + "  " * (depth + 1) + "}"
 
-
-def _render(value, depth, steps) -> str:
-    """``value`` spelled as ``json.dumps(value, indent=2)`` spells it at
-    nesting ``depth``. A tuple is a sequence of ``Step``s, each spelled once
-    per depth through ``steps``, a dict of depth -> ``_StepFragments``."""
-    spell = _SCALARS.get(type(value))
-    if spell is not None:
-        return spell(value)
-    outer = "\n" + "  " * depth
-    inner = outer + "  "
-    if isinstance(value, dict):
-        if not value:
-            return "{}"
-        items = [f"{encode_basestring_ascii(key)}: "
-                 f"{_render(item, depth + 1, steps)}"
-                 for key, item in value.items()]
-        return f"{{{inner}{(',' + inner).join(items)}{outer}}}"
-    if not isinstance(value, (list, tuple)):
-        raise TypeError(f"not a JSON value: {value!r}")
-    if not value:
-        return "[]"
-    if isinstance(value, tuple):
-        memo = steps.get(depth + 1)
-        if memo is None:
-            memo = steps[depth + 1] = _StepFragments(depth + 1)
-        items = [memo[s] for s in value]
-    else:
-        items = [_render(item, depth + 1, steps) for item in value]
-    return f"[{inner}{(',' + inner).join(items)}{outer}]"
-
-
-class _StepFragments(dict):
-    """Step -> its ``{"text", "token_len"}`` object rendered at one depth,
-    filled on first use."""
-
-    def __init__(self, depth):
-        super().__init__()
-        self.depth = depth
-
-    def __missing__(self, step):
-        text = self[step] = _render(
-            {"text": step.text, "token_len": step.token_len}, self.depth, None)
-        return text
+    def spell(steps):
+        items = []
+        for step in steps:
+            item = memo.get(id(step))
+            if item is None:
+                item = memo[id(step)] = (
+                    f'{{{pad}"text": {encode_basestring_ascii(step.text)},'
+                    f'{pad}"token_len": {int.__repr__(step.token_len)}{close}')
+            items.append(item)
+        return _json_list(items, depth)
+    return spell
 
 
 def dump_tree(tree: Tree, budget: SearchBudget) -> str:
-    """The schema-v1 text of ``tree``: ``json.dumps(tree_doc(tree, budget),
-    indent=2)``, each ``Step`` in it spelled as ``{"text", "token_len"}``."""
-    return _render(tree_doc(tree, budget), 0, {})
+    """The schema-v1 text of ``tree`` and its budget, which
+    ``tree_from_dict`` reads back: the document spelled as ``json.dumps(...,
+    indent=2)`` spells it, a float (NaN and infinities too) as ``json``
+    does, and a step as ``{"text", "token_len"}``."""
+    string = encode_basestring_ascii
+    state_steps = _step_lists(3)  # node prefixes and edge actions
+    rollout_steps = _step_lists(5)
+    ids = {key: i for i, key in enumerate(tree.nodes)}
+    nodes, edges = [], []
+    for i, node in enumerate(tree.nodes.values()):
+        stats = node.stats
+        mc_num, mc_den = ("null" if n is None else int.__repr__(n)
+                          for n in _mc_fields(stats).values())
+        rollouts = [
+            f'{{\n          "steps": {rollout_steps(r.steps)},'
+            f'\n          "final_answer": {string(r.final_answer)},'
+            f'\n          "is_correct": {"true" if r.is_correct else "false"},'
+            f'\n          "token_len": {int.__repr__(r.token_len)}\n        }}'
+            for r in stats.rollouts]
+        nodes.append(
+            f'{{\n      "id": {i},'
+            f'\n      "prefix_steps": {state_steps(node.state.prefix_steps)},'
+            f'\n      "visit_count": {int.__repr__(stats.visit_count)},'
+            f'\n      "mc_num": {mc_num},\n      "mc_den": {mc_den},'
+            f'\n      "rollouts": {_json_list(rollouts, 3)}\n    }}')
+        edges += [
+            f'{{\n      "parent": {i},'
+            f'\n      "child": {ids[child.state.key()]},'
+            f'\n      "action_steps": {state_steps(child.action_steps)}\n    }}'
+            for child in node.children]
+    q = tree.question
+    return (
+        f'{{\n  "schema_version": {SCHEMA_VERSION},'
+        f'\n  "question": {{\n    "id": {string(q.id)},'
+        f'\n    "statement": {string(q.statement)},'
+        f'\n    "golden_answer": {string(q.golden_answer)}\n  }},'
+        f'\n  "avg_solution_tokens": {json.dumps(tree.avg_solution_tokens)},'
+        f'\n  "threshold": {json.dumps(tree.threshold)},'
+        f'\n  "nodes": {_json_list(nodes, 1)},'
+        f'\n  "edges": {_json_list(edges, 1)},'
+        f'\n  "budget": {{\n    "searches_done": '
+        f'{int.__repr__(budget.searches_done)},'
+        f'\n    "policy_calls": {int.__repr__(budget.policy_calls)}\n  }}\n}}')
 
 
 def save_tree(tree: Tree, path, budget: SearchBudget):
@@ -458,7 +442,7 @@ class _Steps(dict):
 
 def tree_from_dict(doc):
     """Rebuild a tree and its budget from a parsed schema-v1 file. Raises
-    ``ValueError`` or ``TypeError`` where it differs from what ``tree_doc``
+    ``ValueError`` or ``TypeError`` where it differs from what ``dump_tree``
     writes: another version or question keys, a rollout ``token_len`` other
     than its steps' sum, another MC, a count not an ``int`` >= 0, a length
     not a finite float, a node id not its position, edges out of (parent,
@@ -536,10 +520,11 @@ def tree_from_dict(doc):
 
 def load_tree(path):
     """Read the tree file at ``path``. Raises ``ParseError`` when the file
-    is not a whole schema-v1 tree: truncated, malformed, of another
-    version, without a budget, or failing a check of ``tree_from_dict``."""
+    is not a whole schema-v1 tree: truncated, malformed, nested too deeply
+    to parse, of another version, without a budget, or failing a check of
+    ``tree_from_dict``."""
     with open(path, encoding="utf-8") as fh:
         try:
             return tree_from_dict(json.load(fh))
-        except (ValueError, KeyError, TypeError) as exc:
+        except (ValueError, KeyError, TypeError, RecursionError) as exc:
             raise ParseError(f"not a readable tree ({exc})") from exc

@@ -78,12 +78,13 @@ def _step_features(step_text: str):
     left at 0. Returns (phi, step tokens)."""
     import numpy as np
 
-    phi = np.zeros(N_FEATURES)
     padded = f" {step_text} "
-    for i in range(len(padded) - 2):
-        phi[_bucket(padded[i:i + 3])] += 1.0
-    n_grams = max(len(padded) - 2, 1)
-    phi[:N_HASH_BUCKETS] /= n_grams
+    buckets = np.fromiter(
+        (_bucket(padded[i:i + 3]) for i in range(len(padded) - 2)), np.intp)
+    phi = np.zeros(N_FEATURES)
+    # Exact integer counts, so the shares are those of counting one by one.
+    phi[:N_HASH_BUCKETS] = np.bincount(buckets, minlength=N_HASH_BUCKETS)
+    phi[:N_HASH_BUCKETS] /= max(len(buckets), 1)
     step_tokens = step_text.split()
     phi[N_HASH_BUCKETS] = 1.0  # bias
     phi[N_HASH_BUCKETS + 1] = len(step_tokens) / 16.0
@@ -243,9 +244,9 @@ def save_model(model: ToyPrmModel, path):
 
 def load_model(path) -> ToyPrmModel:
     """Read the checkpoint at ``path``. Raises ``ParseError`` when it is not
-    a whole checkpoint of this feature map (malformed, truncated, another
-    feature version or bucket count, or weights of another length or not
-    all finite)."""
+    a whole checkpoint of this feature map (malformed, truncated, nested too
+    deeply to parse, another feature version or bucket count, or weights of
+    another length or not all finite)."""
     import numpy as np
 
     try:
@@ -268,5 +269,5 @@ def load_model(path) -> ToyPrmModel:
             objective=doc["objective"],
             settings=TrainSettings(**doc["settings"]),
         )
-    except (ValueError, KeyError, TypeError) as exc:
+    except (ValueError, KeyError, TypeError, RecursionError) as exc:
         raise ParseError(f"not a readable model ({exc})") from exc

@@ -416,7 +416,10 @@ class TestExitCodes:
         assert fake_server.requests_seen
         assert sorted(p.name for p in (tmp_path / "out").glob("*")) == before
 
-    @pytest.mark.parametrize("data", [None, b"{not json", b"\xff{}"])
+    @pytest.mark.parametrize("data", [
+        None, b"{not json", b"\xff{}",
+        pytest.param(b"[" * 200_000, id="nested_too_deeply"),
+    ])
     def test_unreadable_config_file_is_2(self, tmp_path, capsys, data):
         path = tmp_path / "run.json"
         if data is not None:
@@ -465,11 +468,14 @@ class TestExitCodes:
         assert run("filter", config) == 0
         assert run("generate", config) == 0
         tree = sorted((tmp_path / "out" / "trees").glob("*.json"))[0]
-        tree.write_bytes(tree.read_bytes()[:5000])
-        capsys.readouterr()
-        assert run("export", config) == 3
-        err = capsys.readouterr().err
-        assert err.count("\n") == 1 and tree.name in err
+        # A cut file, and one nested too deeply for json, which raises a
+        # RecursionError, not a ValueError, on it.
+        for damaged in (tree.read_bytes()[:5000], b"[" * 200_000):
+            tree.write_bytes(damaged)
+            capsys.readouterr()
+            assert run("export", config) == 3
+            err = capsys.readouterr().err
+            assert err.count("\n") == 1 and tree.name in err
 
     CORPUS_DAMAGE = {
         "cut_line": lambda data: data[:-20],
@@ -498,6 +504,8 @@ class TestExitCodes:
             b'{"id": "..", "statement": "s", "golden_answer": "4"}\n'),
         "id_with_nul": lambda data: data + (
             b'{"id": "a\\u0000b", "statement": "s", "golden_answer": "4"}\n'),
+        # json raises a RecursionError, not a ValueError, on such a line.
+        "nested_too_deeply": lambda data: data + b"[" * 200_000 + b"\n",
     }
 
     @pytest.mark.parametrize("cmd", ["filter", "bench"])
@@ -727,6 +735,7 @@ class TestExitCodes:
         "non_finite_weight": lambda text: json.dumps(dict(
             json.loads(text),
             weights=[math.nan, *json.loads(text)["weights"][1:]])),
+        "nested_too_deeply": lambda text: "[" * 200_000,
     }
 
     @pytest.mark.parametrize("damage", sorted(MODEL_DAMAGE))
@@ -833,7 +842,8 @@ class TestPipeline:
             assert p.read_bytes() == stamps[p.name]
 
     @pytest.mark.parametrize("damage", [
-        "truncate", "schema", "question", "budgetless", "token_len"])
+        "truncate", "schema", "question", "budgetless", "token_len",
+        "nested_too_deeply"])
     def test_damaged_tree_is_rebuilt(self, pipeline, damage):
         tmp_path, config, doc = pipeline
         out = tmp_path / "out"
@@ -852,6 +862,8 @@ class TestPipeline:
                 b'"schema_version": 1', b'"schema_version": 2'))
         elif damage == "question":
             victim.write_bytes(fresh[trees[1].name])
+        elif damage == "nested_too_deeply":
+            victim.write_text("[" * 200_000)
         else:
             victim.write_text(json.dumps(damaged_tree(
                 json.loads(fresh[victim.name]), damage), indent=2))

@@ -24,7 +24,6 @@ from omegaprm.core import (
 from omegaprm.errors import CompleterUnavailable, ParseError
 from omegaprm.mcts import (
     _mc_fields,
-    _render,
     OmegaPRMEngine,
     RolloutPool,
     SearchBudget,
@@ -716,30 +715,7 @@ def odd_trees(draw):
     return tree, budget
 
 
-# Every kind of JSON value: empty and nested containers, odd keys and
-# strings, integers past 64 bits, NaN, infinities and -0.0.
-_json_values = st.recursive(
-    st.one_of(
-        st.none(), st.booleans(), st.floats(),
-        st.sampled_from([math.nan, math.inf, -math.inf, -0.0]),
-        st.integers(), st.integers(2**63, 2**200), st.integers(-2**200, 0),
-        st.text(), _odd_texts,
-    ),
-    lambda children: st.one_of(
-        st.lists(children, max_size=4),
-        st.dictionaries(st.one_of(st.text(), _odd_texts), children,
-                        max_size=4),
-    ),
-    max_leaves=30,
-)
-
-
 class TestTreeWriter:
-    @settings(deadline=None, max_examples=300)
-    @given(_json_values)
-    def test_render_equals_json_dumps(self, value):
-        assert _render(value, 0, {}) == json.dumps(value, indent=2)
-
     @settings(deadline=None, max_examples=150)
     @given(odd_trees())
     def test_dump_equals_reference_json(self, tree_and_budget):

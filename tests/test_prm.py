@@ -4,12 +4,16 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from omegaprm.dataset import PreferencePair, TrainingExample
 from omegaprm.errors import ParseError
 from omegaprm.prm import (
     N_FEATURES,
+    N_HASH_BUCKETS,
+    _bucket,
     _sigmoid,
+    _step_features,
     aggregate_solution_score,
     featurize,
     load_model,
@@ -75,6 +79,19 @@ class TestFeaturize:
     def test_digit_ratio(self):
         phi = featurize("", "12ab")
         assert phi[67] == 0.5
+
+    @settings(deadline=None, max_examples=300)
+    @given(st.one_of(st.sampled_from(["", "a", " ", "é", "😀", "aaaa"]),
+                     st.text(max_size=40)))
+    def test_bucket_shares_equal_counting_one_by_one(self, text):
+        # The reference counts each trigram with one float increment.
+        ref = np.zeros(N_HASH_BUCKETS)
+        padded = f" {text} "
+        for i in range(len(padded) - 2):
+            ref[_bucket(padded[i:i + 3])] += 1.0
+        ref /= max(len(padded) - 2, 1)
+        phi, _ = _step_features(text)
+        assert phi[:N_HASH_BUCKETS].tobytes() == ref.tobytes()
 
 
 class TestTraining:
