@@ -14,7 +14,7 @@ from contextlib import closing
 from dataclasses import asdict, dataclass, field, fields, replace
 from functools import partial
 
-from .core import EngineConfig, remove_stale_tmp
+from .core import EngineConfig, open_replacing, remove_stale_tmp
 from .dataset import (
     checked,
     export_corpus_jsonl,
@@ -206,21 +206,26 @@ def _make_dir(path, error):
 
 
 def _map_questions(cfg: RunConfig, pooled, work, items):
-    """``work(item)`` for each of ``items``, as a list in item order. They
-    run in this process unless the completer's kind is one of ``pooled``,
-    the kinds for which the caller's work pays for a pool, and both the
-    parallelism and the item count are above 1. Then, with the simulated
-    completer, which is CPU-bound and holds the GIL, they run in worker
-    processes, so ``work`` and its results must pickle: a ``generate``
-    worker returns a status, not its tree, and an ``export`` worker loads
-    one tree and returns its examples and pairs. With the remote one,
-    which waits on the network and keeps one connection per thread, they
-    run on threads. Either way the items' requests may overlap, so no two
-    items may sample the same state.
+    """Yield ``work(item)`` for each of ``items``, in item order, each as
+    soon as it and those before it are done; a caller that needs a list
+    wraps the call in ``list``. The items run in this process, each only
+    when its result is asked for, unless the completer's kind is one of
+    ``pooled``, the kinds for which the caller's work pays for a pool, and
+    both the parallelism and the item count are above 1. Then, with the
+    simulated completer, which is CPU-bound and holds the GIL, they run in
+    worker processes, so ``work`` and its results must pickle: a
+    ``generate`` worker returns a status, not its tree, and an ``export``
+    worker loads one tree and returns its examples and pairs. With the
+    remote one, which waits on the network and keeps one connection per
+    thread, they run on threads. Either way the items' requests may
+    overlap, so no two items may sample the same state. When an item
+    raises, or the caller closes the generator, the pool's queued items
+    are dropped and only the running ones are waited for.
     """
     workers = min(cfg.parallelism, len(items))
     if workers <= 1 or cfg.completer_kind not in pooled:
-        return list(map(work, items))
+        yield from map(work, items)
+        return
     # Imported here, so in-process work loads no pool. Each pool class is
     # imported on first access (the process pool pulls in multiprocessing).
     import concurrent.futures
@@ -231,7 +236,11 @@ def _map_questions(cfg: RunConfig, pooled, work, items):
     else:
         pool = concurrent.futures.ThreadPoolExecutor(workers)
     with pool:
-        return list(pool.map(work, items))
+        try:
+            yield from pool.map(work, items)
+        except BaseException:
+            pool.shutdown(cancel_futures=True)
+            raise
 
 
 def _worker_start():
@@ -264,8 +273,8 @@ def cmd_filter(cfg: RunConfig) -> int:
                               ConfigError)
     # A simulated question samples only its k filter rollouts, less work
     # than a worker pool costs to start.
-    report = _map_questions(cfg, ("remote",),
-                            partial(_filter_one, cfg, chains), questions)
+    report = list(_map_questions(cfg, ("remote",),
+                                 partial(_filter_one, cfg, chains), questions))
     kept = [q for q, rec in zip(questions, report) if rec.kept]
     if questions and all(rec.reason == "unresolved" for rec in report):
         raise CompleterUnavailable(
@@ -322,8 +331,8 @@ def cmd_generate(cfg: RunConfig) -> int:
     remove_stale_tmp(trees_dir)
     created = not os.path.isdir(trees_dir)
     _make_dir(trees_dir, UpstreamError)
-    results = _map_questions(cfg, ("sim", "remote"), partial(
-        _generate_one, cfg, chains, trees_dir), questions)
+    results = list(_map_questions(cfg, ("sim", "remote"), partial(
+        _generate_one, cfg, chains, trees_dir), questions))
 
     summary = {"questions": [], "total_policy_calls": 0, "total_searches": 0,
                "failures": []}
@@ -361,21 +370,33 @@ def _export_one(trees_dir, question):
 
 def cmd_export(cfg: RunConfig) -> int:
     """Export the tree of each kept question, in file name order, skipping
-    a tree that is missing or of another question; ignore other trees."""
+    a tree that is missing or of another question; ignore other trees.
+    Each tree's records are written as soon as its tree is read, so this
+    process holds about one tree's records at a time. Both files are
+    replaced once every tree is written, ``examples.jsonl`` first; a
+    failure before then replaces neither."""
     questions, _ = _read_kept(cfg)
     trees_dir = os.path.join(cfg.output, "trees")
     # Loading trees is CPU-bound: threads would not speed it up, and each
     # would keep the memory it used in a malloc arena of its own.
-    results = [r for r in _map_questions(
-        cfg, ("sim",), partial(_export_one, trees_dir),
-        sorted(questions, key=_tree_name)) if r is not None]
-    if not results:
-        raise UpstreamError(f"missing upstream artifact: {trees_dir}/*.json")
-    examples = [ex for tree_examples, _ in results for ex in tree_examples]
-    pairs = [pair for _, tree_pairs in results for pair in tree_pairs]
-    export_examples_jsonl(examples, os.path.join(cfg.output, "examples.jsonl"))
-    export_pairs_jsonl(pairs, os.path.join(cfg.output, "pairs.jsonl"))
-    print(f"exported {len(examples)} examples, {len(pairs)} pairs")
+    results = _map_questions(cfg, ("sim",), partial(_export_one, trees_dir),
+                             sorted(questions, key=_tree_name))
+    trees = n_examples = n_pairs = 0
+    # examples.jsonl, the inner file, is renamed into place first.
+    with (closing(results),
+          open_replacing(os.path.join(cfg.output, "pairs.jsonl")) as pairs_fh,
+          open_replacing(os.path.join(cfg.output, "examples.jsonl"))
+          as examples_fh):
+        for examples, pairs in filter(None, results):
+            export_examples_jsonl(examples, examples_fh)
+            export_pairs_jsonl(pairs, pairs_fh)
+            trees += 1
+            n_examples += len(examples)
+            n_pairs += len(pairs)
+        if not trees:
+            raise UpstreamError(
+                f"missing upstream artifact: {trees_dir}/*.json")
+    print(f"exported {n_examples} examples, {n_pairs} pairs")
     return 0
 
 

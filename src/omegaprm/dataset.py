@@ -12,11 +12,14 @@ import json
 import math
 import os
 from dataclasses import dataclass, fields
+from typing import TYPE_CHECKING
 
 from .core import Question, State, open_replacing
 from .errors import CompleterUnavailable, ParseError
-from .mcts import Tree
 from .policy import CompleterRequest
+
+if TYPE_CHECKING:  # annotations only: loading dataset loads no search
+    from .mcts import Tree
 
 
 # The JSON types that a field annotation (a string, as every module here
@@ -174,11 +177,16 @@ def write_json(doc, path):
         fh.write("\n")
 
 
+def _write_records(records, fh):
+    """Write each JSON record to the open text file ``fh``, one a line."""
+    for rec in records:
+        fh.write(json.dumps(rec, ensure_ascii=False))
+        fh.write("\n")
+
+
 def _write_jsonl(records, path):
     with open_replacing(path) as fh:
-        for rec in records:
-            fh.write(json.dumps(rec, ensure_ascii=False))
-            fh.write("\n")
+        _write_records(records, fh)
 
 
 def _read_jsonl(path, required_fields):
@@ -220,16 +228,20 @@ def _import_records(cls, path):
     return records
 
 
-def export_examples_jsonl(examples, path):
-    _write_jsonl(map(vars, examples), path)
+def export_examples_jsonl(examples, fh):
+    """Append ``examples`` to the open JSONL file ``fh``; ``export`` calls
+    this once per tree."""
+    _write_records(map(vars, examples), fh)
 
 
 def import_examples_jsonl(path):
     return _import_records(TrainingExample, path)
 
 
-def export_pairs_jsonl(pairs, path):
-    _write_jsonl(map(vars, pairs), path)
+def export_pairs_jsonl(pairs, fh):
+    """Append ``pairs`` to the open JSONL file ``fh``, as
+    ``export_examples_jsonl`` appends examples."""
+    _write_records(map(vars, pairs), fh)
 
 
 def import_pairs_jsonl(path):

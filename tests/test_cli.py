@@ -462,20 +462,45 @@ class TestExitCodes:
         config.write_text(json.dumps(doc))
         assert run("filter", config) == 2
 
-    def test_corrupt_tree_export_is_3(self, tmp_path, capsys):
+    def test_corrupt_tree_export_is_3(self, tmp_path, capsys, monkeypatch):
         write_corpus(tmp_path / "corpus.jsonl")
         config, _ = write_config(tmp_path)
-        assert run("filter", config) == 0
-        assert run("generate", config) == 0
-        tree = sorted((tmp_path / "out" / "trees").glob("*.json"))[0]
-        # A cut file, and one nested too deeply for json, which raises a
-        # RecursionError, not a ValueError, on it.
-        for damaged in (tree.read_bytes()[:5000], b"[" * 200_000):
-            tree.write_bytes(damaged)
-            capsys.readouterr()
-            assert run("export", config) == 3
-            err = capsys.readouterr().err
-            assert err.count("\n") == 1 and tree.name in err
+        for cmd in ("filter", "generate", "export"):
+            assert run(cmd, config) == 0
+        out = tmp_path / "out"
+        exported = {name: (out / name).read_bytes()
+                    for name in ("examples.jsonl", "pairs.jsonl")}
+        trees = sorted((out / "trees").glob("*.json"))
+        written = []  # per export: the trees whose records were written
+        export_examples = cli.export_examples_jsonl
+
+        def write_examples(examples, fh):
+            written[-1].append(examples)
+            export_examples(examples, fh)
+
+        monkeypatch.setattr(cli, "export_examples_jsonl", write_examples)
+        # Export writes trees in file name order: a damaged first tree
+        # stops it before any record is written, a damaged last one after
+        # every other tree's records are. Each damage is a cut file, and
+        # one nested too deeply for json, which raises a RecursionError,
+        # not a ValueError, on it.
+        for tree, before in ((trees[0], 0), (trees[-1], len(trees) - 1)):
+            intact = tree.read_bytes()
+            assert len(intact) > 5000
+            for damaged in (intact[:5000], b"[" * 200_000):
+                tree.write_bytes(damaged)
+                for parallelism in (1, 2):
+                    written.append([])
+                    capsys.readouterr()
+                    assert main(["export", "--config", str(config),
+                                 "--parallelism", str(parallelism)]) == 3
+                    err = capsys.readouterr().err
+                    assert err.count("\n") == 1 and tree.name in err
+                    assert len(written[-1]) == before
+                    assert {name: (out / name).read_bytes()
+                            for name in exported} == exported
+                    assert not list(out.rglob("*.tmp"))
+            tree.write_bytes(intact)
 
     CORPUS_DAMAGE = {
         "cut_line": lambda data: data[:-20],
@@ -706,6 +731,7 @@ class TestExitCodes:
     @pytest.mark.parametrize("parallelism", [1, 2])
     @pytest.mark.parametrize("cmd,artifact", [
         ("export", "examples.jsonl"),
+        ("export", "pairs.jsonl"),
         ("bench", "bench_report.json"),
     ])
     def test_artifact_that_is_a_directory_is_3(self, tmp_path, capsys, cmd,
@@ -1181,8 +1207,8 @@ class TestPipeline:
         cfg = RunConfig(completer_kind=kind, parallelism=parallelism,
                         remote=RemoteSettings("http://127.0.0.1:9/complete"))
         questions = [Question(f"q{i}", "s", "1") for i in range(5)]
-        results = _map_questions(cfg, POOL_RULES[work], _where_run,
-                                 questions)
+        results = list(_map_questions(cfg, POOL_RULES[work], _where_run,
+                                      questions))
         assert [qid for qid, _, _ in results] == [q.id for q in questions]
         here = {(os.getpid(), threading.get_ident())}
         places = {(pid, thread) for _, pid, thread in results}
@@ -1202,13 +1228,51 @@ class TestPipeline:
         other.start()
         try:
             assert _worker_start().get_start_method() == "spawn"
-            results = _map_questions(cfg, ("sim",), _where_run, questions)
+            results = list(_map_questions(cfg, ("sim",), _where_run,
+                                          questions))
         finally:
             release.set()
             other.join(timeout=30)
         assert not other.is_alive()
         assert [qid for qid, _, _ in results] == [q.id for q in questions]
         assert all(pid != os.getpid() for _, pid, _ in results)
+
+    def test_map_questions_runs_in_process_items_as_consumed(self):
+        ran = []
+
+        def work(item):
+            ran.append(item)
+            if item == 2:
+                raise ValueError(item)
+            return item
+
+        results = _map_questions(RunConfig(), ("sim",), work, range(5))
+        assert ran == []
+        assert next(results) == 0 and ran == [0]
+        assert next(results) == 1 and ran == [0, 1]
+        with pytest.raises(ValueError):
+            next(results)
+        assert list(results) == [] and ran == [0, 1, 2]
+
+    def test_pooled_items_queued_behind_a_raise_never_run(self):
+        cfg = RunConfig(completer_kind="remote", parallelism=2,
+                        remote=RemoteSettings("http://127.0.0.1:9/complete"))
+        started = []
+
+        def work(item):
+            started.append(item)
+            if item == 0:
+                raise ValueError(item)
+            time.sleep(0.2)
+            return item
+
+        with pytest.raises(ValueError):
+            list(_map_questions(cfg, ("remote",), work, range(20)))
+        # The pool is shut down once the error arrives: the items running
+        # then have finished, and no other item starts.
+        ran = list(started)
+        time.sleep(0.3)
+        assert started == ran and len(ran) < 6
 
     @pytest.mark.parametrize("parallelism", [1, 2])
     def test_remote_eval_and_bench_keep_parallelism_requests_in_flight(
@@ -1351,7 +1415,7 @@ class TestStartupImports:
 
         def record(cfg, pooled, work, items):
             maps.setdefault(cmd, []).append((pooled, items))
-            return list(map(work, items))
+            yield from map(work, items)
 
         monkeypatch.setattr(cli, "_map_questions", record)
         for cmd in ("export", "bench"):

@@ -151,14 +151,20 @@ class TestJsonlIO:
     def test_examples_round_trip(self, tmp_path):
         examples = tree_to_examples(toy_tree())
         path = tmp_path / "examples.jsonl"
-        export_examples_jsonl(examples, path)
-        assert import_examples_jsonl(path) == examples
+        # export appends each tree's records to one open file.
+        with open(path, "w", encoding="utf-8") as fh:
+            export_examples_jsonl(examples[:1], fh)
+            export_examples_jsonl(examples[1:], fh)
+        assert len(examples) > 1 and import_examples_jsonl(path) == examples
 
     def test_pairs_round_trip(self, tmp_path):
         pairs = tree_to_pairs(toy_tree())
         path = tmp_path / "pairs.jsonl"
-        export_pairs_jsonl(pairs, path)
-        assert import_pairs_jsonl(path) == pairs
+        # export appends each tree's records to one open file.
+        with open(path, "w", encoding="utf-8") as fh:
+            export_pairs_jsonl(pairs[:1], fh)
+            export_pairs_jsonl(pairs[1:], fh)
+        assert len(pairs) > 1 and import_pairs_jsonl(path) == pairs
 
     def test_corpus_round_trip_with_chains(self, tmp_path):
         questions = [Question("a", "sa", "1"), Question("b", "sb", "2")]

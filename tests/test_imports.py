@@ -3,6 +3,9 @@ top-level import somewhere in its module, an import inside a function in
 that function. So no re-export layer, leftover import or stale deferred
 import survives a change."""
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -69,3 +72,14 @@ def test_every_top_level_import_is_used(path):
 ])
 def test_unused_imports(source, unused):
     assert unused_imports(source) == unused
+
+
+def test_dataset_import_leaves_mcts_unloaded():
+    # dataset names mcts.Tree only in annotations, so dataset, and the
+    # benchmark's stub server that imports it, load no search engine.
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [str(PACKAGE.parent), os.environ.get("PYTHONPATH")])))
+    code = ("import sys, omegaprm.dataset\n"
+            "sys.exit('omegaprm.mcts' in sys.modules)")
+    subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                   timeout=60)
