@@ -216,11 +216,11 @@ def _map_questions(cfg: RunConfig, pooled, work, items):
     worker processes, so ``work`` and its results must pickle: a
     ``generate`` worker returns a status, not its tree, and an ``export``
     worker loads one tree and returns its examples and pairs. With the
-    remote one, which waits on the network and keeps one connection per
-    thread, they run on threads. Either way the items' requests may
-    overlap, so no two items may sample the same state. When an item
-    raises, or the caller closes the generator, the pool's queued items
-    are dropped and only the running ones are waited for.
+    remote one, which waits on the network, they run on threads. Either
+    way the items' requests may overlap, so no two items may sample the
+    same state. When an item raises, or the caller closes the generator,
+    the pool's queued items are dropped and only the running ones are
+    waited for.
     """
     workers = min(cfg.parallelism, len(items))
     if workers <= 1 or cfg.completer_kind not in pooled:
@@ -247,10 +247,9 @@ def _worker_start():
     """The multiprocessing context worker processes start from.
 
     A forked worker starts at once with the package imported; a spawned
-    one imports the package again (numpy only for ``eval``'s pools), about
-    0.18 s for a two-worker pool on a 2-core VM. Fork is used only
-    where it is safe: on Linux, and while no other thread of this process
-    could hold a lock at the fork.
+    one imports the package again, about 0.18 s for a two-worker pool on
+    a 2-core VM. Fork is used only where it is safe: on Linux, and while
+    no other thread of this process could hold a lock at the fork.
     """
     import multiprocessing  # already loaded by the process pool
 
@@ -365,7 +364,8 @@ def _export_one(trees_dir, question):
     tree = _read(load_tree, path)[0]
     if tree.question != question:
         return None
-    return tree_to_examples(tree), tree_to_pairs(tree)
+    examples = tree_to_examples(tree)
+    return examples, tree_to_pairs(examples)
 
 
 def cmd_export(cfg: RunConfig) -> int:

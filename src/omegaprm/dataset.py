@@ -2,8 +2,10 @@
 
 A tree edge becomes a pointwise training example when its action is a
 single step, i.e. its token length is below the tree's binary-search
-threshold. Sibling single-step edges of a node additionally yield pairwise
-preference examples via the Bernoulli normalization (1 + p - q) / 2.
+threshold. Every two examples of one prefix (the single-step edges of one
+node) additionally make a pairwise preference example via the Bernoulli
+normalization (1 + p - q) / 2, so ``pairs.jsonl`` is a function of
+``examples.jsonl``.
 """
 from __future__ import annotations
 
@@ -115,22 +117,16 @@ def filter_questions(corpus, completer, k_filter: int = 32):
     return kept, report
 
 
-def _single_step_edges(tree: Tree):
-    """Each node of ``tree``, in tree order, with its children that have an
-    MC and are reached by a single-step action, in edge order."""
-    for node in tree.nodes.values():
-        yield node, [child for child in node.children
-                     if child.mc is not None
-                     and child.action_token_len < tree.threshold]
-
-
 def tree_to_examples(tree: Tree):
-    """One pointwise example per single-step edge; multi-step edges are
-    skipped rather than re-split (their interior MC was never computed)."""
+    """One pointwise example per single-step edge, in tree order and then
+    edge order; multi-step edges are skipped rather than re-split (their
+    interior MC was never computed)."""
     examples = []
-    for parent, children in _single_step_edges(tree):
-        for child in children:
+    for parent in tree.nodes.values():
+        for child in parent.children:
             mc = child.mc
+            if mc is None or child.action_token_len >= tree.threshold:
+                continue
             examples.append(TrainingExample(
                 question_id=tree.question.id,
                 question=tree.question.statement,
@@ -150,18 +146,21 @@ def normalize_pair(p: float, q: float):
     return pref_x, 1.0 - pref_x
 
 
-def tree_to_pairs(tree: Tree):
-    """All unordered pairs of sibling single-step actions."""
+def tree_to_pairs(examples):
+    """Every unordered pair of consecutive ``examples`` of one question and
+    prefix: from ``tree_to_examples``, each pair of sibling single-step
+    actions (distinct nodes have distinct prefixes)."""
     pairs = []
-    for parent, children in _single_step_edges(tree):
-        for a, b in itertools.combinations(children, 2):
+    for _, group in itertools.groupby(
+            examples, key=lambda ex: (ex.question_id, ex.prefix)):
+        for a, b in itertools.combinations(group, 2):
             pref_a, _ = normalize_pair(a.mc, b.mc)
             pairs.append(PreferencePair(
-                question_id=tree.question.id,
-                question=tree.question.statement,
-                prefix=parent.state.prefix_text,
-                step_a=a.action_text,
-                step_b=b.action_text,
+                question_id=a.question_id,
+                question=a.question,
+                prefix=a.prefix,
+                step_a=a.step,
+                step_b=b.step,
                 pref_a=pref_a,
             ))
     return pairs

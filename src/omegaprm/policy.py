@@ -15,7 +15,6 @@ import math
 import random
 import re
 import select
-import threading
 import time
 from dataclasses import dataclass
 from typing import Optional
@@ -315,10 +314,12 @@ class RemoteCompleter(Completer):
     are retried with exponential backoff; any other non-2xx status fails at
     once.
 
-    Each calling thread keeps one keep-alive ``http.client`` connection to
-    the endpoint; one the server closed while idle is reopened before use,
-    which is not a retry. ``close`` closes the connections of every thread.
-    Proxy environment variables are not consulted.
+    Keep-alive ``http.client`` connections wait in one idle list: a request
+    takes one, or opens one when none is idle, and puts it back when done,
+    so it holds no more connections than its peak of requests in flight.
+    One the server closed while idle is reopened before use (not a retry).
+    ``close`` closes the idle ones. Proxy environment variables are not
+    consulted.
     """
 
     def __init__(self, questions, settings: RemoteSettings, *,
@@ -332,8 +333,7 @@ class RemoteCompleter(Completer):
         self._connect = lambda: connection(url.hostname, url.port,
                                            timeout=settings.timeout)
         self._path = (url.path or "/") + (f"?{url.query}" if url.query else "")
-        self._local = threading.local()
-        self._connections = []  # every thread's, for close()
+        self._idle = []  # list.pop and list.append are atomic: no lock
         self._steps = {}
         self.questions = dict(questions)
         self.settings = settings
@@ -341,45 +341,42 @@ class RemoteCompleter(Completer):
         if auth_token:
             self._headers["Authorization"] = f"Bearer {auth_token}"
 
-    def _connection(self):
-        """This thread's connection; a kept-alive socket the server has
-        closed is dropped, and the next request opens a new one."""
-        conn = getattr(self._local, "conn", None)
-        if conn is None:
-            conn = self._local.conn = self._connect()
-            self._connections.append(conn)  # list.append is atomic
-        elif conn.sock is not None and _dropped(conn.sock):
-            conn.close()
-        return conn
-
     def close(self):
-        for conn in self._connections:
-            conn.close()
+        while self._idle:
+            self._idle.pop().close()
 
     def _post(self, payload):
         from http.client import HTTPException
 
         body = json.dumps(payload, allow_nan=False).encode()
         last_error = None
-        for attempt in range(self.settings.max_retries):
-            conn = self._connection()
-            try:
-                conn.request("POST", self._path, body, self._headers)
-                resp = conn.getresponse()
-                data = resp.read()
-                if resp.status >= 500 or resp.status == 429:
-                    last_error = f"server returned {resp.status}"
-                elif not 200 <= resp.status < 300:
-                    raise CompleterUnavailable(
-                        f"completer rejected request: {resp.status}"
-                    )
-                else:
-                    return json.loads(data)
-            except (OSError, HTTPException, ValueError) as exc:
-                conn.close()
-                last_error = str(exc)
-            if attempt + 1 < self.settings.max_retries:
-                time.sleep(RETRY_BACKOFF * 2 ** attempt)
+        try:
+            conn = self._idle.pop()
+        except IndexError:
+            conn = self._connect()
+        try:
+            for attempt in range(self.settings.max_retries):
+                if conn.sock is not None and _dropped(conn.sock):
+                    conn.close()  # closed while idle: the request reopens it
+                try:
+                    conn.request("POST", self._path, body, self._headers)
+                    resp = conn.getresponse()
+                    data = resp.read()
+                    if resp.status >= 500 or resp.status == 429:
+                        last_error = f"server returned {resp.status}"
+                    elif not 200 <= resp.status < 300:
+                        raise CompleterUnavailable(
+                            f"completer rejected request: {resp.status}"
+                        )
+                    else:
+                        return json.loads(data)
+                except (OSError, HTTPException, ValueError) as exc:
+                    conn.close()
+                    last_error = str(exc)
+                if attempt + 1 < self.settings.max_retries:
+                    time.sleep(RETRY_BACKOFF * 2 ** attempt)
+        finally:
+            self._idle.append(conn)
         raise CompleterUnavailable(f"completer unreachable: {last_error}")
 
     def _to_rollout(self, completion, question):

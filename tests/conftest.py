@@ -83,7 +83,9 @@ def _serve(protocol):
             state.closed.set()
 
     server = Server(("127.0.0.1", 0), Handler)
-    thread = threading.Thread(target=server.serve_forever, daemon=True)
+    # A short poll, so that shutdown() at teardown waits 0.05 s, not 0.5 s.
+    thread = threading.Thread(target=server.serve_forever,
+                              kwargs={"poll_interval": 0.05}, daemon=True)
     thread.start()
     state.url = f"http://127.0.0.1:{server.server_address[1]}/complete"
     yield state

@@ -405,7 +405,7 @@ def _artifact_bundle(seed):
     cfg = EngineConfig(search_limit=30, step_split_target=4)
     tree, budget = build_tree(q, comp, cfg)
     examples = tree_to_examples(tree)
-    pairs = tree_to_pairs(tree)
+    pairs = tree_to_pairs(examples)
     model, curve = train_toy_prm(examples, objective="soft")
     reports = accuracy_curve([q], comp, model, EvalSettings(
         k_max=4, n_resamples=10, pool_size=8), seed=seed)

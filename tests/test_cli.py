@@ -1300,9 +1300,14 @@ class TestPipeline:
         doc["completer"] = {"kind": "remote",
                             "remote": {"endpoint": fake_server_11.url}}
         config.write_text(json.dumps(doc))
+        opened = {}
         for cmd in ("eval", "bench"):
+            before = fake_server_11.connections
             assert run(cmd, config) == 0
+            opened[cmd] = fake_server_11.connections - before
         assert peaks == {"eval": parallelism, "bench": parallelism}
+        # A request takes an idle connection before it opens one.
+        assert all(1 <= opened[cmd] <= peaks[cmd] for cmd in opened)
 
     @pytest.mark.parametrize("parallelism", [1, 2])
     def test_remote_commands_close_their_connections(

@@ -1,4 +1,5 @@
 """Filtering, tree-to-dataset conversion, and JSONL I/O."""
+import itertools
 import json
 
 import pytest
@@ -13,11 +14,15 @@ from omegaprm.dataset import (
     import_corpus_jsonl,
     import_examples_jsonl,
     import_pairs_jsonl,
+    normalize_pair,
+    PreferencePair,
     tree_to_examples,
     tree_to_pairs,
 )
 from omegaprm.errors import CompleterUnavailable, ParseError
-from omegaprm.mcts import Tree
+from omegaprm.mcts import Tree, build_tree
+
+from test_mcts import make_setup
 
 
 class _FixedCompleter:
@@ -128,9 +133,25 @@ class TestTreeToExamples:
         assert "mystery" not in steps
 
 
+def sibling_edge_pairs(tree):
+    """Every pair of sibling single-step edges, walked from the tree: the
+    reference that ``tree_to_pairs`` of the tree's examples must equal."""
+    pairs = []
+    for parent in tree.nodes.values():
+        children = [child for child in parent.children
+                    if child.mc is not None
+                    and child.action_token_len < tree.threshold]
+        for a, b in itertools.combinations(children, 2):
+            pairs.append(PreferencePair(
+                tree.question.id, tree.question.statement,
+                parent.state.prefix_text, a.action_text, b.action_text,
+                normalize_pair(a.mc, b.mc)[0]))
+    return pairs
+
+
 class TestTreeToPairs:
     def test_all_sibling_pairs(self):
-        pairs = tree_to_pairs(toy_tree())
+        pairs = tree_to_pairs(tree_to_examples(toy_tree()))
         assert len(pairs) == 3  # C(3, 2) over the single-step siblings
         by_key = {(p.step_a, p.step_b): p for p in pairs}
         ab = by_key[("alpha", "beta")]
@@ -144,7 +165,22 @@ class TestTreeToPairs:
         q = Question("q1", "s", "9")
         tree = Tree(q)
         tree.threshold = 2.0
-        assert tree_to_pairs(tree) == []
+        assert tree_to_pairs(tree_to_examples(tree)) == []
+
+    def test_built_trees_give_the_sibling_edge_pairs(self):
+        # Pairs come from the examples alone; on built trees, with both
+        # single- and multi-step edges, they are the sibling-edge pairs.
+        multi_step = 0
+        for seed in range(4):
+            q, chain, comp, cfg = make_setup(
+                error_prob=0.1, seed=seed, tokens_per_step=2,
+                step_split_target=4)
+            tree, _ = build_tree(q, comp, cfg)
+            pairs = tree_to_pairs(tree_to_examples(tree))
+            assert pairs and pairs == sibling_edge_pairs(tree)
+            multi_step += sum(child.action_token_len >= tree.threshold
+                              for child in tree.nodes.values())
+        assert multi_step > 0
 
 
 class TestJsonlIO:
@@ -158,7 +194,7 @@ class TestJsonlIO:
         assert len(examples) > 1 and import_examples_jsonl(path) == examples
 
     def test_pairs_round_trip(self, tmp_path):
-        pairs = tree_to_pairs(toy_tree())
+        pairs = tree_to_pairs(tree_to_examples(toy_tree()))
         path = tmp_path / "pairs.jsonl"
         # export appends each tree's records to one open file.
         with open(path, "w", encoding="utf-8") as fh:

@@ -519,6 +519,16 @@ def _visit_count_bool(doc):
     doc["nodes"][-1]["visit_count"] = True
 
 
+def _visit_count_negative(doc):
+    doc["nodes"][-1]["visit_count"] = -1
+
+
+def _foreign_action(doc):
+    """The last edge's action is a step that no prefix holds, so it no
+    longer takes its parent's prefix to its child's."""
+    doc["edges"][-1]["action_steps"] = [{"text": "foreign", "token_len": 1}]
+
+
 def _threshold_str(doc):
     doc["threshold"] = "x"
 
@@ -558,6 +568,8 @@ TREE_DAMAGES = {
     "budget_str": _budget_str,
     "visit_count_str": _visit_count_str,
     "visit_count_bool": _visit_count_bool,
+    "visit_count_negative": _visit_count_negative,
+    "foreign_action": _foreign_action,
     "threshold_str": _threshold_str,
     "threshold_nan": _threshold_nan,
     "reversed_edges": _reversed_edges,

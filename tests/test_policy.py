@@ -2,6 +2,7 @@ import os
 import subprocess
 import sys
 import threading
+from concurrent.futures import ThreadPoolExecutor
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -413,7 +414,8 @@ class TestRemoteCompleter:
 
 
 class TestRemoteTransport:
-    """The keep-alive connection each thread holds to the server."""
+    """The keep-alive connections a completer keeps idle between requests,
+    whichever thread sent them."""
 
     QUESTIONS = {
         "q1": Question("q1", "What is 2+2?", "4"),
@@ -453,7 +455,15 @@ class TestRemoteTransport:
         assert sleeps == []
 
     def test_threads_sharing_a_completer(self, fake_server_11):
-        fake_server_11.respond = self.answer_prompt
+        # Each request waits for one of the other thread's, so two are
+        # always in flight at once and need two connections.
+        both = threading.Barrier(2, timeout=10)
+
+        def respond(body):
+            both.wait()
+            return self.answer_prompt(body)
+
+        fake_server_11.respond = respond
         comp = self.make(fake_server_11.url)
         answers = {}
 
@@ -471,6 +481,26 @@ class TestRemoteTransport:
             t.join()
         assert answers == {"q1": ["4"] * 40, "q2": ["6"] * 40}
         assert fake_server_11.connections == 2
+
+    def test_successive_thread_pools_reuse_idle_connections(
+            self, fake_server_11):
+        # Each pool's threads are new, but they take the connections that
+        # the threads before them left idle.
+        fake_server_11.respond = self.answer_prompt
+        comp = self.make(fake_server_11.url)
+
+        def answer(qid):
+            rollouts = comp.sample_rollouts(CompleterRequest(State(qid), 2))
+            return [r.final_answer for r in rollouts]
+
+        for _ in range(3):
+            with ThreadPoolExecutor(2) as pool:
+                assert list(pool.map(answer, ["q1", "q2"] * 4)) == \
+                    [["4", "4"], ["6", "6"]] * 4
+        assert len(fake_server_11.requests_seen) == 24
+        assert 1 <= fake_server_11.connections <= 2
+        comp.close()
+        assert comp._idle == []
 
     def test_server_closing_after_every_reply(self, fake_server):
         comp = self.make(fake_server.url, max_retries=1)
